@@ -16,6 +16,21 @@ trapezoidal companion models, so each Newton iteration reduces to a
 tridiagonal solve in the node voltages; the whole run is deterministic for
 a given configuration and seed.
 
+One private core, ``_integrate``, advances B independent runs (chain and
+resolved drive) in lockstep; ``simulate_transient`` is its B = 1 case, and
+the phase and flux sweeps pass all their runs at once.  The B chains are
+laid end to end as one ladder of B*(N+1) nodes, joined by inert branches,
+so each Newton iteration is one pass of elementwise operations and one
+``dgtsv`` call over the whole batch.  The couplings across the inert
+branches are exactly zero, so the elimination multiplier there is zero and
+leaves the next member's pivot and right-hand side unchanged: every member
+is solved with the same floating-point operations as a separate solve.
+All other arithmetic is elementwise, in the same order as for a single run
+(a few terms are evaluated negated, which IEEE rounding makes exact), and
+a member that meets its own convergence test is held fixed while the
+others iterate; each member's output is therefore bit-identical to running
+it alone.
+
 All drive tones are snapped onto the FFT bin grid of the analysis window;
 the window itself is first adjusted so that the reference tone (the first
 tone of the drive, by convention the pump) lies exactly on the grid.
@@ -25,7 +40,7 @@ Spectral readout therefore needs no leakage correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -236,13 +251,6 @@ class RealizedChain:
     def n_cells(self) -> int:
         return self.config.n_cells
 
-    @property
-    def cells(self) -> list:
-        return [
-            SnailParams(r=float(r), i_c=float(ic), phi_ext=float(pe))
-            for r, ic, pe in zip(self.r_eff, self.i_c_eff, self.phi_ext)
-        ]
-
     def esr_ohms(self, f_ref: float | None = None) -> float:
         """Equivalent series resistance of c_g for loss tangent tan_delta,
         referenced at ``f_ref`` (defaults to the chain's pump frequency)."""
@@ -366,14 +374,49 @@ def simulate_transient(
     volts within ``max_newton_iter`` iterations.
     """
     resolved = drive.resolve() if isinstance(drive, DriveSpec) else drive
-    cfg = chain.config
-    n = cfg.n_cells
-    dt = resolved.dt
+    return _integrate([(chain, resolved)], newton_tol, max_newton_iter)[0]
 
+
+def _esr(chain: RealizedChain, resolved: ResolvedDrive) -> float:
+    if chain.config.tan_delta == 0.0:
+        return 0.0
     f_ref = chain.f_ref
     if f_ref is None and resolved.tones:
         f_ref = resolved.tones[0].frequency
-    esr = chain.esr_ohms(f_ref) if cfg.tan_delta > 0.0 else 0.0
+    return chain.esr_ohms(f_ref)
+
+
+def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) -> list:
+    """Integrate (RealizedChain, ResolvedDrive) members; one TimeTrace each.
+
+    Members that share the cell count, the circuit constants and the time
+    grid advance in lockstep as one batch; members that differ run as
+    separate batches.  The first member (in order) whose Newton solve fails
+    at the earliest step raises NewtonDivergence with that step index.
+    """
+    groups = {}
+    for i, (chain, resolved) in enumerate(members):
+        cfg = chain.config
+        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, _esr(chain, resolved), resolved.dt, resolved.n_total)
+        groups.setdefault(key, []).append(i)
+    if len(groups) != 1:
+        traces = [None] * len(members)
+        for idx in groups.values():
+            batch = _integrate([members[i] for i in idx], newton_tol, max_newton_iter)
+            for i, trace in zip(idx, batch):
+                traces[i] = trace
+        return traces
+
+    chains = [chain for chain, _ in members]
+    drives = [resolved for _, resolved in members]
+    cfg = chains[0].config
+    esr = _esr(chains[0], drives[0])
+    n = cfg.n_cells
+    m = n + 1  # nodes per member
+    nb = len(members)
+    size = nb * m
+    dt = drives[0].dt
+    n_total = drives[0].n_total
 
     g_cj = 2.0 * cfg.c_j / dt
     half_dt_cg = dt / (2.0 * cfg.c_g)
@@ -381,103 +424,186 @@ def simulate_transient(
     g_port = 1.0 / cfg.z0
     c_phase = math.pi * dt / PHI0  # trapezoidal phase increment per volt
 
-    a1 = chain.r_eff * chain.i_c_eff
-    a2 = chain.i_c_eff
+    # The batch is one ladder of nb*m nodes: node b*m + k is node k of
+    # member b, and branch j joins nodes j and j+1.  Branch b*m + n, after
+    # each member's output node, is inert: its junction terms are zero, its
+    # current is overwritten by the output port current g_port*v[n], and
+    # its conductance is g_port, which is what node n's diagonal and the
+    # next member's node 0 need in that place.  So every per-branch and
+    # per-node operation is one contiguous pass over the whole batch.
+    def stacked(per_member):
+        out = np.zeros((nb, m))
+        out[:, :n] = per_member
+        return out.reshape(-1)
+
+    a1 = stacked([chain.r_eff * chain.i_c_eff for chain in chains])
+    a2 = stacked([chain.i_c_eff for chain in chains])
     a2_3 = a2 / 3.0
-    phi_ext = chain.phi_ext
+    phi_ext = stacked([chain.phi_ext for chain in chains])
+    phi = stacked([chain.phi_star for chain in chains])
+    g_series = np.full(size, g_cj)
+    g_series[n::m] = g_port
+    g_shunt = np.full(size, g_sh)
+    g_shunt[::m] = 0.0  # node 0 has no shunt; its diagonal is g_port + gb[0]
 
-    t_grid = dt * np.arange(1, resolved.n_total + 1)
-    i_src = resolved.source_current(t_grid)
+    t_grid = dt * np.arange(1, n_total + 1)
+    i_src = np.stack([resolved.source_current(t_grid) for resolved in drives], axis=1)
 
-    v = np.zeros(n + 1)
-    v_prev = np.zeros(n + 1)
-    phi = chain.phi_star.copy()
-    v_ser = np.zeros(n)
-    i_cj = np.zeros(n)
-    i_sh = np.zeros(n)
-    v_cg = np.zeros(n)
+    # Node voltages live in row 1 of a (2, nb*m) pair whose row 0 holds the
+    # Newton right-hand side, which dgtsv overwrites with the update; two
+    # pairs alternate as v and v_prev.
+    views = []
+    for pair in (np.zeros((2, size)), np.zeros((2, size))):
+        v, rhs = pair[1], pair[0]
+        views.append((pair.reshape(2, nb, m), v, v[:-1], v[1:], v[n::m], v[::m],
+                      v.reshape(nb, m), v.reshape(nb, m)[:, ::n], rhs, rhs[::m], rhs.reshape(nb, m)))
+    # the last branch has no right-hand node: its series voltage stays 0
+    v_ser, v_ser_new = np.zeros(size), np.zeros(size)
+    i_cj, i_sh, i_sh_new, v_cg = np.zeros((4, size))
+    hist_cj, hist_sh, phi_new, arg, sin_phi, cos_phi, sin_arg, cos_arg, scratch = np.empty((9, size))
+    abs_pair = np.empty((2, nb, m))
+    maxima = np.empty((2, nb))
+    # i_branch[0] and g_branch[0] pad the left of node 0 of member 0
+    i_branch = np.zeros(size + 1)
+    g_branch = np.empty(size + 1)
+    g_branch[0] = g_port
+    ib, ib_left, ib_ports, ib_in = i_branch[1:], i_branch[:-1], i_branch[1:][n::m], i_branch[1:][::m]
+    gb, gb_left, gb_head = g_branch[1:], g_branch[:-1], g_branch[1:-1]
+    diag = np.empty(size)
+    off = np.empty(size - 1)
+    off_inert = off[n::m]  # coupling between neighbouring members: exactly 0
 
-    out = np.empty(resolved.n_total)
-    vin = np.empty(resolved.n_total)
-    residual = np.empty(n + 1)
-    diag = np.empty(n + 1)
+    record = np.empty((nb, 2, n_total))  # [b, 0] input node, [b, 1] output node
+    add, subtract, multiply, divide, negative = np.add, np.subtract, np.multiply, np.divide, np.negative
+    sin, cos, absolute, max_reduce = np.sin, np.cos, np.absolute, np.maximum.reduce
+    dgtsv = lapack.dgtsv
+    all_members = list(range(nb))
+    active = np.ones((nb, 1), dtype=bool)
+    cur, prev = views
+    errs = [math.inf] * nb
 
-    for step in range(resolved.n_total):
-        hist_cj = -g_cj * v_ser - i_cj
-        hist_sh = -g_sh * (v_cg + half_dt_cg * i_sh)
+    for step in range(n_total):
+        multiply(v_ser, -g_cj, hist_cj)
+        subtract(hist_cj, i_cj, hist_cj)
+        multiply(i_sh, half_dt_cg, hist_sh)
+        add(v_cg, hist_sh, hist_sh)
+        multiply(hist_sh, -g_sh, hist_sh)
         i_now = i_src[step]
-        # linear extrapolation predictor
-        v_guess = 2.0 * v - v_prev
-        v_prev = v
-        v = v_guess
-        converged = False
+        # linear extrapolation predictor, written over v_prev's buffer
+        multiply(cur[1], 2.0, prev[8])
+        subtract(prev[8], prev[1], prev[1])
+        cur, prev = prev, cur
+        pair, v, v_lo, v_hi, v_ports, v_in, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
+        v_ser_head = v_ser_new[:-1]
+        pending = all_members
         for _ in range(max_newton_iter):
-            v_ser_new = v[:-1] - v[1:]
-            phi_new = phi + c_phase * (v_ser_new + v_ser)
-            arg = (phi_new - phi_ext) / 3.0
-            sin_phi = np.sin(phi_new)
-            cos_phi = np.cos(phi_new)
-            sin_arg = np.sin(arg)
-            cos_arg = np.cos(arg)
-            i_branch = a1 * sin_phi + a2 * sin_arg + g_cj * v_ser_new + hist_cj
-            g_branch = c_phase * (a1 * cos_phi + a2_3 * cos_arg) + g_cj
+            subtract(v_lo, v_hi, v_ser_head)
+            add(v_ser_new, v_ser, phi_new)
+            multiply(phi_new, c_phase, phi_new)
+            add(phi, phi_new, phi_new)
+            subtract(phi_new, phi_ext, arg)
+            divide(arg, 3.0, arg)
+            sin(phi_new, sin_phi)
+            cos(phi_new, cos_phi)
+            sin(arg, sin_arg)
+            cos(arg, cos_arg)
+            multiply(a1, sin_phi, sin_phi)
+            multiply(a2, sin_arg, sin_arg)
+            add(sin_phi, sin_arg, sin_phi)
+            multiply(v_ser_new, g_cj, scratch)
+            add(sin_phi, scratch, sin_phi)
+            add(sin_phi, hist_cj, ib)
+            multiply(v_ports, g_port, ib_ports)
+            multiply(a1, cos_phi, cos_phi)
+            multiply(a2_3, cos_arg, cos_arg)
+            add(cos_phi, cos_arg, cos_phi)
+            multiply(cos_phi, c_phase, cos_phi)
+            add(cos_phi, g_series, gb)
 
-            residual[0] = g_port * v[0] + i_branch[0] - i_now
-            residual[1:] = g_sh * v[1:] + hist_sh
-            residual[1:-1] += i_branch[1:] - i_branch[:-1]
-            residual[-1] += -i_branch[-1] + g_port * v[-1]
+            # right-hand side -residual, negated term by term (exact)
+            multiply(v, -g_sh, rhs)
+            subtract(rhs, hist_sh, rhs)
+            subtract(ib_left, ib, scratch)
+            add(rhs, scratch, rhs)
+            multiply(v_in, -g_port, rhs_in)
+            subtract(rhs_in, ib_in, rhs_in)
+            add(rhs_in, i_now, rhs_in)
 
-            diag[0] = g_port + g_branch[0]
-            diag[1:] = g_sh
-            diag[1:-1] += g_branch[:-1] + g_branch[1:]
-            diag[-1] += g_branch[-1] + g_port
+            add(gb_left, gb, diag)
+            add(diag, g_shunt, diag)
+            negative(gb_head, off)
+            off_inert.fill(0.0)
 
-            _, _, _, delta, info = lapack.dgtsv(-g_branch, diag, -g_branch, -residual)
-            if info != 0 or not np.isfinite(delta[0]):
+            _, _, _, _, info = dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+            if info != 0:
                 raise NewtonDivergence(
-                    f"tridiagonal solve failed at step {step} (info={info})",
+                    f"tridiagonal solve failed at step {step} (info={(info - 1) % m + 1})",
                     step_index=step,
                 )
-            v = v + delta
-            err = float(np.max(np.abs(delta)))
-            if not math.isfinite(err):
-                raise NewtonDivergence(
-                    f"Newton update diverged at step {step}", step_index=step
-                )
-            if err < newton_tol + 1e-10 * float(np.max(np.abs(v))):
-                converged = True
+            if pending is all_members:
+                add(v, rhs, v)
+            else:
+                add(v_rows, rhs_rows, v_rows, where=active)
+            absolute(pair, abs_pair)
+            max_reduce(abs_pair, 2, None, maxima)
+            errs, v_max = maxima.tolist()
+            still = []
+            for b in pending:
+                err = errs[b]
+                if not math.isfinite(err):
+                    if not math.isfinite(rhs_in[b]):
+                        raise NewtonDivergence(
+                            f"tridiagonal solve failed at step {step} (info=0)",
+                            step_index=step,
+                        )
+                    raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step)
+                if not err < newton_tol + 1e-10 * v_max[b]:
+                    still.append(b)
+            if not still:
                 break
-        if not converged:
+            if len(still) < len(pending):
+                active[:] = False
+                active[still] = True
+                pending = still
+        else:
             raise NewtonDivergence(
                 f"no Newton convergence at step {step} "
-                f"(|dV| = {err:.3e} V after {max_newton_iter} iterations); "
+                f"(|dV| = {errs[pending[0]]:.3e} V after {max_newton_iter} iterations); "
                 "reduce dt or the drive amplitude",
                 step_index=step,
             )
-        v_ser_new = v[:-1] - v[1:]
-        phi = phi + c_phase * (v_ser_new + v_ser)
-        i_cj = g_cj * v_ser_new + hist_cj
-        i_sh_new = g_sh * v[1:] + hist_sh
-        v_cg = v_cg + half_dt_cg * (i_sh_new + i_sh)
-        i_sh = i_sh_new
-        v_ser = v_ser_new
-        out[step] = v[-1]
-        vin[step] = v[0]
+        subtract(v_lo, v_hi, v_ser_head)
+        add(v_ser_new, v_ser, scratch)
+        multiply(scratch, c_phase, scratch)
+        add(phi, scratch, phi)
+        multiply(v_ser_new, g_cj, i_cj)
+        add(i_cj, hist_cj, i_cj)
+        multiply(v, g_sh, i_sh_new)
+        add(i_sh_new, hist_sh, i_sh_new)
+        add(i_sh_new, i_sh, scratch)
+        multiply(scratch, half_dt_cg, scratch)
+        add(v_cg, scratch, v_cg)
+        i_sh, i_sh_new = i_sh_new, i_sh
+        v_ser, v_ser_new = v_ser_new, v_ser
+        record[:, :, step] = v_ends
 
-    metadata = {
-        "n_cells": n,
-        "flux": chain.flux,
-        "rng_seed": cfg.rng_seed,
-        "disorder_amplitude": cfg.disorder_amplitude,
-        "esr_ohms": esr,
-        "dt": dt,
-        "window": resolved.window,
-        "n_settle": resolved.n_settle,
-        "n_window": resolved.n_window,
-        "tones": [(t.frequency, t.peak_current, t.phase) for t in resolved.tones],
-        "z0": cfg.z0,
-    }
-    return TimeTrace(dt=dt, samples=out, input_samples=vin, metadata=metadata)
+    traces = []
+    for b, (chain, resolved) in enumerate(members):
+        metadata = {
+            "n_cells": n,
+            "flux": chain.flux,
+            "rng_seed": chain.config.rng_seed,
+            "disorder_amplitude": chain.config.disorder_amplitude,
+            "esr_ohms": esr,
+            "dt": dt,
+            "window": resolved.window,
+            "n_settle": resolved.n_settle,
+            "n_window": resolved.n_window,
+            "tones": [(t.frequency, t.peak_current, t.phase) for t in resolved.tones],
+            "z0": cfg.z0,
+        }
+        traces.append(TimeTrace(dt=dt, samples=record[b, 1], input_samples=record[b, 0], metadata=metadata))
+    return traces
 
 
 def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
@@ -633,14 +759,10 @@ def flux_sweep_idler(
     f_idler3 = idler_frequencies(drive_3wm)["three_wave"]
     f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
     f_ref = r3.tones[0].frequency
-    psd3 = np.empty(flux_grid.size)
-    psd4 = np.empty(flux_grid.size)
-    for i, flux in enumerate(flux_grid):
-        chain = build_chain(config, float(flux), f_ref=f_ref)
-        spec3 = extract_spectrum(simulate_transient(chain, r3), r3)
-        spec4 = extract_spectrum(simulate_transient(chain, r4), r4)
-        psd3[i] = spec3.power_dbm_at(f_idler3)
-        psd4[i] = spec4.power_dbm_at(f_idler4)
+    chains = [build_chain(config, float(flux), f_ref=f_ref) for flux in flux_grid]
+    traces = _integrate([(chain, r3) for chain in chains] + [(chain, r4) for chain in chains])
+    psd3 = np.array([extract_spectrum(t, r3).power_dbm_at(f_idler3) for t in traces[: len(chains)]])
+    psd4 = np.array([extract_spectrum(t, r4).power_dbm_at(f_idler4) for t in traces[len(chains) :]])
     return {
         "flux": flux_grid,
         "idler_3wm_dbm": psd3,
@@ -685,32 +807,17 @@ def degenerate_gain_vs_phase(
     chain = build_chain(config, flux, f_ref=resolved.tones[0].frequency)
 
     # all runs share the resolved grid exactly (same window, dt, settle)
-    drive_off = ResolvedDrive(
-        tones=(resolved.tones[1],),
-        window=resolved.window,
-        dt=resolved.dt,
-        n_window=resolved.n_window,
-        n_settle=resolved.n_settle,
-        n_total=resolved.n_total,
+    pump_on = resolved.tones[0]
+    drive_off = replace(resolved, tones=(resolved.tones[1],))
+    drives = [drive_off] + [
+        replace(resolved, tones=(replace(pump_on, phase=float(phase)), resolved.tones[1]))
+        for phase in phase_grid
+    ]
+    traces = _integrate([(chain, drive) for drive in drives])
+    p_off = extract_spectrum(traces[0], drive_off).power_dbm_at(f_signal)
+    gains = np.array(
+        [extract_spectrum(t, d).power_dbm_at(f_signal) - p_off for t, d in zip(traces[1:], drives[1:])]
     )
-    spec_off = extract_spectrum(simulate_transient(chain, drive_off), drive_off)
-    p_off = spec_off.power_dbm_at(f_signal)
-
-    gains = np.empty(phase_grid.size)
-    for i, phase in enumerate(phase_grid):
-        drive_on = ResolvedDrive(
-            tones=(
-                Tone(resolved.tones[0].frequency, pump.peak_current, float(phase)),
-                resolved.tones[1],
-            ),
-            window=resolved.window,
-            dt=resolved.dt,
-            n_window=resolved.n_window,
-            n_settle=resolved.n_settle,
-            n_total=resolved.n_total,
-        )
-        spec_on = extract_spectrum(simulate_transient(chain, drive_on), drive_on)
-        gains[i] = spec_on.power_dbm_at(f_signal) - p_off
     return {"phase": phase_grid, "gain_db": gains, "f_signal": f_signal, "pump_off_dbm": p_off}
 
 

@@ -85,6 +85,19 @@ def _git_revision() -> str | None:
     return None
 
 
+def _number(config: dict, key: str, default, kind=float):
+    """``config[key]`` (or ``default``) as a finite ``kind``; a value that is
+    not one is a configuration error naming the key."""
+    value = config.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"'{key}' must be finite, got {value!r}")
+    return number
+
+
 def _validate_keys(config: dict, allowed: set, context: str) -> None:
     unknown = set(config) - allowed
     if unknown:
@@ -137,10 +150,12 @@ def _chain_config(config: dict, profile: str, seed) -> circuit.ChainConfig:
 
 def cmd_coeffs(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["coeffs"], "coeffs")
-    r = float(config.get("r", 0.07))
-    flux_min = float(config.get("flux_min", -2.0))
-    flux_max = float(config.get("flux_max", 2.0))
-    n_points = int(config.get("n_points", 401))
+    r = _number(config, "r", 0.07)
+    if not 0.0 < r < 1.0 / 3.0:
+        raise ConfigError(f"'r' must be in (0, 1/3) for a single-valued SNAIL, got {r}")
+    flux_min = _number(config, "flux_min", -2.0)
+    flux_max = _number(config, "flux_max", 2.0)
+    n_points = _number(config, "n_points", 401, int)
     if n_points < 1 or flux_min > flux_max:
         raise ConfigError(f"empty flux grid: [{flux_min}, {flux_max}] x {n_points}")
     flux = np.linspace(flux_min, flux_max, n_points)
@@ -165,10 +180,10 @@ def _drive_pair(config: dict, profile: str):
         dt=float(block["dt"]) if "dt" in block else None,
     )
     f_pump = float(block.get("f_pump", 7.705e9))
-    return (
-        circuit.three_wave_drive(f_pump, **kw),
-        circuit.four_wave_drive(f_pump, **kw),
-    )
+    try:  # the builders resolve the drive grid, which validates dt and window
+        return circuit.three_wave_drive(f_pump, **kw), circuit.four_wave_drive(f_pump, **kw)
+    except ValueError as err:
+        raise ConfigError(f"invalid drive block: {err}") from err
 
 
 def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
@@ -218,7 +233,7 @@ def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["gain-phase"], "gain-phase")
     chain_cfg = _chain_config(config, profile, seed)
     flux = float(config.get("flux", 0.59))
-    f_pump = float(config.get("pump_frequency", 7.705e9))
+    f_pump = _number(config, "pump_frequency", 7.705e9)
     pump_current = float(config.get("pump_current", 0.157e-6))
     signal_current = float(config.get("signal_current", 0.0011e-6))
     n_phases = int(config.get("n_phases", 9))
@@ -226,6 +241,8 @@ def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
     settle = float(config.get("settle_time", 10e-9))
     if n_phases < 1:
         raise ConfigError("n_phases must be >= 1")
+    if not f_pump > 0.0:
+        raise ConfigError(f"'pump_frequency' must be positive, got {f_pump}")
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
     print(f"gain-phase: {n_phases} phases, n_cells={chain_cfg.n_cells}", file=sys.stderr)
     result = circuit.degenerate_gain_vs_phase(
@@ -277,7 +294,9 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
     s_db = float(config.get("target_s_db", 0.0))
     theta = float(config.get("target_theta", 0.0))
     n_add = float(config.get("added_noise_photons", 1.5))
-    n_rep = int(config.get("n_rep", 1_000_000))
+    n_rep = _number(config, "n_rep", 1_000_000, int)
+    if n_rep < 2:
+        raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
     drift = float(config.get("gain_drift", 0.0))
     phases = config.get("phases", [0.0])
     master = seed if seed is not None else int(config.get("seed", 0))
@@ -328,7 +347,9 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
     r_values = config.get("r_values", [0.0, 0.25, 0.5, 0.75, 1.0])
     n_add = float(config.get("added_noise_photons", 1.5))
     n_thermal = float(config.get("thermal_photons", 0.0))
-    n_rep = int(config.get("n_rep", 1_000_000))
+    n_rep = _number(config, "n_rep", 1_000_000, int)
+    if n_rep < 2:
+        raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
     drift = float(config.get("gain_drift", 0.0))
     gain_unc = config.get("gain_uncertainty_db", 1.0)
     master = seed if seed is not None else int(config.get("seed", 0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from snailtwpa import circuit
 from snailtwpa.errors import NewtonDivergence, WindowTooShort
 from snailtwpa.circuit import (
     ChainConfig,
@@ -360,3 +361,75 @@ def test_polarity_cancellation_relative_to_uniform():
         spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
         levels[name] = spec.power_dbm_at(f_i)
     assert levels["uniform"] - levels["alt"] > 25.0
+
+
+# --- batched integration -----------------------------------------------------
+
+
+@pytest.mark.parametrize("signal_current", [0.0011e-6, 0.0], ids=["signal", "zero-drive-reference"])
+def test_batched_gain_phase_members_match_serial_bitwise(monkeypatch, signal_current):
+    # every member of the sweep's batch (pump-off reference + one run per
+    # phase) equals its own serial run bit for bit; with no signal the
+    # pump-off member is undriven, converges first and is held fixed while
+    # the pumped members iterate
+    batches = []
+    integrate = circuit._integrate
+
+    def recording(members, *args, **kwargs):
+        traces = integrate(members, *args, **kwargs)
+        batches.append((members, traces))
+        return traces
+
+    monkeypatch.setattr(circuit, "_integrate", recording)
+    cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
+    degenerate_gain_vs_phase(
+        cfg,
+        0.59,
+        pump=Tone(F_PUMP, 0.8e-6),
+        signal=Tone(F_PUMP / 2, signal_current),
+        phase_grid=[0.0, 1.3, 2.9],
+        window=2e-9,
+        settle_time=1e-9,
+    )
+    assert len(batches) == 1
+    members, traces = batches[0]
+    assert len(members) == 4
+    for (chain, drive), trace in zip(members, traces):
+        serial = simulate_transient(chain, drive)
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+
+
+def test_batched_flux_sweep_matches_serial_loop():
+    cfg = ChainConfig(n_cells=6, disorder_amplitude=0.05, rng_seed=11)
+    d3 = three_wave_drive(F_PUMP, window=3e-9, settle_time=1e-9)
+    d4 = four_wave_drive(F_PUMP, window=3e-9, settle_time=1e-9)
+    flux = [0.4, 0.5, 0.59]
+    out = flux_sweep_idler(cfg, d3, d4, flux)
+    r3, r4 = d3.resolve(), d4.resolve()
+    f3 = idler_frequencies(d3)["three_wave"]
+    f4 = idler_frequencies(d4)["four_wave"]
+    serial3, serial4 = [], []
+    for phi in flux:
+        chain = build_chain(cfg, phi, f_ref=r3.tones[0].frequency)
+        serial3.append(extract_spectrum(simulate_transient(chain, r3), r3).power_dbm_at(f3))
+        serial4.append(extract_spectrum(simulate_transient(chain, r4), r4).power_dbm_at(f4))
+    assert out["idler_3wm_dbm"].tobytes() == np.array(serial3).tobytes()
+    assert out["idler_4wm_dbm"].tobytes() == np.array(serial4).tobytes()
+
+
+def test_batch_newton_divergence_reports_first_failing_step():
+    # one Newton iteration per step: the undriven member converges at every
+    # step, the driven one cannot, and the batch reports the driven
+    # member's own failing step
+    chain = build_chain(small_config(), 0.3)
+    rest = DriveSpec(tones=(), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    driven = DriveSpec(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    assert rest.n_total == driven.n_total and rest.dt == driven.dt
+    simulate_transient(chain, rest, max_newton_iter=1)
+    with pytest.raises(NewtonDivergence) as serial:
+        simulate_transient(chain, driven, max_newton_iter=1)
+    with pytest.raises(NewtonDivergence) as batch:
+        circuit._integrate([(chain, rest), (chain, driven)], max_newton_iter=1)
+    assert batch.value.step_index == serial.value.step_index
+    assert str(batch.value) == str(serial.value)

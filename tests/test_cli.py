@@ -65,6 +65,26 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["coeffs", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("coeffs", {"r": "abc"}, "'r'"),
+        ("coeffs", {"r": 0.5}, "'r'"),
+        ("coeffs", {"r": float("nan")}, "'r'"),
+        ("flux-sweep", {"drive": {"dt": 1e-9}}, "dt"),
+        ("gain-phase", {"pump_frequency": -7.705e9}, "'pump_frequency'"),
+        ("sms", {"n_rep": 1}, "'n_rep'"),
+        ("tms", {"n_rep": 1}, "'n_rep'"),
+    ],
+)
+def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
+    # rejected while parsing, before any solve, with the offending key named
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["coeffs", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]) == 2
 
