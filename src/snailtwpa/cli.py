@@ -85,17 +85,43 @@ def _git_revision() -> str | None:
     return None
 
 
-def _number(config: dict, key: str, default, kind=float):
-    """``config[key]`` (or ``default``) as a finite ``kind``; a value that is
-    not one is a configuration error naming the key."""
-    value = config.get(key, default)
+def _finite(value, name: str, kind=float):
+    """``value`` as a finite ``kind``; anything else is a configuration error
+    naming ``name``."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"'{key}' must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _number(config: dict, key: str, default, kind=float):
+    """``config[key]`` (or ``default``) as a finite ``kind``."""
+    return _finite(config.get(key, default), f"'{key}'", kind)
+
+
+def _numbers(config: dict, key: str, default) -> list:
+    """``config[key]`` (or ``default``) as a list of finite floats."""
+    values = config.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"'{key}' must be a list of numbers, got {values!r}")
+    return [_finite(value, f"'{key}' entry") for value in values]
+
+
+def _gain_uncertainty(config: dict):
+    """The system-gain uncertainty in dB; null turns the systematic bounds off."""
+    if config.get("gain_uncertainty_db", 1.0) is None:
+        return None
+    return _number(config, "gain_uncertainty_db", 1.0)
+
+
+def _snail_ratio(config: dict) -> float:
+    r = _number(config, "r", 0.07)
+    if not 0.0 < r < 1.0 / 3.0:
+        raise ConfigError(f"'r' must be in (0, 1/3) for a single-valued SNAIL, got {r}")
+    return r
 
 
 def _validate_keys(config: dict, allowed: set, context: str) -> None:
@@ -137,6 +163,7 @@ def _chain_config(config: dict, profile: str, seed) -> circuit.ChainConfig:
     block = dict(config.get("chain", {}))
     _validate_keys(block, CHAIN_KEYS, "chain")
     block.setdefault("n_cells", PROFILES[profile]["n_cells"])
+    block["r"] = _snail_ratio(block)
     if seed is not None:
         block["rng_seed"] = seed
     try:
@@ -150,9 +177,7 @@ def _chain_config(config: dict, profile: str, seed) -> circuit.ChainConfig:
 
 def cmd_coeffs(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["coeffs"], "coeffs")
-    r = _number(config, "r", 0.07)
-    if not 0.0 < r < 1.0 / 3.0:
-        raise ConfigError(f"'r' must be in (0, 1/3) for a single-valued SNAIL, got {r}")
+    r = _snail_ratio(config)
     flux_min = _number(config, "flux_min", -2.0)
     flux_max = _number(config, "flux_max", 2.0)
     n_points = _number(config, "n_points", 401, int)
@@ -172,14 +197,14 @@ def _drive_pair(config: dict, profile: str):
     block = dict(config.get("drive", {}))
     _validate_keys(block, DRIVE_KEYS, "drive")
     kw = dict(
-        pump_current=float(block.get("pump_current", 0.157e-6)),
-        signal_current=float(block.get("signal_current", 0.0011e-6)),
-        delta_bins=int(block.get("delta_bins", 2)),
-        window=float(block.get("window", 60e-9)),
-        settle_time=float(block.get("settle_time", 10e-9)),
-        dt=float(block["dt"]) if "dt" in block else None,
+        pump_current=_number(block, "pump_current", 0.157e-6),
+        signal_current=_number(block, "signal_current", 0.0011e-6),
+        delta_bins=_number(block, "delta_bins", 2, int),
+        window=_number(block, "window", 60e-9),
+        settle_time=_number(block, "settle_time", 10e-9),
+        dt=_number(block, "dt", None) if "dt" in block else None,
     )
-    f_pump = float(block.get("f_pump", 7.705e9))
+    f_pump = _number(block, "f_pump", 7.705e9)
     try:  # the builders resolve the drive grid, which validates dt and window
         return circuit.three_wave_drive(f_pump, **kw), circuit.four_wave_drive(f_pump, **kw)
     except ValueError as err:
@@ -190,9 +215,9 @@ def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["flux-sweep"], "flux-sweep")
     chain_cfg = _chain_config(config, profile, seed)
     drive3, drive4 = _drive_pair(config, profile)
-    flux_min = float(config.get("flux_min", 0.35))
-    flux_max = float(config.get("flux_max", 0.75))
-    n_points = int(config.get("n_points", PROFILES[profile]["flux_points"]))
+    flux_min = _number(config, "flux_min", 0.35)
+    flux_max = _number(config, "flux_max", 0.75)
+    n_points = _number(config, "n_points", PROFILES[profile]["flux_points"], int)
     if n_points < 1 or flux_min > flux_max:
         raise ConfigError(f"empty flux grid: [{flux_min}, {flux_max}] x {n_points}")
     flux = np.linspace(flux_min, flux_max, n_points)
@@ -232,13 +257,13 @@ def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
 def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["gain-phase"], "gain-phase")
     chain_cfg = _chain_config(config, profile, seed)
-    flux = float(config.get("flux", 0.59))
+    flux = _number(config, "flux", 0.59)
     f_pump = _number(config, "pump_frequency", 7.705e9)
-    pump_current = float(config.get("pump_current", 0.157e-6))
-    signal_current = float(config.get("signal_current", 0.0011e-6))
-    n_phases = int(config.get("n_phases", 9))
-    window = float(config.get("window", 60e-9))
-    settle = float(config.get("settle_time", 10e-9))
+    pump_current = _number(config, "pump_current", 0.157e-6)
+    signal_current = _number(config, "signal_current", 0.0011e-6)
+    n_phases = _number(config, "n_phases", 9, int)
+    window = _number(config, "window", 60e-9)
+    settle = _number(config, "settle_time", 10e-9)
     if n_phases < 1:
         raise ConfigError("n_phases must be >= 1")
     if not f_pump > 0.0:
@@ -272,9 +297,15 @@ def _rotation(theta: float) -> np.ndarray:
 
 def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["sms"], "sms")
-    gain_unc = config.get("gain_uncertainty_db", 1.0)
+    gain_unc = _gain_uncertainty(config)
     if config.get("input_csv"):
-        batches = gaussian.read_quadrature_csv(config["input_csv"])
+        path = Path(config["input_csv"])
+        if not path.exists():
+            raise ConfigError(f"input CSV not found: {path}")
+        try:
+            batches = gaussian.read_quadrature_csv(path)
+        except (OSError, ValueError, SnailTwpaError) as err:
+            raise ConfigError(f"cannot read input CSV {path}: {err}") from err
         if set(batches) != {"ON", "OFF"}:
             raise ConfigError("input_csv must contain ON and OFF pump states")
         sigma_on = gaussian.estimate_covariance(batches["ON"])
@@ -291,21 +322,21 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
         _write_meta(out_dir, "sms", config, seed)
         return
 
-    s_db = float(config.get("target_s_db", 0.0))
-    theta = float(config.get("target_theta", 0.0))
-    n_add = float(config.get("added_noise_photons", 1.5))
+    s_db = _number(config, "target_s_db", 0.0)
+    theta = _number(config, "target_theta", 0.0)
+    n_add = _number(config, "added_noise_photons", 1.5)
     n_rep = _number(config, "n_rep", 1_000_000, int)
     if n_rep < 2:
         raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
-    drift = float(config.get("gain_drift", 0.0))
-    phases = config.get("phases", [0.0])
-    master = seed if seed is not None else int(config.get("seed", 0))
+    drift = _number(config, "gain_drift", 0.0)
+    phases = _numbers(config, "phases", [0.0])
+    master = seed if seed is not None else _number(config, "seed", 0, int)
 
     squeeze = 10.0 ** (s_db / 10.0)
     off_true = (1.0 + 2.0 * n_add) * np.eye(2)
     results = []
     for idx, phase in enumerate(phases):
-        rot = _rotation(theta + float(phase))
+        rot = _rotation(theta + phase)
         psi_true = rot @ np.diag([squeeze, 1.0 / squeeze]) @ rot.T
         on_true = psi_true - np.eye(2) + off_true * (1.0 + drift) ** 2
         seeds = np.random.SeedSequence(entropy=master, spawn_key=(idx,)).spawn(2)
@@ -321,7 +352,7 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
         results.append(
             {
-                "phase": float(phase),
+                "phase": phase,
                 "s_x_db": s_x,
                 "s_p_db": s_p,
                 "stat_err_x_db": err_x,
@@ -344,20 +375,19 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
 
 def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["tms"], "tms")
-    r_values = config.get("r_values", [0.0, 0.25, 0.5, 0.75, 1.0])
-    n_add = float(config.get("added_noise_photons", 1.5))
-    n_thermal = float(config.get("thermal_photons", 0.0))
+    r_values = _numbers(config, "r_values", [0.0, 0.25, 0.5, 0.75, 1.0])
+    n_add = _number(config, "added_noise_photons", 1.5)
+    n_thermal = _number(config, "thermal_photons", 0.0)
     n_rep = _number(config, "n_rep", 1_000_000, int)
     if n_rep < 2:
         raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
-    drift = float(config.get("gain_drift", 0.0))
-    gain_unc = config.get("gain_uncertainty_db", 1.0)
-    master = seed if seed is not None else int(config.get("seed", 0))
+    drift = _number(config, "gain_drift", 0.0)
+    gain_unc = _gain_uncertainty(config)
+    master = seed if seed is not None else _number(config, "seed", 0, int)
 
     off_true = (1.0 + 2.0 * n_add) * np.eye(4)
     results = []
     for idx, r in enumerate(r_values):
-        r = float(r)
         a_block = (math.cosh(2 * r) + 2.0 * n_thermal) * np.eye(2)
         c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
         psi_true = np.block([[a_block, c_block], [c_block.T, a_block]])
@@ -371,19 +401,17 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
         )
         psi = gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
         e_n, nu = gaussian.logarithmic_negativity(psi)
+        nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {
             "r": r,
             "e_n": e_n,
             "nu_minus": nu,
-            "e_n_true": max(-math.log(_nu_closed_form(psi_true)), 0.0),
+            "e_n_true": max(-math.log(nu_true), 0.0),
             "covariance": json.loads(psi.to_json()),
         }
         if psi.systematic is not None:
             lo, hi = psi.systematic
-            entry["e_n_sys_range"] = [
-                _safe_en(lo),
-                _safe_en(hi),
-            ]
+            entry["e_n_sys_range"] = [_safe_en(lo), _safe_en(hi)]
         results.append(entry)
         print(f"tms point {idx + 1}/{len(r_values)}", file=sys.stderr)
     payload = {
@@ -398,12 +426,8 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
     _write_meta(out_dir, "tms", config, master)
 
 
-def _nu_closed_form(sigma: np.ndarray) -> float:
-    cov = gaussian.CovMatrix(entries=sigma)
-    return gaussian.logarithmic_negativity(cov)[1]
-
-
 def _safe_en(sigma: np.ndarray):
+    """E_N of ``sigma`` by the closed form, or None when it is unphysical."""
     try:
         return gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=sigma))[0]
     except SnailTwpaError:

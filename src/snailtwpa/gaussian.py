@@ -41,11 +41,7 @@ _SYMPLECTIC_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form Omega in (x1, p1, x2, p2, ...) ordering."""
-    blocks = [_SYMPLECTIC_2] * n_modes
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
-    return out
+    return np.kron(np.eye(n_modes), _SYMPLECTIC_2)
 
 
 @dataclass
@@ -322,12 +318,36 @@ def sample_gaussian(
     )
 
 
+# One data row of the quadrature CSV.  The text fields are one character
+# wider than the longest valid value, so a longer value cannot be cut down
+# to a valid one.
+_CSV_ROW = np.dtype([("rep", "i8"), ("mode", "U7"), ("x", "f8"), ("p", "f8"), ("pump", "U4")])
+
+
+def _csv_rows(batch: QuadratureBatch) -> list:
+    """The data lines of one batch, one per (repetition, mode) in that order.
+
+    A function of its own so that the ``tolist()`` copy of one batch is
+    freed before the next batch's copy is made.
+    """
+    state = batch.pump_state
+    records = batch.records.tolist()
+    if batch.mode_labels == SINGLE_MODE:
+        return [f"{i},signal,{x!r},{p!r},{state}" for i, (x, p) in enumerate(records)]
+    return [
+        f"{i},signal,{xs!r},{ps!r},{state}\n{i},idler,{xi!r},{pi!r},{state}"
+        for i, (xs, ps, xi, pi) in enumerate(records)
+    ]
+
+
 def write_quadrature_csv(path, batches) -> None:
     """Write quadrature batches to the interchange CSV format.
 
-    One row per (repetition, mode): ``rep_index,mode,x,p,pump_state``.
-    Header comments record the format version, normalization state and
-    mode labels.  All batches must share the same normalization state.
+    One row per (repetition, mode): ``rep_index,mode,x,p,pump_state``, with
+    x and p written as ``repr`` (the shortest decimal that reads back to the
+    same float).  Header comments record the format version, normalization
+    state and mode labels.  All batches must share the same normalization
+    state.
     """
     if isinstance(batches, QuadratureBatch):
         batches = [batches]
@@ -342,43 +362,70 @@ def write_quadrature_csv(path, batches) -> None:
         "rep_index,mode,x,p,pump_state",
     ]
     for batch in batches:
-        for i in range(batch.n_rep):
-            for m, label in enumerate(batch.mode_labels):
-                x = repr(float(batch.records[i, 2 * m]))
-                p = repr(float(batch.records[i, 2 * m + 1]))
-                lines.append(f"{i},{label},{x},{p},{batch.pump_state}")
+        lines += _csv_rows(batch)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _first_bad_row(lines: list) -> int:
+    """Index of the first line ``np.loadtxt`` rejects, found by halving."""
+    lo, hi = 0, len(lines)  # the first bad line is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt(lines[lo:mid], dtype=_CSV_ROW, delimiter=",", ndmin=1)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def read_quadrature_csv(path) -> dict:
-    """Read the interchange CSV; returns {pump_state: QuadratureBatch}."""
-    normalized = True
-    rows = []
+    """Read the interchange CSV; returns {pump_state: QuadratureBatch}.
+
+    Lines are stripped of surrounding whitespace; blank lines, ``#``
+    comments and ``rep_index`` header lines are skipped, and the last
+    ``normalized=`` comment sets the normalization state (default true).
+    A pump state's modes are the labels its rows use, and a repetition
+    without a row for a mode stays zero.  A row that does not parse, or
+    that has an unknown mode or pump state, a negative repetition or a
+    non-finite value, raises ValueError naming its line number.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "normalized=" in line:
-                    normalized = line.split("normalized=")[1].strip() == "true"
-                continue
-            if line.startswith("rep_index"):
-                continue
-            rep, mode, x, p, pump = line.split(",")
-            rows.append((int(rep), mode, float(x), float(p), pump))
+        lines = [line.strip() for line in fh.read().split("\n")]
+    notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
+    normalized = notes[-1].split("normalized=")[1].strip() == "true" if notes else True
+    at = [n for n, line in enumerate(lines) if line and not line.startswith(("#", "rep_index"))]
+    if not at:
+        return {}
+    body = [lines[n] for n in at]
+    try:
+        rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", ndmin=1)
+    except ValueError as err:
+        raise ValueError(f"line {at[_first_bad_row(body)] + 1}: {err}") from None
+    mode = {label: rows["mode"] == label for label in TWO_MODE}
+    pump = {state: rows["pump"] == state for state in ("OFF", "ON")}  # the keys come out sorted
+    valid = (
+        (mode["signal"] | mode["idler"])
+        & (pump["OFF"] | pump["ON"])
+        & (rows["rep"] >= 0)
+        & np.isfinite(rows["x"])
+        & np.isfinite(rows["p"])
+    )
+    if not valid.all():
+        n = at[int(np.argmin(valid))]
+        raise ValueError(f"line {n + 1}: invalid row {lines[n]!r}")
     out = {}
-    for pump in sorted({r[4] for r in rows}):
-        sel = [r for r in rows if r[4] == pump]
-        labels = tuple(lbl for lbl in TWO_MODE if any(r[1] == lbl for r in sel))
-        n_rep = max(r[0] for r in sel) + 1
-        records = np.zeros((n_rep, 2 * len(labels)))
-        col = {lbl: 2 * i for i, lbl in enumerate(labels)}
-        for rep, mode, x, p, _ in sel:
-            records[rep, col[mode]] = x
-            records[rep, col[mode] + 1] = p
-        out[pump] = QuadratureBatch(
-            records=records, mode_labels=labels, pump_state=pump, normalized=normalized
+    for state, in_state in pump.items():
+        if not in_state.any():
+            continue
+        labels = tuple(label for label in TWO_MODE if np.any(in_state & mode[label]))
+        records = np.zeros((int(rows["rep"][in_state].max()) + 1, 2 * len(labels)))
+        for m, label in enumerate(labels):
+            part = rows[in_state & mode[label]]
+            records[part["rep"], 2 * m : 2 * m + 2] = np.column_stack((part["x"], part["p"]))
+        out[state] = QuadratureBatch(
+            records=records, mode_labels=labels, pump_state=state, normalized=normalized
         )
     return out

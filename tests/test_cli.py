@@ -75,6 +75,11 @@ def test_unknown_key_rejected(tmp_path):
         ("gain-phase", {"pump_frequency": -7.705e9}, "'pump_frequency'"),
         ("sms", {"n_rep": 1}, "'n_rep'"),
         ("tms", {"n_rep": 1}, "'n_rep'"),
+        ("gain-phase", {"n_phases": "x"}, "'n_phases'"),
+        ("flux-sweep", {"flux_min": "a"}, "'flux_min'"),
+        ("gain-phase", {"chain": {"r": 0.5}}, "'r'"),
+        ("tms", {"r_values": ["a"]}, "'r_values'"),
+        ("tms", {"gain_uncertainty_db": "1 dB"}, "'gain_uncertainty_db'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -195,6 +200,23 @@ def test_sms_identical_on_off_file_gives_exact_vacuum(tmp_path):
     np.testing.assert_array_equal(entries, np.eye(2))
 
 
+@pytest.mark.parametrize("defect", ["missing file", "bad value", "short row"])
+def test_sms_bad_input_csv_is_config_error(tmp_path, capsys, defect):
+    path = tmp_path / "quad.csv"
+    if defect != "missing file":
+        batches = [sample_gaussian(np.eye(2), n_rep=50, seed=s, pump_state=p) for s, p in ((1, "ON"), (2, "OFF"))]
+        write_quadrature_csv(path, batches)
+        lines = path.read_text().splitlines()
+        lines[29] = "25,signal,abc,0.5,ON" if defect == "bad value" else "25,signal,0.5,ON"
+        path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, {"input_csv": str(path)})
+    assert main(["sms", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    if defect != "missing file":
+        assert "line 30" in err
+
+
 def test_tms_zero_r_and_monotone(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -212,6 +234,14 @@ def test_tms_zero_r_and_monotone(tmp_path):
     e_n = [r["e_n"] for r in results]
     assert e_n[1] < e_n[2] < e_n[3]
     assert results[-1]["e_n_true"] == pytest.approx(1.8, abs=1e-9)
+
+
+def test_tms_null_gain_uncertainty_drops_systematic_range(tmp_path):
+    cfg = write_config(tmp_path, {"r_values": [0.3], "n_rep": 2000, "seed": 1, "gain_uncertainty_db": None})
+    out = tmp_path / "run"
+    assert main(["tms", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())["results"][0]
+    assert "e_n_sys_range" not in result and result["covariance"]["systematic"] is None
 
 
 def test_tms_gain_drift_artifact(tmp_path):

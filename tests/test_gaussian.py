@@ -1,8 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from snailtwpa.errors import (
     ComplexEigenvalue,
@@ -289,6 +293,143 @@ def test_quadrature_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back["OFF"].records, off.records, rtol=0, atol=0)
     assert back["ON"].mode_labels == ("signal", "idler")
     assert back["ON"].normalized is True
+
+
+def reference_write(path, batches):
+    """The quadrature CSV written one row at a time: the format's definition."""
+    lines = [
+        "# snailtwpa quadrature records v1",
+        f"# normalized={'true' if batches[0].normalized else 'false'}",
+        f"# modes={','.join(max((b.mode_labels for b in batches), key=len))}",
+        "rep_index,mode,x,p,pump_state",
+    ]
+    for batch in batches:
+        for i in range(batch.n_rep):
+            for m, label in enumerate(batch.mode_labels):
+                x = repr(float(batch.records[i, 2 * m]))
+                p = repr(float(batch.records[i, 2 * m + 1]))
+                lines.append(f"{i},{label},{x},{p},{batch.pump_state}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_read(path):
+    """The quadrature CSV parsed one line at a time: the reader's reference."""
+    normalized, rows = True, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                if "normalized=" in line:
+                    normalized = line.split("normalized=")[1].strip() == "true"
+            elif line and not line.startswith("rep_index"):
+                rep, mode, x, p, pump = line.split(",")
+                rows.append((int(rep), mode, float(x), float(p), pump))
+    out = {}
+    for pump in sorted({r[4] for r in rows}):
+        sel = [r for r in rows if r[4] == pump]
+        labels = tuple(lbl for lbl in ("signal", "idler") if any(r[1] == lbl for r in sel))
+        records = np.zeros((max(r[0] for r in sel) + 1, 2 * len(labels)))
+        for rep, mode, x, p, _ in sel:
+            records[rep, 2 * labels.index(mode)] = x
+            records[rep, 2 * labels.index(mode) + 1] = p
+        out[pump] = (records, labels, normalized)
+    return out
+
+
+def assert_same_batches(back, expected):
+    assert list(back) == list(expected)
+    for pump, (records, labels, normalized) in expected.items():
+        assert back[pump].records.tobytes() == records.tobytes()
+        assert back[pump].mode_labels == labels
+        assert back[pump].normalized is normalized
+
+
+EDGE_VALUES = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 123456.789]
+
+
+@pytest.mark.parametrize("layout", ["one-mode", "two-mode", "mixed"])
+def test_quadrature_csv_writer_matches_row_formula(tmp_path, layout):
+    one = QuadratureBatch(np.reshape(EDGE_VALUES, (4, 2)), pump_state="OFF")
+    two = QuadratureBatch(np.reshape(EDGE_VALUES[::-1], (2, 4)), mode_labels=("signal", "idler"), pump_state="ON")
+    batches = {"one-mode": [one], "two-mode": [two], "mixed": [two, one, two]}[layout]
+    write_quadrature_csv(tmp_path / "new.csv", batches)
+    reference_write(tmp_path / "ref.csv", batches)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert_same_batches(read_quadrature_csv(tmp_path / "new.csv"), reference_read(tmp_path / "ref.csv"))
+
+
+HEAD = "# snailtwpa quadrature records v1\n# normalized=true\n# modes=signal\nrep_index,mode,x,p,pump_state\n"
+READER_CASES = {
+    "blank lines": HEAD + "\n0,signal,1.5,-2.0,ON\n\n   \n1,signal,0.25,3e-10,ON\n\n",
+    "surrounding whitespace": HEAD + "  0,signal,1.5,-2.0,ON \t\n\t1,signal,0.25,3e-10,ON   \n",
+    "crlf": HEAD.replace("\n", "\r\n") + "0,signal,1.5,-2.0,OFF\r\n1,signal,-0.0,5e-324,OFF\r\n",
+    "out of order": HEAD + "2,signal,3.0,3.5,ON\n0,signal,1.0,1.5,ON\n1,signal,2.0,2.5,ON\n",
+    "missing reps": HEAD + "4,signal,1.0,2.0,OFF\n1,signal,-1.0,-2.0,OFF\n",
+    "not normalized": HEAD.replace("normalized=true", "normalized=false") + "0,signal,1.0,2.0,ON\n1,signal,2.0,1.0,ON\n",
+    "no data": HEAD + "\n# nothing recorded\n",
+    "two-mode ON and one-mode OFF": HEAD
+    + "0,signal,1.0,2.0,ON\n0,idler,3.0,4.0,ON\n1,idler,-3.0,-4.0,ON\n1,signal,-1.0,-2.0,ON\n"
+    + "rep_index,mode,x,p,pump_state\n0,signal,0.5,0.25,OFF\n1,signal,0.125,1e300,OFF\n",
+}
+
+
+@pytest.mark.parametrize("case", list(READER_CASES))
+def test_quadrature_csv_reader_edge_cases(tmp_path, case):
+    path = tmp_path / "quad.csv"
+    path.write_bytes(READER_CASES[case].encode())
+    assert_same_batches(read_quadrature_csv(path), reference_read(path))
+
+
+def test_quadrature_csv_reader_edge_case_values(tmp_path):
+    path = tmp_path / "quad.csv"
+    path.write_bytes(READER_CASES["missing reps"].encode())
+    off = read_quadrature_csv(path)["OFF"]
+    assert np.array_equal(off.records, [[0, 0], [-1, -2], [0, 0], [0, 0], [1, 2]])
+    path.write_bytes(READER_CASES["two-mode ON and one-mode OFF"].encode())
+    back = read_quadrature_csv(path)
+    assert back["ON"].mode_labels == ("signal", "idler") and back["OFF"].mode_labels == ("signal",)
+    assert np.array_equal(back["ON"].records, [[1, 2, 3, 4], [-1, -2, -3, -4]])
+    path.write_bytes(READER_CASES["not normalized"].encode())
+    assert read_quadrature_csv(path)["ON"].normalized is False
+    path.write_bytes(READER_CASES["no data"].encode())
+    assert read_quadrature_csv(path) == {}
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    ["7,signal,abc,1.0,ON", "7,signal,1.0,ON", "7,signal,1.0,2.0,ON,9", "7.5,signal,1.0,2.0,ON",
+     "7,pump,1.0,2.0,ON", "7,signals,1.0,2.0,ON", "7,signal,1.0,2.0,on", "-7,signal,1.0,2.0,ON",
+     "7,signal,nan,2.0,ON"],
+)
+def test_quadrature_csv_reader_names_bad_line(tmp_path, bad_row):
+    lines = HEAD.splitlines() + [f"{i},signal,{i}.5,-{i}.25,ON" for i in range(60)]
+    lines[40] = bad_row  # line 41 of the file
+    path = tmp_path / "quad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 41: "):
+        read_quadrature_csv(path)
+
+
+finite_records = st.integers(2, 12).flatmap(
+    lambda n: st.sampled_from([2, 4]).flatmap(
+        lambda cols: hnp.arrays(np.float64, (n, cols), elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on=finite_records, off=finite_records)
+def test_quadrature_csv_round_trip_is_bit_exact(tmp_path_factory, on, off):
+    labels = {2: ("signal",), 4: ("signal", "idler")}
+    batches = [
+        QuadratureBatch(on, mode_labels=labels[on.shape[1]], pump_state="ON"),
+        QuadratureBatch(off, mode_labels=labels[off.shape[1]], pump_state="OFF"),
+    ]
+    path = tmp_path_factory.mktemp("quad") / "quad.csv"
+    write_quadrature_csv(path, batches)
+    back = read_quadrature_csv(path)
+    assert back["ON"].records.tobytes() == on.tobytes()
+    assert back["OFF"].records.tobytes() == off.tobytes()
 
 
 def test_covariance_json_round_trip():
