@@ -35,21 +35,45 @@ All drive tones are snapped onto the FFT bin grid of the analysis window;
 the window itself is first adjusted so that the reference tone (the first
 tone of the drive, by convention the pump) lies exactly on the grid.
 Spectral readout therefore needs no leakage correction.
+
+The tridiagonal solvers (``dgtsv`` here, ``zgtsv`` in ``linear_transfer``)
+come from ``scipy.linalg.lapack``, which this module imports on the first
+access of its ``lapack`` attribute, not at import time: building chains and
+drives, and every command that never solves, run without scipy.  The
+solvers read ``lapack`` from the module when they are called, so a
+stand-in assigned to ``circuit.lapack`` sees every call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .constants import PHI0
 from .errors import NewtonDivergence, WindowTooShort
 from .snail import SnailParams, coefficients, find_phi_star
 
 TWO_PI = 2.0 * math.pi
+
+
+def __getattr__(name):
+    # ``lapack`` (scipy.linalg.lapack) is imported on first access, so that
+    # importing this module, and the commands that never solve, load no scipy
+    if name == "lapack":
+        from scipy.linalg import lapack
+
+        globals()["lapack"] = lapack
+        return lapack
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _lapack():
+    """The module attribute ``lapack``, read at call time (a bare global
+    name read does not go through the module ``__getattr__`` above)."""
+    return sys.modules[__name__].lapack
 
 
 @dataclass(frozen=True)
@@ -476,7 +500,7 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
     record = np.empty((nb, 2, n_total))  # [b, 0] input node, [b, 1] output node
     add, subtract, multiply, divide, negative = np.add, np.subtract, np.multiply, np.divide, np.negative
     sin, cos, absolute, max_reduce = np.sin, np.cos, np.absolute, np.maximum.reduce
-    dgtsv = lapack.dgtsv
+    dgtsv = _lapack().dgtsv
     all_members = list(range(nb))
     active = np.ones((nb, 1), dtype=bool)
     cur, prev = views
@@ -836,6 +860,7 @@ def linear_transfer(chain: RealizedChain, frequencies, f_ref: float | None = Non
     esr = chain.esr_ohms(f_ref) if cfg.tan_delta > 0.0 else 0.0
     g_port = 1.0 / cfg.z0
     out = np.empty(freqs.size, dtype=complex)
+    zgtsv = _lapack().zgtsv
     for idx, f in enumerate(freqs):
         jw = 1j * TWO_PI * f
         y_ser = 1.0 / (jw * chain.inductance) + jw * cfg.c_j
@@ -847,7 +872,7 @@ def linear_transfer(chain: RealizedChain, frequencies, f_ref: float | None = Non
         diag[-1] += y_ser[-1] + g_port
         rhs = np.zeros(n + 1, dtype=complex)
         rhs[0] = 1.0
-        _, _, _, x, info = lapack.zgtsv(-y_ser, diag, -y_ser, rhs)
+        _, _, _, x, info = zgtsv(-y_ser, diag, -y_ser, rhs)
         if info != 0:
             raise np.linalg.LinAlgError(f"zgtsv failed (info={info})")
         out[idx] = x[-1]

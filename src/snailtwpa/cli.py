@@ -57,6 +57,8 @@ COMMAND_SCHEMAS = {
 
 DRIVE_KEYS = {"f_pump", "pump_current", "signal_current", "delta_bins", "window", "settle_time", "dt"}
 
+GUESS_KEYS = {"g_sys_db", "t_sys", "t_electron"}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -108,6 +110,26 @@ def _numbers(config: dict, key: str, default) -> list:
     if not isinstance(values, list):
         raise ConfigError(f"'{key}' must be a list of numbers, got {values!r}")
     return [_finite(value, f"'{key}' entry") for value in values]
+
+
+def _gain_from_db(config: dict, key: str) -> float:
+    """``config[key]``, a power gain in dB, as a linear factor."""
+    db = _number(config, key, None)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"'{key}' is too large, got {db} dB") from None
+
+
+def _input_file(config: dict, key: str) -> Path:
+    """``config[key]`` as the path of an existing file."""
+    value = config[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a file path, got {value!r}")
+    path = Path(value)
+    if not path.exists():
+        raise ConfigError(f"input CSV not found: {path}")
+    return path
 
 
 def _gain_uncertainty(config: dict):
@@ -295,13 +317,28 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc) -> gaussian.CovMatrix:
+    """Background-subtracted covariance of synthetic ON and OFF records for
+    point ``idx``: the OFF state is vacuum plus ``n_add`` added photons, the
+    ON state adds ``psi_true`` on top of a background drifted by ``drift``."""
+    eye = np.eye(len(psi_true))
+    off_true = (1.0 + 2.0 * n_add) * eye
+    on_true = psi_true - eye + off_true * (1.0 + drift) ** 2
+    on_seed, off_seed = np.random.SeedSequence(entropy=master, spawn_key=(idx,)).spawn(2)
+    on = gaussian.estimate_covariance(
+        gaussian.sample_gaussian(on_true, n_rep=n_rep, seed=on_seed, pump_state="ON")
+    )
+    off = gaussian.estimate_covariance(
+        gaussian.sample_gaussian(off_true, n_rep=n_rep, seed=off_seed, pump_state="OFF")
+    )
+    return gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
+
+
 def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["sms"], "sms")
     gain_unc = _gain_uncertainty(config)
     if config.get("input_csv"):
-        path = Path(config["input_csv"])
-        if not path.exists():
-            raise ConfigError(f"input CSV not found: {path}")
+        path = _input_file(config, "input_csv")
         try:
             batches = gaussian.read_quadrature_csv(path)
         except (OSError, ValueError, SnailTwpaError) as err:
@@ -333,20 +370,11 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
     master = seed if seed is not None else _number(config, "seed", 0, int)
 
     squeeze = 10.0 ** (s_db / 10.0)
-    off_true = (1.0 + 2.0 * n_add) * np.eye(2)
     results = []
     for idx, phase in enumerate(phases):
         rot = _rotation(theta + phase)
         psi_true = rot @ np.diag([squeeze, 1.0 / squeeze]) @ rot.T
-        on_true = psi_true - np.eye(2) + off_true * (1.0 + drift) ** 2
-        seeds = np.random.SeedSequence(entropy=master, spawn_key=(idx,)).spawn(2)
-        on = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(on_true, n_rep=n_rep, seed=seeds[0], pump_state="ON")
-        )
-        off = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(off_true, n_rep=n_rep, seed=seeds[1], pump_state="OFF")
-        )
-        psi = gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
+        psi = _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc)
         s_x, s_p = gaussian.squeezing_db(psi)
         err_x = 10.0 / math.log(10.0) * psi.uncertainty[0, 0] / psi.entries[0, 0]
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
@@ -385,28 +413,25 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
     gain_unc = _gain_uncertainty(config)
     master = seed if seed is not None else _number(config, "seed", 0, int)
 
-    off_true = (1.0 + 2.0 * n_add) * np.eye(4)
+    for r in r_values:
+        try:
+            math.cosh(2 * r)
+        except OverflowError:
+            raise ConfigError(f"'r_values' entry {r} is too large: cosh(2r) overflows") from None
+
     results = []
     for idx, r in enumerate(r_values):
         a_block = (math.cosh(2 * r) + 2.0 * n_thermal) * np.eye(2)
         c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
         psi_true = np.block([[a_block, c_block], [c_block.T, a_block]])
-        on_true = psi_true - np.eye(4) + off_true * (1.0 + drift) ** 2
-        seeds = np.random.SeedSequence(entropy=master, spawn_key=(idx,)).spawn(2)
-        on = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(on_true, n_rep=n_rep, seed=seeds[0], pump_state="ON")
-        )
-        off = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(off_true, n_rep=n_rep, seed=seeds[1], pump_state="OFF")
-        )
-        psi = gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
+        psi = _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc)
         e_n, nu = gaussian.logarithmic_negativity(psi)
         nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {
             "r": r,
             "e_n": e_n,
             "nu_minus": nu,
-            "e_n_true": max(-math.log(nu_true), 0.0),
+            "e_n_true": max(-math.log(nu_true), 0.0) + 0.0,  # +0.0 normalizes -0.0
             "covariance": json.loads(psi.to_json()),
         }
         if psi.systematic is not None:
@@ -439,27 +464,42 @@ def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
     for key in ("csv", "frequency", "bandwidth"):
         if key not in config:
             raise ConfigError(f"sntj-fit requires '{key}'")
-    path = Path(config["csv"])
-    if not path.exists():
-        raise ConfigError(f"input CSV not found: {path}")
-    data = np.loadtxt(path, delimiter=",", comments="#")
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError("input CSV must have columns (v_bias, psd_watts)")
+    frequency = _number(config, "frequency", None)
+    bandwidth = _number(config, "bandwidth", None)
+    max_iter = _number(config, "max_iter", 500, int)
+    for key, value in (("frequency", frequency), ("bandwidth", bandwidth), ("max_iter", max_iter)):
+        if not value > 0:
+            raise ConfigError(f"'{key}' must be positive, got {value}")
     guess = config.get("initial_guess")
     if guess is not None:
+        if not isinstance(guess, dict):
+            raise ConfigError(f"'initial_guess' must be an object, got {guess!r}")
+        _validate_keys(guess, GUESS_KEYS, "initial_guess")
         guess = (
-            10.0 ** (float(guess["g_sys_db"]) / 10.0),
-            float(guess["t_sys"]),
-            float(guess["t_electron"]),
+            _gain_from_db(guess, "g_sys_db"),
+            _number(guess, "t_sys", None),
+            _number(guess, "t_electron", None),
         )
-    result = calibration.fit_sntj(
-        data[:, 0],
-        data[:, 1],
-        frequency=float(config["frequency"]),
-        bandwidth=float(config["bandwidth"]),
-        initial_guess=guess,
-        max_iter=int(config.get("max_iter", 500)),
-    )
+    path = _input_file(config, "csv")
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#")
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read input CSV {path}: {err}") from err
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ConfigError(f"input CSV {path} must have columns (v_bias, psd_watts)")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"input CSV {path} holds a non-finite value")
+    try:
+        result = calibration.fit_sntj(
+            data[:, 0],
+            data[:, 1],
+            frequency=frequency,
+            bandwidth=bandwidth,
+            initial_guess=guess,
+            max_iter=max_iter,
+        )
+    except ValueError as err:  # too few points or a non-positive initial guess
+        raise ConfigError(f"sntj-fit: {err}") from err
     errors = result.parameter_errors
     payload = {
         "g_sys_db": result.g_sys_db,
@@ -483,34 +523,35 @@ def cmd_normalize(config: dict, out_dir: Path, profile: str, seed) -> None:
     _validate_keys(config, COMMAND_SCHEMAS["normalize"], "normalize")
     if "g_sys_db" not in config or "f_acq" not in config:
         raise ConfigError("normalize requires 'g_sys_db' and 'f_acq'")
-    f_acq = float(config["f_acq"])
+    f_acq = _number(config, "f_acq", None)
+    g_sys_db = _number(config, "g_sys_db", None)
     if "eta" in config:
-        eta = float(config["eta"])
+        eta = _number(config, "eta", None)
     else:
         block = dict(config.get("chain", {}))
         _validate_keys(block, CHAIN_KEYS, "chain")
-        flux = float(config.get("flux", 0.0))
+        flux = _number(config, "flux", 0.0)
         params = snail.SnailParams.from_flux(
-            float(block.get("r", 0.07)), float(block.get("i_c_nominal", 2.19e-6)), flux
+            _snail_ratio(block), _number(block, "i_c_nominal", 2.19e-6), flux
         )
         inductance = snail.coefficients(params).inductance
         eta = calibration.insertion_loss_from_tan_delta(
-            float(block.get("tan_delta", 2.1e-3)),
-            int(block.get("n_cells", 700)),
+            _number(block, "tan_delta", 2.1e-3),
+            _number(block, "n_cells", 700, int),
             f_acq,
             inductance,
-            float(block.get("c_g", 250e-15)),
-            float(block.get("c_j", 50e-15)),
+            _number(block, "c_g", 250e-15),
+            _number(block, "c_j", 50e-15),
         )
     try:
         params = calibration.NormalizationParams(
             eta=eta,
-            g_sys=10.0 ** (float(config["g_sys_db"]) / 10.0),
+            g_sys=_gain_from_db(config, "g_sys_db"),
             f_acq=f_acq,
-            z0=float(config.get("z0", 50.0)),
-            t_int=float(config.get("t_int", 10e-6)),
-            epsilon=float(config.get("epsilon", 0.98)),
-            loss_correction_db=float(config.get("loss_correction_db", 1.0)),
+            z0=_number(config, "z0", 50.0),
+            t_int=_number(config, "t_int", 10e-6),
+            epsilon=_number(config, "epsilon", 0.98),
+            loss_correction_db=_number(config, "loss_correction_db", 1.0),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -519,8 +560,8 @@ def cmd_normalize(config: dict, out_dir: Path, profile: str, seed) -> None:
         "upsilon": ups,
         "eta_linear": eta,
         "eta_db": 10.0 * math.log10(eta),
-        "g_sys_db_input": float(config["g_sys_db"]),
-        "g_sys_db_corrected": float(config["g_sys_db"]) + params.loss_correction_db,
+        "g_sys_db_input": g_sys_db,
+        "g_sys_db_corrected": g_sys_db + params.loss_correction_db,
         "f_acq": f_acq,
         "t_int": params.t_int,
         "epsilon": params.epsilon,
@@ -535,7 +576,9 @@ def cmd_attenuation(config: dict, out_dir: Path, profile: str, seed) -> None:
         if key not in config:
             raise ConfigError(f"attenuation requires '{key}'")
     ledger = calibration.input_attenuation(
-        float(config["s21_off_db"]), float(config["eta_db"]), float(config["g_sys_db"])
+        _number(config, "s21_off_db", None),
+        _number(config, "eta_db", None),
+        _number(config, "g_sys_db", None),
     )
     payload = {
         "a_in_db": ledger.a_in,

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -80,6 +81,21 @@ def test_unknown_key_rejected(tmp_path):
         ("gain-phase", {"chain": {"r": 0.5}}, "'r'"),
         ("tms", {"r_values": ["a"]}, "'r_values'"),
         ("tms", {"gain_uncertainty_db": "1 dB"}, "'gain_uncertainty_db'"),
+        ("tms", {"r_values": [0.5, 400]}, "'r_values' entry 400"),
+        ("attenuation", {"s21_off_db": "a", "eta_db": -1.0, "g_sys_db": 61.0}, "'s21_off_db'"),
+        ("sntj-fit", {"csv": "none.csv", "frequency": "x", "bandwidth": 3e3}, "'frequency'"),
+        (
+            "sntj-fit",
+            {"csv": "none.csv", "frequency": 4e9, "bandwidth": 3e3,
+             "initial_guess": {"g_sys_db": 60.0, "t_sys": "warm", "t_electron": 0.04}},
+            "'t_sys'",
+        ),
+        ("sntj-fit", {"csv": "none.csv", "frequency": 4e9, "bandwidth": 3e3, "max_iter": "many"}, "'max_iter'"),
+        ("sntj-fit", {"csv": "none.csv", "frequency": 4e9, "bandwidth": 3e3, "max_iter": 0}, "'max_iter'"),
+        ("sntj-fit", {"csv": "none.csv", "frequency": -4e9, "bandwidth": 3e3}, "'frequency'"),
+        ("sntj-fit", {"csv": "none.csv", "frequency": 4e9, "bandwidth": 0.0}, "'bandwidth'"),
+        ("normalize", {"g_sys_db": "x", "f_acq": 4e9}, "'g_sys_db'"),
+        ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "chain": {"n_cells": "q"}}, "'n_cells'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -236,6 +252,16 @@ def test_tms_zero_r_and_monotone(tmp_path):
     assert results[-1]["e_n_true"] == pytest.approx(1.8, abs=1e-9)
 
 
+def test_tms_zero_r_writes_positive_zero(tmp_path):
+    cfg = write_config(tmp_path, {"r_values": [0.0], "n_rep": 2000, "seed": 1})
+    out = tmp_path / "run"
+    assert main(["tms", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "result.json").read_text()
+    assert '"e_n_true": 0.0,' in text
+    e_n_true = json.loads(text)["results"][0]["e_n_true"]
+    assert e_n_true == 0.0 and math.copysign(1.0, e_n_true) == 1.0
+
+
 def test_tms_null_gain_uncertainty_drops_systematic_range(tmp_path):
     cfg = write_config(tmp_path, {"r_values": [0.3], "n_rep": 2000, "seed": 1, "gain_uncertainty_db": None})
     out = tmp_path / "run"
@@ -318,6 +344,16 @@ def test_sntj_fit_missing_csv_is_config_error(tmp_path):
         tmp_path, {"csv": str(tmp_path / "none.csv"), "frequency": 4e9, "bandwidth": 3e3}
     )
     assert main(["sntj-fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("head", ["v,p\n", "# v,p\n0.0,nan\n"], ids=["uncommented header", "nan value"])
+def test_sntj_fit_unreadable_csv_is_config_error(tmp_path, capsys, head):
+    csv = tmp_path / "sntj.csv"
+    csv.write_text(head + "".join(f"{k}e-5,{k}e-12\n" for k in range(1, 20)))
+    cfg = write_config(tmp_path, {"csv": str(csv), "frequency": 4e9, "bandwidth": 3e3})
+    assert main(["sntj-fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(csv) in err
 
 
 def test_sntj_fit_runtime_error_exit_code(tmp_path):
