@@ -106,8 +106,10 @@ class ChainConfig:
     z0: float = 50.0
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("n_cells must be >= 2")
+        if not (isinstance(self.n_cells, (int, np.integer)) and self.n_cells >= 2):
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         for name in ("c_j", "c_g", "i_c_nominal", "z0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -664,6 +666,37 @@ def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
     )
 
 
+def _mixing_drive(
+    pump_photons: int, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
+) -> DriveSpec:
+    """Pump plus a weak signal ``delta_bins`` FFT bins below
+    pump_photons*f_p/2, for the process that turns ``pump_photons`` pump
+    photons into a signal and an idler (at pump_photons*f_p - f_s).  The
+    window is snapped to whole pump periods, an even number for 3WM."""
+    pump = Tone(f_pump, pump_current, pump_phase)
+    if not window > 0.0:
+        raise ValueError(f"window must be positive, got {window}")
+    if settle_time < 0.0:
+        raise ValueError(f"settle_time must be >= 0, got {settle_time}")
+    if dt is not None and not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    periods = 2 // pump_photons
+    m_pump = periods * max(int(round(window * f_pump / periods)), 1)
+    window = m_pump / f_pump
+    m_signal = pump_photons * m_pump // 2 - delta_bins
+    if not 0 < m_signal < pump_photons * m_pump:
+        # resolve()'s dt rule keeps the tones, so also the idler, far below Nyquist
+        raise ValueError(f"delta_bins = {delta_bins} puts the signal or the idler at or below 0 Hz")
+    spec = DriveSpec(
+        tones=(pump, Tone(m_signal / window, signal_current, 0.0)),
+        window=window,
+        settle_time=settle_time,
+        dt=dt,
+    )
+    spec.resolve()  # the one grid resolution: checks dt against both tones
+    return spec
+
+
 def three_wave_drive(
     f_pump: float,
     pump_current: float = 0.157e-6,
@@ -677,26 +710,11 @@ def three_wave_drive(
     """Pump at f_p plus a weak signal at f_p/2 - delta; the 3WM idler is
     generated at f_p - f_s = f_p/2 + delta.  ``delta_bins`` counts FFT
     bins of the resolved window, which is snapped to an even number of
-    pump periods so that f_p/2 is exactly on-grid."""
-    n_half = max(int(round(window * f_pump / 2.0)), 1)
-    window = 2.0 * n_half / f_pump
-    spec = DriveSpec(
-        tones=(Tone(f_pump, pump_current, pump_phase),),
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
-    )
-    resolved = spec.resolve()
-    m_p = resolved.tone_bin(resolved.tones[0].frequency)
-    f_signal = (m_p // 2 - delta_bins) / resolved.window
-    return DriveSpec(
-        tones=(
-            Tone(f_pump, pump_current, pump_phase),
-            Tone(f_signal, signal_current, 0.0),
-        ),
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
+    pump periods so that f_p/2 is exactly on-grid; 0 is the degenerate
+    drive.  Raises ValueError on a non-positive window or dt, a negative
+    settle time, or a signal or idler at or below 0 Hz."""
+    return _mixing_drive(
+        1, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
     )
 
 
@@ -711,53 +729,18 @@ def four_wave_drive(
     dt: float | None = None,
 ) -> DriveSpec:
     """Pump at f_p plus a weak signal at f_p - delta; the 4WM idler is
-    generated at 2*f_p - f_s = f_p + delta."""
-    spec = DriveSpec(
-        tones=(Tone(f_pump, pump_current, pump_phase),),
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
-    )
-    resolved = spec.resolve()
-    m_p = resolved.tone_bin(resolved.tones[0].frequency)
-    f_signal = (m_p - delta_bins) / resolved.window
-    return DriveSpec(
-        tones=(
-            Tone(f_pump, pump_current, pump_phase),
-            Tone(f_signal, signal_current, 0.0),
-        ),
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
+    generated at 2*f_p - f_s = f_p + delta.  Raises ValueError as
+    :func:`three_wave_drive` does."""
+    return _mixing_drive(
+        2, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
     )
 
 
-def degenerate_drive(
-    f_pump: float,
-    pump_current: float,
-    signal_current: float,
-    pump_phase: float = 0.0,
-    window: float = 60e-9,
-    settle_time: float = 10e-9,
-    dt: float | None = None,
-) -> DriveSpec:
-    """Pump at f_p plus a signal exactly at f_p/2 (degenerate 3WM)."""
-    return three_wave_drive(
-        f_pump,
-        pump_current=pump_current,
-        signal_current=signal_current,
-        delta_bins=0,
-        pump_phase=pump_phase,
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
-    )
-
-
-def idler_frequencies(drive: DriveSpec) -> dict:
-    """Idler bin frequencies for a (pump, signal) drive: f_p - f_s (3WM)
-    and 2*f_p - f_s (4WM)."""
-    resolved = drive.resolve()
+def idler_frequencies(drive) -> dict:
+    """Idler bin frequencies for a (pump, signal) drive, a
+    :class:`DriveSpec` or a :class:`ResolvedDrive`: f_p - f_s (3WM) and
+    2*f_p - f_s (4WM)."""
+    resolved = drive.resolve() if isinstance(drive, DriveSpec) else drive
     f_p = resolved.tones[0].frequency
     f_s = resolved.tones[1].frequency
     return {"three_wave": f_p - f_s, "four_wave": 2.0 * f_p - f_s}
@@ -780,8 +763,8 @@ def flux_sweep_idler(
     flux_grid = np.asarray(flux_grid, dtype=float)
     r3 = drive_3wm.resolve()
     r4 = drive_4wm.resolve()
-    f_idler3 = idler_frequencies(drive_3wm)["three_wave"]
-    f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
+    f_idler3 = idler_frequencies(r3)["three_wave"]
+    f_idler4 = idler_frequencies(r4)["four_wave"]
     f_ref = r3.tones[0].frequency
     chains = [build_chain(config, float(flux), f_ref=f_ref) for flux in flux_grid]
     traces = _integrate([(chain, r3) for chain in chains] + [(chain, r4) for chain in chains])
@@ -813,10 +796,11 @@ def degenerate_gain_vs_phase(
     pump off (one pump-off reference run per sweep).
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
-    base = degenerate_drive(
+    base = three_wave_drive(
         pump.frequency,
         pump_current=pump.peak_current,
         signal_current=signal.peak_current,
+        delta_bins=0,
         window=window,
         settle_time=settle_time,
         dt=dt,

@@ -6,6 +6,11 @@ normalize | attenuation.  Every command reads a JSON run configuration
 ``result.json``) plus a ``meta.json`` sidecar into ``--out``, and is pure
 with respect to (config, seed): re-running reproduces byte-identical
 files.  Exit codes: 0 ok, 1 runtime/solver error, 2 configuration error.
+The contract holds for any JSON object as config: :func:`parse` reads it
+by the command's table in ``TABLES`` and turns every input the command
+cannot run on into a configuration error before anything is solved, and a
+result that would hold a NaN or an infinity is a runtime error, with no
+``result.json`` written.
 
 Progress goes to stderr so the primary outputs stay machine-clean.
 """
@@ -13,12 +18,15 @@ Progress goes to stderr so the primary outputs stay machine-clean.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,36 +36,72 @@ from .errors import ConfigError, SnailTwpaError
 SCHEMA_VERSION = "snailtwpa/v1"
 
 PROFILES = {
-    "ci": {"n_cells": 100, "flux_points": 9},
-    "full": {"n_cells": 700, "flux_points": 17},
+    "ci": {"n_cells": 100, "n_points": 9},
+    "full": {"n_cells": 700, "n_points": 17},
 }
 
-CHAIN_KEYS = {
-    "n_cells",
-    "c_j",
-    "c_g",
-    "i_c_nominal",
-    "r",
-    "tan_delta",
-    "disorder_amplitude",
-    "rng_seed",
-    "z0",
+
+class Nullable(float):
+    """A number default that ``null`` in the config turns into None."""
+
+
+PROFILE = object()  # marker: the integer default comes from the --profile
+
+# key groups whose defaults are the library's own
+CHAIN = {f.name: f.default for f in dataclasses.fields(circuit.ChainConfig) if f.name != "flux_polarity"}
+SIM_CHAIN = {**CHAIN, "n_cells": PROFILE}  # the simulating commands size the chain by profile
+DRIVE = {
+    name: param.default
+    for name, param in inspect.signature(circuit.three_wave_drive).parameters.items()
+    if name != "pump_phase"
+} | {"f_pump": 7.705e9}
+NORMALIZATION = {
+    f.name: f.default
+    for f in dataclasses.fields(calibration.NormalizationParams)
+    if f.default is not dataclasses.MISSING
+}
+SYNTHETIC = {  # the keys sms and tms share
+    "added_noise_photons": 1.5,
+    "n_rep": 1_000_000,
+    "seed": 0,
+    "gain_drift": 0.0,
+    "gain_uncertainty_db": Nullable(1.0),
 }
 
-COMMAND_SCHEMAS = {
-    "coeffs": {"r", "flux_min", "flux_max", "n_points"},
-    "flux-sweep": {"chain", "drive", "flux_min", "flux_max", "n_points"},
-    "gain-phase": {"chain", "flux", "pump_frequency", "pump_current", "signal_current", "n_phases", "window", "settle_time"},
-    "sms": {"target_s_db", "target_theta", "added_noise_photons", "n_rep", "phases", "seed", "gain_drift", "input_csv", "gain_uncertainty_db"},
-    "tms": {"r_values", "added_noise_photons", "thermal_photons", "n_rep", "seed", "gain_drift", "gain_uncertainty_db"},
-    "sntj-fit": {"csv", "frequency", "bandwidth", "initial_guess", "max_iter"},
-    "normalize": {"g_sys_db", "f_acq", "t_int", "epsilon", "z0", "loss_correction_db", "eta", "chain", "flux"},
-    "attenuation": {"s21_off_db", "eta_db", "g_sys_db"},
+# One table per command: each accepted key maps to its default, and the
+# type of the default gives the key's kind: float (a finite number), int
+# (an integer), list (a list of finite numbers), dict (a block with its own
+# table; left out or null, it takes its defaults, or is None when it has a
+# required key) or str (an input file; "" or null means none).  A type in
+# place of a default marks a required key of that kind; None is a number
+# that may be left out or null; PROFILE takes the default from the profile.
+TABLES = {
+    "coeffs": {"r": CHAIN["r"], "flux_min": -2.0, "flux_max": 2.0, "n_points": 401},
+    "flux-sweep": {"chain": SIM_CHAIN, "drive": DRIVE, "flux_min": 0.35, "flux_max": 0.75, "n_points": PROFILE},
+    "gain-phase": {
+        "chain": SIM_CHAIN,
+        "flux": 0.59,
+        "pump_frequency": DRIVE["f_pump"],
+        "n_phases": 9,
+        **{key: DRIVE[key] for key in ("pump_current", "signal_current", "window", "settle_time")},
+    },
+    "sms": {**SYNTHETIC, "target_s_db": 0.0, "target_theta": 0.0, "phases": [0.0], "input_csv": ""},
+    "tms": {**SYNTHETIC, "r_values": [0.0, 0.25, 0.5, 0.75, 1.0], "thermal_photons": 0.0},
+    "sntj-fit": {
+        "csv": str,
+        "frequency": float,
+        "bandwidth": float,
+        "initial_guess": {"g_sys_db": float, "t_sys": float, "t_electron": float},
+        "max_iter": 500,
+    },
+    "normalize": {**NORMALIZATION, "g_sys_db": float, "f_acq": float, "eta": None, "chain": CHAIN, "flux": 0.0},
+    "attenuation": {"s21_off_db": float, "eta_db": float, "g_sys_db": float},
 }
 
-DRIVE_KEYS = {"f_pump", "pump_current", "signal_current", "delta_bins", "window", "settle_time", "dt"}
-
-GUESS_KEYS = {"g_sys_db", "t_sys", "t_electron"}
+# Largest accepted two-mode squeezing parameter of ``tms``: a power gain
+# cosh(r)^2 of 28.7 dB, the top of what travelling-wave amplifiers reach;
+# beyond it float64 can no longer resolve nu_minus = exp(-2r) of the state.
+R_MAX = 4.0
 
 
 def _fmt(x) -> str:
@@ -87,11 +131,11 @@ def _git_revision() -> str | None:
     return None
 
 
-def _finite(value, name: str, kind=float):
-    """``value`` as a finite ``kind``; anything else is a configuration error
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float; anything else is a configuration error
     naming ``name``."""
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
@@ -99,57 +143,162 @@ def _finite(value, name: str, kind=float):
     return number
 
 
-def _number(config: dict, key: str, default, kind=float):
-    """``config[key]`` (or ``default``) as a finite ``kind``."""
-    return _finite(config.get(key, default), f"'{key}'", kind)
-
-
-def _numbers(config: dict, key: str, default) -> list:
-    """``config[key]`` (or ``default``) as a list of finite floats."""
-    values = config.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"'{key}' must be a list of numbers, got {values!r}")
-    return [_finite(value, f"'{key}' entry") for value in values]
-
-
-def _gain_from_db(config: dict, key: str) -> float:
-    """``config[key]``, a power gain in dB, as a linear factor."""
-    db = _number(config, key, None)
+def _gain_from_db(db: float, name: str) -> float:
+    """``db``, a power gain in dB, as a linear factor."""
     try:
-        return 10.0 ** (db / 10.0)
+        gain = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ConfigError(f"'{key}' is too large, got {db} dB") from None
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise ConfigError(f"{name} is out of range, got {db} dB")
+    return gain
 
 
-def _input_file(config: dict, key: str) -> Path:
-    """``config[key]`` as the path of an existing file."""
-    value = config[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"'{key}' must be a file path, got {value!r}")
-    path = Path(value)
-    if not path.exists():
-        raise ConfigError(f"input CSV not found: {path}")
-    return path
-
-
-def _gain_uncertainty(config: dict):
-    """The system-gain uncertainty in dB; null turns the systematic bounds off."""
-    if config.get("gain_uncertainty_db", 1.0) is None:
-        return None
-    return _number(config, "gain_uncertainty_db", 1.0)
-
-
-def _snail_ratio(config: dict) -> float:
-    r = _number(config, "r", 0.07)
+def _snail_ratio(r: float) -> None:
     if not 0.0 < r < 1.0 / 3.0:
         raise ConfigError(f"'r' must be in (0, 1/3) for a single-valued SNAIL, got {r}")
-    return r
 
 
-def _validate_keys(config: dict, allowed: set, context: str) -> None:
-    unknown = set(config) - allowed
+def _value(default, value, name: str, profile: str):
+    """``value`` read as the kind of ``default`` (see TABLES)."""
+    kind = default if isinstance(default, type) else type(default)
+    if kind is dict:
+        if value is None and any(isinstance(entry, type) for entry in default.values()):
+            return None
+        return _block(default, {} if value is None else value, name, profile)
+    if kind is str:
+        if value in (None, "") and default == "":
+            return None
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a file path, got {value!r}")
+        return Path(value)
+    if value is None and (default is None or kind is Nullable):
+        return None
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        return [_finite(entry, f"{name} entry") for entry in value]
+    number = _finite(value, name)
+    if kind is not int:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
+
+
+def _block(table: dict, block, name: str, profile: str) -> dict:
+    """``block`` read by ``table``: no unknown key, every required key
+    given, every value of its kind."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    unknown = sorted(set(block) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    out = {}
+    for key, default in table.items():
+        label = f"'{key}'"
+        if default is PROFILE:
+            default = PROFILES[profile][key]
+        if key in block:
+            value = block[key]
+        elif isinstance(default, type):
+            raise ConfigError(f"{name} requires {label}")
+        else:
+            value = None if isinstance(default, dict) else default
+        out[key] = _value(default, value, label, profile)
+    return out
+
+
+def _build(context: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with any input it rejects raised as a
+    configuration error that starts with ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except (OSError, ValueError, TypeError, ArithmeticError, SnailTwpaError) as err:
+        raise ConfigError(f"{context}: {err}") from err
+
+
+def _load_psd(path: Path) -> np.ndarray:
+    data = np.loadtxt(path, delimiter=",", comments="#")
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ValueError("must have columns (v_bias, psd_watts)")
+    if not np.isfinite(data).all():
+        raise ValueError("holds a non-finite value")
+    return data
+
+
+def _insertion_loss(chain: circuit.ChainConfig, flux: float, f_acq: float) -> float:
+    """The chain's insertion loss at ``f_acq`` from its loss tangent."""
+    inductance = snail.coefficients(snail.SnailParams.from_flux(chain.r, chain.i_c_nominal, flux)).inductance
+    return calibration.insertion_loss_from_tan_delta(
+        chain.tan_delta, chain.n_cells, f_acq, inductance, chain.c_g, chain.c_j
+    )
+
+
+def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleNamespace:
+    """The inputs of ``command``, read from ``config`` by its table in
+    TABLES, checked, and built into the library's objects: the chain block
+    into a ChainConfig, the drive block into the (3WM, 4WM) drive pair,
+    input files into their contents and the normalization keys into
+    NormalizationParams and its factor ``upsilon``.  ``seed`` (--seed),
+    when given, replaces the chain's ``rng_seed`` and the ``seed`` of sms
+    and tms.
+
+    Raises ConfigError, naming the key, on any input the command cannot
+    run on; it solves nothing."""
+    p = SimpleNamespace(**_block(TABLES[command], config, command, profile))
+    if seed is not None and hasattr(p, "seed"):
+        p.seed = seed
+    for key, least in (("n_points", 1), ("n_phases", 1), ("n_rep", 2), ("seed", 0), ("max_iter", 1)):
+        if getattr(p, key, least) < least:
+            raise ConfigError(f"'{key}' must be >= {least}, got {getattr(p, key)}")
+    for key in ("pump_frequency", "frequency", "bandwidth"):
+        if not getattr(p, key, 1.0) > 0.0:
+            raise ConfigError(f"'{key}' must be positive, got {getattr(p, key)}")
+    if getattr(p, "gain_uncertainty_db", None) is not None:  # the library takes 10^(x/10)
+        _gain_from_db(p.gain_uncertainty_db, "'gain_uncertainty_db'")
+    if getattr(p, "flux_min", 0.0) > getattr(p, "flux_max", 0.0):
+        raise ConfigError(f"empty flux grid: 'flux_min' {p.flux_min} > 'flux_max' {p.flux_max}")
+    for key in ("flux", "flux_min", "flux_max"):  # the reduced flux 2*pi*flux must be finite
+        if hasattr(p, key):
+            _build(f"invalid '{key}'", snail.SnailParams.from_flux, CHAIN["r"], CHAIN["i_c_nominal"], getattr(p, key))
+    if hasattr(p, "r"):
+        _snail_ratio(p.r)
+    if hasattr(p, "chain"):
+        _snail_ratio(p.chain["r"])
+        if seed is not None:
+            p.chain["rng_seed"] = seed
+        p.chain = _build("invalid 'chain' block", circuit.ChainConfig, **p.chain)
+
+    if command == "flux-sweep":
+        makers = (circuit.three_wave_drive, circuit.four_wave_drive)
+        p.drive = tuple(_build("invalid 'drive' block", make, **p.drive) for make in makers)
+    elif command == "gain-phase":
+        _build("invalid drive", circuit.three_wave_drive, p.pump_frequency, p.pump_current,
+               p.signal_current, delta_bins=0, window=p.window, settle_time=p.settle_time)
+    elif command == "sms":
+        p.squeeze = _gain_from_db(p.target_s_db, "'target_s_db'")
+        if p.input_csv is not None:
+            p.input_csv = _build(f"cannot read input CSV {p.input_csv}", gaussian.read_quadrature_csv, p.input_csv)
+            if set(p.input_csv) != {"ON", "OFF"}:
+                raise ConfigError("input_csv must contain ON and OFF pump states")
+    elif command == "tms":
+        for r in p.r_values:
+            if abs(r) > R_MAX:
+                raise ConfigError(f"'r_values' entry {r} is beyond the physical limit |r| <= {R_MAX}")
+    elif command == "sntj-fit":
+        if p.initial_guess is not None:
+            guess = p.initial_guess
+            p.initial_guess = (_gain_from_db(guess["g_sys_db"], "'g_sys_db'"), guess["t_sys"], guess["t_electron"])
+        p.csv = _build(f"cannot read input CSV {p.csv}", _load_psd, p.csv)
+    elif command == "normalize":
+        if p.eta is None:
+            p.eta = _build("cannot compute 'eta' from the chain", _insertion_loss, p.chain, p.flux, p.f_acq)
+        g_sys = _gain_from_db(p.g_sys_db, "'g_sys_db'")
+        fields = {key: getattr(p, key) for key in NORMALIZATION}
+        params = _build("invalid normalization", calibration.NormalizationParams, p.eta, g_sys, p.f_acq, **fields)
+        p.upsilon = _build("invalid normalization", calibration.normalization_factor, params)
+    return p
 
 
 def _write_csv(path: Path, header_cols, rows, config: dict) -> None:
@@ -164,7 +313,11 @@ def _write_csv(path: Path, header_cols, rows, config: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:  # a NaN or an infinity, which JSON cannot hold
+        raise SnailTwpaError(f"{path.name} not written: {err}") from err
+    path.write_text(text + "\n")
 
 
 def _write_meta(out_dir: Path, command: str, config: dict, seed, extra=None) -> None:
@@ -181,32 +334,13 @@ def _write_meta(out_dir: Path, command: str, config: dict, seed, extra=None) -> 
     _write_json(out_dir / "meta.json", meta)
 
 
-def _chain_config(config: dict, profile: str, seed) -> circuit.ChainConfig:
-    block = dict(config.get("chain", {}))
-    _validate_keys(block, CHAIN_KEYS, "chain")
-    block.setdefault("n_cells", PROFILES[profile]["n_cells"])
-    block["r"] = _snail_ratio(block)
-    if seed is not None:
-        block["rng_seed"] = seed
-    try:
-        return circuit.ChainConfig(**block)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid chain block: {err}") from err
-
-
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_coeffs(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["coeffs"], "coeffs")
-    r = _snail_ratio(config)
-    flux_min = _number(config, "flux_min", -2.0)
-    flux_max = _number(config, "flux_max", 2.0)
-    n_points = _number(config, "n_points", 401, int)
-    if n_points < 1 or flux_min > flux_max:
-        raise ConfigError(f"empty flux grid: [{flux_min}, {flux_max}] x {n_points}")
-    flux = np.linspace(flux_min, flux_max, n_points)
-    sweep = snail.coefficients_vs_flux(r, 1e-6, flux)  # coefficients are i_c independent
+    p = parse("coeffs", config, profile, seed)
+    flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
+    sweep = snail.coefficients_vs_flux(p.r, 1e-6, flux)  # coefficients are i_c independent
     rows = [
         (float(f), float(a), float(b), float(g))
         for f, a, b, g in zip(flux, sweep["alpha_tilde"], sweep["beta"], sweep["gamma"])
@@ -215,36 +349,11 @@ def cmd_coeffs(config: dict, out_dir: Path, profile: str, seed) -> None:
     _write_meta(out_dir, "coeffs", config, seed)
 
 
-def _drive_pair(config: dict, profile: str):
-    block = dict(config.get("drive", {}))
-    _validate_keys(block, DRIVE_KEYS, "drive")
-    kw = dict(
-        pump_current=_number(block, "pump_current", 0.157e-6),
-        signal_current=_number(block, "signal_current", 0.0011e-6),
-        delta_bins=_number(block, "delta_bins", 2, int),
-        window=_number(block, "window", 60e-9),
-        settle_time=_number(block, "settle_time", 10e-9),
-        dt=_number(block, "dt", None) if "dt" in block else None,
-    )
-    f_pump = _number(block, "f_pump", 7.705e9)
-    try:  # the builders resolve the drive grid, which validates dt and window
-        return circuit.three_wave_drive(f_pump, **kw), circuit.four_wave_drive(f_pump, **kw)
-    except ValueError as err:
-        raise ConfigError(f"invalid drive block: {err}") from err
-
-
 def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["flux-sweep"], "flux-sweep")
-    chain_cfg = _chain_config(config, profile, seed)
-    drive3, drive4 = _drive_pair(config, profile)
-    flux_min = _number(config, "flux_min", 0.35)
-    flux_max = _number(config, "flux_max", 0.75)
-    n_points = _number(config, "n_points", PROFILES[profile]["flux_points"], int)
-    if n_points < 1 or flux_min > flux_max:
-        raise ConfigError(f"empty flux grid: [{flux_min}, {flux_max}] x {n_points}")
-    flux = np.linspace(flux_min, flux_max, n_points)
-    print(f"flux-sweep: {n_points} points, n_cells={chain_cfg.n_cells}", file=sys.stderr)
-    result = circuit.flux_sweep_idler(chain_cfg, drive3, drive4, flux)
+    p = parse("flux-sweep", config, profile, seed)
+    flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
+    print(f"flux-sweep: {p.n_points} points, n_cells={p.chain.n_cells}", file=sys.stderr)
+    result = circuit.flux_sweep_idler(p.chain, *p.drive, flux)
     rows = [
         (float(f), float(p3), float(p4))
         for f, p3, p4 in zip(result["flux"], result["idler_3wm_dbm"], result["idler_4wm_dbm"])
@@ -257,7 +366,7 @@ def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
     )
 
     def nearest_row(target):
-        return int(np.argmin(np.abs(flux - target))) if n_points else None
+        return int(np.argmin(np.abs(flux - target)))
 
     _write_meta(
         out_dir,
@@ -271,44 +380,32 @@ def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
             "phi2_row": nearest_row(0.45),
             "f_idler_3wm": result["f_idler_3wm"],
             "f_idler_4wm": result["f_idler_4wm"],
-            "n_cells": chain_cfg.n_cells,
+            "n_cells": p.chain.n_cells,
         },
     )
 
 
 def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["gain-phase"], "gain-phase")
-    chain_cfg = _chain_config(config, profile, seed)
-    flux = _number(config, "flux", 0.59)
-    f_pump = _number(config, "pump_frequency", 7.705e9)
-    pump_current = _number(config, "pump_current", 0.157e-6)
-    signal_current = _number(config, "signal_current", 0.0011e-6)
-    n_phases = _number(config, "n_phases", 9, int)
-    window = _number(config, "window", 60e-9)
-    settle = _number(config, "settle_time", 10e-9)
-    if n_phases < 1:
-        raise ConfigError("n_phases must be >= 1")
-    if not f_pump > 0.0:
-        raise ConfigError(f"'pump_frequency' must be positive, got {f_pump}")
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    print(f"gain-phase: {n_phases} phases, n_cells={chain_cfg.n_cells}", file=sys.stderr)
+    p = parse("gain-phase", config, profile, seed)
+    phases = np.linspace(0.0, 2.0 * np.pi, p.n_phases, endpoint=False)
+    print(f"gain-phase: {p.n_phases} phases, n_cells={p.chain.n_cells}", file=sys.stderr)
     result = circuit.degenerate_gain_vs_phase(
-        chain_cfg,
-        flux,
-        pump=circuit.Tone(f_pump, pump_current),
-        signal=circuit.Tone(f_pump / 2.0, signal_current),
+        p.chain,
+        p.flux,
+        pump=circuit.Tone(p.pump_frequency, p.pump_current),
+        signal=circuit.Tone(p.pump_frequency / 2.0, p.signal_current),
         phase_grid=phases,
-        window=window,
-        settle_time=settle,
+        window=p.window,
+        settle_time=p.settle_time,
     )
-    rows = [(float(p), float(g)) for p, g in zip(result["phase"], result["gain_db"])]
+    rows = [(float(ph), float(g)) for ph, g in zip(result["phase"], result["gain_db"])]
     _write_csv(out_dir / "result.csv", ("pump_phase_rad", "gain_db"), rows, config)
     _write_meta(
         out_dir,
         "gain-phase",
         config,
         seed,
-        extra={"flux_phi0": flux, "f_signal": result["f_signal"], "n_cells": chain_cfg.n_cells},
+        extra={"flux_phi0": p.flux, "f_signal": result["f_signal"], "n_cells": p.chain.n_cells},
     )
 
 
@@ -335,19 +432,11 @@ def _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc) -> gaus
 
 
 def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["sms"], "sms")
-    gain_unc = _gain_uncertainty(config)
-    if config.get("input_csv"):
-        path = _input_file(config, "input_csv")
-        try:
-            batches = gaussian.read_quadrature_csv(path)
-        except (OSError, ValueError, SnailTwpaError) as err:
-            raise ConfigError(f"cannot read input CSV {path}: {err}") from err
-        if set(batches) != {"ON", "OFF"}:
-            raise ConfigError("input_csv must contain ON and OFF pump states")
-        sigma_on = gaussian.estimate_covariance(batches["ON"])
-        sigma_off = gaussian.estimate_covariance(batches["OFF"])
-        psi = gaussian.subtract_background(sigma_on, sigma_off, gain_uncertainty_db=gain_unc)
+    p = parse("sms", config, profile, seed)
+    if p.input_csv is not None:
+        sigma_on = gaussian.estimate_covariance(p.input_csv["ON"])
+        sigma_off = gaussian.estimate_covariance(p.input_csv["OFF"])
+        psi = gaussian.subtract_background(sigma_on, sigma_off, gain_uncertainty_db=p.gain_uncertainty_db)
         s_x, s_p = gaussian.squeezing_db(psi)
         payload = {
             "mode": "from_file",
@@ -359,22 +448,13 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
         _write_meta(out_dir, "sms", config, seed)
         return
 
-    s_db = _number(config, "target_s_db", 0.0)
-    theta = _number(config, "target_theta", 0.0)
-    n_add = _number(config, "added_noise_photons", 1.5)
-    n_rep = _number(config, "n_rep", 1_000_000, int)
-    if n_rep < 2:
-        raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
-    drift = _number(config, "gain_drift", 0.0)
-    phases = _numbers(config, "phases", [0.0])
-    master = seed if seed is not None else _number(config, "seed", 0, int)
-
-    squeeze = 10.0 ** (s_db / 10.0)
     results = []
-    for idx, phase in enumerate(phases):
-        rot = _rotation(theta + phase)
-        psi_true = rot @ np.diag([squeeze, 1.0 / squeeze]) @ rot.T
-        psi = _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc)
+    for idx, phase in enumerate(p.phases):
+        rot = _rotation(p.target_theta + phase)
+        psi_true = rot @ np.diag([p.squeeze, 1.0 / p.squeeze]) @ rot.T
+        psi = _synthetic_psi(
+            psi_true, p.added_noise_photons, p.gain_drift, p.n_rep, p.seed, idx, p.gain_uncertainty_db
+        )
         s_x, s_p = gaussian.squeezing_db(psi)
         err_x = 10.0 / math.log(10.0) * psi.uncertainty[0, 0] / psi.entries[0, 0]
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
@@ -388,43 +468,29 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
                 "covariance": json.loads(psi.to_json()),
             }
         )
-        print(f"sms phase {idx + 1}/{len(phases)}", file=sys.stderr)
+        print(f"sms phase {idx + 1}/{len(p.phases)}", file=sys.stderr)
     payload = {
         "mode": "synthetic",
-        "target_s_db": s_db,
-        "n_rep": n_rep,
-        "added_noise_photons": n_add,
-        "gain_drift": drift,
+        "target_s_db": p.target_s_db,
+        "n_rep": p.n_rep,
+        "added_noise_photons": p.added_noise_photons,
+        "gain_drift": p.gain_drift,
         "results": results,
     }
     _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "sms", config, master)
+    _write_meta(out_dir, "sms", config, p.seed)
 
 
 def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["tms"], "tms")
-    r_values = _numbers(config, "r_values", [0.0, 0.25, 0.5, 0.75, 1.0])
-    n_add = _number(config, "added_noise_photons", 1.5)
-    n_thermal = _number(config, "thermal_photons", 0.0)
-    n_rep = _number(config, "n_rep", 1_000_000, int)
-    if n_rep < 2:
-        raise ConfigError(f"'n_rep' must be >= 2 for a covariance estimate, got {n_rep}")
-    drift = _number(config, "gain_drift", 0.0)
-    gain_unc = _gain_uncertainty(config)
-    master = seed if seed is not None else _number(config, "seed", 0, int)
-
-    for r in r_values:
-        try:
-            math.cosh(2 * r)
-        except OverflowError:
-            raise ConfigError(f"'r_values' entry {r} is too large: cosh(2r) overflows") from None
-
+    p = parse("tms", config, profile, seed)
     results = []
-    for idx, r in enumerate(r_values):
-        a_block = (math.cosh(2 * r) + 2.0 * n_thermal) * np.eye(2)
+    for idx, r in enumerate(p.r_values):
+        a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
         c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
         psi_true = np.block([[a_block, c_block], [c_block.T, a_block]])
-        psi = _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc)
+        psi = _synthetic_psi(
+            psi_true, p.added_noise_photons, p.gain_drift, p.n_rep, p.seed, idx, p.gain_uncertainty_db
+        )
         e_n, nu = gaussian.logarithmic_negativity(psi)
         nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {
@@ -438,17 +504,17 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
             lo, hi = psi.systematic
             entry["e_n_sys_range"] = [_safe_en(lo), _safe_en(hi)]
         results.append(entry)
-        print(f"tms point {idx + 1}/{len(r_values)}", file=sys.stderr)
+        print(f"tms point {idx + 1}/{len(p.r_values)}", file=sys.stderr)
     payload = {
         "mode": "synthetic",
-        "n_rep": n_rep,
-        "added_noise_photons": n_add,
-        "thermal_photons": n_thermal,
-        "gain_drift": drift,
+        "n_rep": p.n_rep,
+        "added_noise_photons": p.added_noise_photons,
+        "thermal_photons": p.thermal_photons,
+        "gain_drift": p.gain_drift,
         "results": results,
     }
     _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "tms", config, master)
+    _write_meta(out_dir, "tms", config, p.seed)
 
 
 def _safe_en(sigma: np.ndarray):
@@ -460,43 +526,15 @@ def _safe_en(sigma: np.ndarray):
 
 
 def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["sntj-fit"], "sntj-fit")
-    for key in ("csv", "frequency", "bandwidth"):
-        if key not in config:
-            raise ConfigError(f"sntj-fit requires '{key}'")
-    frequency = _number(config, "frequency", None)
-    bandwidth = _number(config, "bandwidth", None)
-    max_iter = _number(config, "max_iter", 500, int)
-    for key, value in (("frequency", frequency), ("bandwidth", bandwidth), ("max_iter", max_iter)):
-        if not value > 0:
-            raise ConfigError(f"'{key}' must be positive, got {value}")
-    guess = config.get("initial_guess")
-    if guess is not None:
-        if not isinstance(guess, dict):
-            raise ConfigError(f"'initial_guess' must be an object, got {guess!r}")
-        _validate_keys(guess, GUESS_KEYS, "initial_guess")
-        guess = (
-            _gain_from_db(guess, "g_sys_db"),
-            _number(guess, "t_sys", None),
-            _number(guess, "t_electron", None),
-        )
-    path = _input_file(config, "csv")
-    try:
-        data = np.loadtxt(path, delimiter=",", comments="#")
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot read input CSV {path}: {err}") from err
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ConfigError(f"input CSV {path} must have columns (v_bias, psd_watts)")
-    if not np.isfinite(data).all():
-        raise ConfigError(f"input CSV {path} holds a non-finite value")
+    p = parse("sntj-fit", config, profile, seed)
     try:
         result = calibration.fit_sntj(
-            data[:, 0],
-            data[:, 1],
-            frequency=frequency,
-            bandwidth=bandwidth,
-            initial_guess=guess,
-            max_iter=max_iter,
+            p.csv[:, 0],
+            p.csv[:, 1],
+            frequency=p.frequency,
+            bandwidth=p.bandwidth,
+            initial_guess=p.initial_guess,
+            max_iter=p.max_iter,
         )
     except ValueError as err:  # too few points or a non-positive initial guess
         raise ConfigError(f"sntj-fit: {err}") from err
@@ -513,73 +551,31 @@ def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
         },
         "residual_norm_watts": result.residual_norm,
         "n_iterations": result.n_iter,
-        "n_points": int(data.shape[0]),
+        "n_points": int(p.csv.shape[0]),
     }
     _write_json(out_dir / "result.json", payload)
     _write_meta(out_dir, "sntj-fit", config, seed)
 
 
 def cmd_normalize(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["normalize"], "normalize")
-    if "g_sys_db" not in config or "f_acq" not in config:
-        raise ConfigError("normalize requires 'g_sys_db' and 'f_acq'")
-    f_acq = _number(config, "f_acq", None)
-    g_sys_db = _number(config, "g_sys_db", None)
-    if "eta" in config:
-        eta = _number(config, "eta", None)
-    else:
-        block = dict(config.get("chain", {}))
-        _validate_keys(block, CHAIN_KEYS, "chain")
-        flux = _number(config, "flux", 0.0)
-        params = snail.SnailParams.from_flux(
-            _snail_ratio(block), _number(block, "i_c_nominal", 2.19e-6), flux
-        )
-        inductance = snail.coefficients(params).inductance
-        eta = calibration.insertion_loss_from_tan_delta(
-            _number(block, "tan_delta", 2.1e-3),
-            _number(block, "n_cells", 700, int),
-            f_acq,
-            inductance,
-            _number(block, "c_g", 250e-15),
-            _number(block, "c_j", 50e-15),
-        )
-    try:
-        params = calibration.NormalizationParams(
-            eta=eta,
-            g_sys=_gain_from_db(config, "g_sys_db"),
-            f_acq=f_acq,
-            z0=_number(config, "z0", 50.0),
-            t_int=_number(config, "t_int", 10e-6),
-            epsilon=_number(config, "epsilon", 0.98),
-            loss_correction_db=_number(config, "loss_correction_db", 1.0),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    ups = calibration.normalization_factor(params)
+    p = parse("normalize", config, profile, seed)
     payload = {
-        "upsilon": ups,
-        "eta_linear": eta,
-        "eta_db": 10.0 * math.log10(eta),
-        "g_sys_db_input": g_sys_db,
-        "g_sys_db_corrected": g_sys_db + params.loss_correction_db,
-        "f_acq": f_acq,
-        "t_int": params.t_int,
-        "epsilon": params.epsilon,
+        "upsilon": p.upsilon,
+        "eta_linear": p.eta,
+        "eta_db": 10.0 * math.log10(p.eta),
+        "g_sys_db_input": p.g_sys_db,
+        "g_sys_db_corrected": p.g_sys_db + p.loss_correction_db,
+        "f_acq": p.f_acq,
+        "t_int": p.t_int,
+        "epsilon": p.epsilon,
     }
     _write_json(out_dir / "result.json", payload)
     _write_meta(out_dir, "normalize", config, seed)
 
 
 def cmd_attenuation(config: dict, out_dir: Path, profile: str, seed) -> None:
-    _validate_keys(config, COMMAND_SCHEMAS["attenuation"], "attenuation")
-    for key in ("s21_off_db", "eta_db", "g_sys_db"):
-        if key not in config:
-            raise ConfigError(f"attenuation requires '{key}'")
-    ledger = calibration.input_attenuation(
-        _number(config, "s21_off_db", None),
-        _number(config, "eta_db", None),
-        _number(config, "g_sys_db", None),
-    )
+    p = parse("attenuation", config, profile, seed)
+    ledger = calibration.input_attenuation(p.s21_off_db, p.eta_db, p.g_sys_db)
     payload = {
         "a_in_db": ledger.a_in,
         "s21_off_db": ledger.s21_off,

@@ -81,6 +81,9 @@ def test_flux_polarity_validation():
         ChainConfig(n_cells=4, flux_polarity=(1, -1, 2, -1))
     with pytest.raises(ValueError):
         ChainConfig(n_cells=4, disorder_amplitude=0.5)
+    for bad in ({"n_cells": 4.5}, {"rng_seed": -1}, {"rng_seed": 1.5}):
+        with pytest.raises(ValueError):
+            ChainConfig(**bad)
 
 
 # --- drive resolution -------------------------------------------------------
@@ -119,11 +122,29 @@ def test_three_and_four_wave_builders():
     assert m_p % 2 == 0 and m_s == m_p // 2 - 2
     idlers = idler_frequencies(d3)
     assert idlers["three_wave"] == pytest.approx((m_p - m_s) / r3.window)
+    assert idler_frequencies(r3) == idlers
 
     d4 = four_wave_drive(F_PUMP, delta_bins=2)
     r4 = d4.resolve()
     m_s4 = r4.tone_bin(r4.tones[1].frequency)
     assert m_s4 == r4.tone_bin(r4.tones[0].frequency) - 2
+
+
+@pytest.mark.parametrize("builder", [three_wave_drive, four_wave_drive])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"window": -1e-9},
+        {"window": 0.0},
+        {"settle_time": -1e-9},
+        {"dt": -1e-12},
+        {"delta_bins": 1000},  # signal below 0 Hz
+        {"delta_bins": -100, "window": 6e-10},  # idler below 0 Hz
+    ],
+)
+def test_drive_builders_reject_off_grid_inputs(builder, bad):
+    with pytest.raises(ValueError):
+        builder(F_PUMP, **bad)
 
 
 # --- transient solver -------------------------------------------------------

@@ -2,11 +2,16 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from snailtwpa import circuit, cli
 from snailtwpa.cli import main
+from snailtwpa.errors import ConfigError
 from snailtwpa.calibration import SntjModel, sntj_noise_power
 from snailtwpa.gaussian import sample_gaussian, write_quadrature_csv
 from snailtwpa.snail import SnailParams, coefficients
@@ -96,6 +101,18 @@ def test_unknown_key_rejected(tmp_path):
         ("sntj-fit", {"csv": "none.csv", "frequency": 4e9, "bandwidth": 0.0}, "'bandwidth'"),
         ("normalize", {"g_sys_db": "x", "f_acq": 4e9}, "'g_sys_db'"),
         ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "chain": {"n_cells": "q"}}, "'n_cells'"),
+        ("gain-phase", {"chain": {"rng_seed": -1}}, "rng_seed"),
+        ("gain-phase", {"chain": {"rng_seed": 1.5}}, "'rng_seed'"),
+        ("gain-phase", {"chain": {"n_cells": 4.5}}, "'n_cells'"),
+        ("gain-phase", {"chain": "x"}, "'chain'"),
+        ("gain-phase", {"window": -1e-9}, "window"),
+        ("flux-sweep", {"drive": "x"}, "'drive'"),
+        ("flux-sweep", {"drive": {"delta_bins": -3, "window": 6e-10}}, "delta_bins"),
+        ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "chain": "x"}, "'chain'"),
+        ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "chain": {"n_cells": 0}}, "n_cells"),
+        ("sms", {"target_s_db": 4000}, "'target_s_db'"),
+        ("sms", {"seed": -1}, "'seed'"),
+        ("tms", {"r_values": [300], "n_rep": 10}, "'r_values' entry 300"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -104,6 +121,44 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, ke
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+def _json_config(table):
+    """Configs of up to two keys of one command table, or an unknown key,
+    each holding any JSON value (numbers at any scale, NaN and infinity
+    included) or, for a block, a config of the block's own table."""
+    numbers = st.floats() | st.integers(-(2**70), 2**70)
+    values = (
+        numbers
+        | st.lists(numbers, max_size=3)
+        | st.recursive(
+            st.none() | st.booleans() | numbers | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+    )
+
+    def entry(key):
+        default = table.get(key)
+        return (_json_config(default) | values) if isinstance(default, dict) else values
+
+    keys = st.lists(st.sampled_from([*table, "bogus"]), max_size=2, unique=True)
+    return keys.flatmap(lambda chosen: st.fixed_dictionaries({key: entry(key) for key in chosen}))
+
+
+@pytest.mark.parametrize("command", sorted(cli.TABLES))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_returns_or_raises_config_error(command, data):
+    # the exit-code contract at parse time: any JSON object either parses or
+    # is a ConfigError, and nothing is integrated on the way
+    config = data.draw(_json_config(cli.TABLES[command]))
+    with warnings.catch_warnings(), mock.patch.object(circuit, "_integrate", side_effect=AssertionError):
+        warnings.simplefilter("ignore")
+        try:
+            cli.parse(command, config, "ci", None)
+        except ConfigError:
+            pass
 
 
 def test_missing_config_file_is_config_error(tmp_path):
