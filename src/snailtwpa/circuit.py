@@ -17,8 +17,8 @@ tridiagonal solve in the node voltages; the whole run is deterministic for
 a given configuration and seed.
 
 One private core, ``_integrate``, advances B independent runs (chain and
-resolved drive) in lockstep; ``simulate_transient`` is its B = 1 case, and
-the phase and flux sweeps pass all their runs at once.  The B chains are
+resolved drive) in lockstep (``_lockstep``); ``simulate_transient`` is its
+B = 1 case, and the phase and flux sweeps pass all their runs at once.  The B chains are
 laid end to end as one ladder of B*(N+1) nodes, joined by inert branches,
 so each Newton iteration is one pass of elementwise operations and one
 ``dgtsv`` call over the whole batch.  The couplings across the inert
@@ -30,6 +30,24 @@ All other arithmetic is elementwise, in the same order as for a single run
 a member that meets its own convergence test is held fixed while the
 others iterate; each member's output is therefore bit-identical to running
 it alone.
+
+Members that cannot share a batch (another cell count, circuit constant
+or time grid) form separate lockstep groups, which run one after another.
+Each group is cut into at most P contiguous parts of near-equal size, and
+so of near-equal cell-steps, where P is the number of CPUs this process
+may run on (``os.sched_getaffinity``).  This process runs the first part;
+a child made by ``os.fork`` runs each other part at the same time, sends
+back only its members' input and output records, pickled over a pipe, and
+leaves by ``os._exit``.  A member's arithmetic does not depend on the part
+it runs in, so the traces do not depend on P.  The run stays in this
+process when P is 1, when there is one member, when the platform has no
+``fork`` or ``sched_getaffinity``, or when another thread is alive (the
+child would inherit any lock that thread holds, held for ever).  Every part runs to its end or to
+its first failure; NewtonDivergence is then raised for the earliest
+failing step over all groups and parts, ties going to the lowest member
+index, with the message a serial run of that member gives.  A child that
+raises sends the exception back, to be raised here; a child that ends
+without a reply raises SnailTwpaError naming its exit status.
 
 All drive tones are snapped onto the FFT bin grid of the analysis window;
 the window itself is first adjusted so that the reference tone (the first
@@ -47,13 +65,17 @@ stand-in assigned to ``circuit.lapack`` sees every call.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import PHI0
-from .errors import NewtonDivergence, WindowTooShort
+from .errors import NewtonDivergence, SnailTwpaError, WindowTooShort
 from .snail import SnailParams, coefficients, find_phi_star
 
 TWO_PI = 2.0 * math.pi
@@ -203,6 +225,10 @@ class DriveSpec:
     dt          : requested time step, s (default: reference period / 256,
                   which holds the spectral readout dt-converged to better
                   than 0.1 dB; must satisfy dt <= period/64 for every tone)
+
+    :meth:`resolve` raises ValueError on a non-positive window or dt, a
+    negative settle time, a dt too coarse for a tone, or a duration too
+    short for settle time plus window.
     """
 
     tones: tuple = ()
@@ -213,8 +239,12 @@ class DriveSpec:
 
     def resolve(self) -> ResolvedDrive:
         tones = tuple(_as_tone(t) for t in self.tones)
-        if self.window <= 0.0:
-            raise ValueError("window must be positive")
+        if not self.window > 0.0:
+            raise ValueError(f"window must be positive, got {self.window}")
+        if not self.settle_time >= 0.0:
+            raise ValueError(f"settle_time must be >= 0, got {self.settle_time}")
+        if self.dt is not None and not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if tones:
             f_ref = tones[0].frequency
             n_ref = max(int(round(self.window * f_ref)), 1)
@@ -416,23 +446,134 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
     """Integrate (RealizedChain, ResolvedDrive) members; one TimeTrace each.
 
     Members that share the cell count, the circuit constants and the time
-    grid advance in lockstep as one batch; members that differ run as
-    separate batches.  The first member (in order) whose Newton solve fails
-    at the earliest step raises NewtonDivergence with that step index.
+    grid form a lockstep group; each group is cut into parts that run at
+    once, in this process and in forked children (see the module
+    docstring).  If a Newton solve fails, NewtonDivergence is raised for
+    the earliest failing step over all members, ties going to the lowest
+    member index, which it carries as ``member_index``.
     """
+    esrs = [_esr(chain, resolved) for chain, resolved in members]
     groups = {}
     for i, (chain, resolved) in enumerate(members):
         cfg = chain.config
-        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, _esr(chain, resolved), resolved.dt, resolved.n_total)
+        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, esrs[i], resolved.dt, resolved.n_total)
         groups.setdefault(key, []).append(i)
-    if len(groups) != 1:
-        traces = [None] * len(members)
-        for idx in groups.values():
-            batch = _integrate([members[i] for i in idx], newton_tol, max_newton_iter)
-            for i, trace in zip(idx, batch):
-                traces[i] = trace
-        return traces
 
+    def run(part):
+        return _lockstep([members[i] for i in part], newton_tol, max_newton_iter)
+
+    n_parts = _parallel_parts(len(members))
+    records = [None] * len(members)
+    failures = []
+    for idx in groups.values():
+        k = min(n_parts, len(idx))
+        cuts = [-(-j * len(idx) // k) for j in range(k + 1)]  # the first parts take the remainder
+        parts = [idx[a:b] for a, b in zip(cuts, cuts[1:])]
+        for part, outcome in zip(parts, _run_parts(run, parts)):
+            if isinstance(outcome, NewtonDivergence):
+                outcome.member_index = part[outcome.member_index]
+                failures.append(outcome)
+            else:
+                for i, record in zip(part, outcome):
+                    records[i] = record
+    if failures:
+        raise min(failures, key=lambda err: (err.step_index, err.member_index))
+
+    traces = []
+    for (chain, resolved), esr, record in zip(members, esrs, records):
+        metadata = {
+            "n_cells": chain.n_cells,
+            "flux": chain.flux,
+            "rng_seed": chain.config.rng_seed,
+            "disorder_amplitude": chain.config.disorder_amplitude,
+            "esr_ohms": esr,
+            "dt": resolved.dt,
+            "window": resolved.window,
+            "n_settle": resolved.n_settle,
+            "n_window": resolved.n_window,
+            "tones": [(t.frequency, t.peak_current, t.phase) for t in resolved.tones],
+            "z0": chain.config.z0,
+        }
+        traces.append(TimeTrace(dt=resolved.dt, samples=record[1], input_samples=record[0], metadata=metadata))
+    return traces
+
+
+def _parallel_parts(n_members: int) -> int:
+    """How many parts a lockstep group may be cut into: the usable CPUs, or
+    1 where a child cannot or should not be forked."""
+    if n_members < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1  # one run, or no fork or CPU affinity on this platform (Windows, macOS)
+    if threading.active_count() > 1:
+        return 1  # a child would inherit any lock another thread holds, held for ever
+    return len(os.sched_getaffinity(0))
+
+
+def _run_parts(run, parts) -> list:
+    """``run(part)`` for every part, all at once: the first in this process,
+    each other in a child forked for it.  An outcome is what ``run``
+    returned or the NewtonDivergence it raised; any other exception, here
+    or in a child, is raised, and so is SnailTwpaError for a child that
+    ends without a reply."""
+    if len(parts) > 1:
+        _lapack()  # import scipy's LAPACK once, before the children copy this process
+    children = []  # (pid, read end of its pipe), until reaped
+    try:
+        for part in parts[1:]:
+            read_end, write_end = os.pipe()
+            pipe = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _reply(run, part, write_end)
+            finally:
+                os.close(write_end)
+            children.append((pid, pipe))
+        try:
+            outcomes = [run(parts[0])]
+        except NewtonDivergence as err:
+            outcomes = [err]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise SnailTwpaError(f"transient worker process {pid} {how} without sending its result")
+            done, outcome = pickle.loads(reply)
+            if not (done or isinstance(outcome, NewtonDivergence)):
+                raise outcome
+            outcomes.append(outcome)
+        return outcomes
+    finally:
+        for pid, pipe in children:  # left only when this process raised: stop them
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _reply(run, part, write_end) -> None:
+    """In a forked child: run one part, write (done, records or exception)
+    to the parent and leave, never returning into the caller's code."""
+    status = 1
+    try:
+        try:
+            reply = (True, run(part))
+        except BaseException as err:  # handed to the parent, which raises it
+            reply = (False, err)
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
+    """Advance members of one lockstep group as one batch; their (B, 2,
+    n_total) records of the input ([b, 0]) and output ([b, 1]) node.  A
+    failure raises NewtonDivergence with the batch-local member_index."""
     chains = [chain for chain, _ in members]
     drives = [resolved for _, resolved in members]
     cfg = chains[0].config
@@ -565,6 +706,7 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
                 raise NewtonDivergence(
                     f"tridiagonal solve failed at step {step} (info={(info - 1) % m + 1})",
                     step_index=step,
+                    member_index=(info - 1) // m,
                 )
             if pending is all_members:
                 add(v, rhs, v)
@@ -581,8 +723,9 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
                         raise NewtonDivergence(
                             f"tridiagonal solve failed at step {step} (info=0)",
                             step_index=step,
+                            member_index=b,
                         )
-                    raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step)
+                    raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step, member_index=b)
                 if not err < newton_tol + 1e-10 * v_max[b]:
                     still.append(b)
             if not still:
@@ -597,6 +740,7 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
                 f"(|dV| = {errs[pending[0]]:.3e} V after {max_newton_iter} iterations); "
                 "reduce dt or the drive amplitude",
                 step_index=step,
+                member_index=pending[0],
             )
         subtract(v_lo, v_hi, v_ser_head)
         add(v_ser_new, v_ser, scratch)
@@ -612,24 +756,7 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
         i_sh, i_sh_new = i_sh_new, i_sh
         v_ser, v_ser_new = v_ser_new, v_ser
         record[:, :, step] = v_ends
-
-    traces = []
-    for b, (chain, resolved) in enumerate(members):
-        metadata = {
-            "n_cells": n,
-            "flux": chain.flux,
-            "rng_seed": chain.config.rng_seed,
-            "disorder_amplitude": chain.config.disorder_amplitude,
-            "esr_ohms": esr,
-            "dt": dt,
-            "window": resolved.window,
-            "n_settle": resolved.n_settle,
-            "n_window": resolved.n_window,
-            "tones": [(t.frequency, t.peak_current, t.phase) for t in resolved.tones],
-            "z0": cfg.z0,
-        }
-        traces.append(TimeTrace(dt=dt, samples=record[b, 1], input_samples=record[b, 0], metadata=metadata))
-    return traces
+    return record
 
 
 def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
@@ -674,12 +801,8 @@ def _mixing_drive(
     photons into a signal and an idler (at pump_photons*f_p - f_s).  The
     window is snapped to whole pump periods, an even number for 3WM."""
     pump = Tone(f_pump, pump_current, pump_phase)
-    if not window > 0.0:
+    if not window > 0.0:  # checked before the snapping arithmetic; resolve() checks settle_time and dt
         raise ValueError(f"window must be positive, got {window}")
-    if settle_time < 0.0:
-        raise ValueError(f"settle_time must be >= 0, got {settle_time}")
-    if dt is not None and not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     periods = 2 // pump_photons
     m_pump = periods * max(int(round(window * f_pump / periods)), 1)
     window = m_pump / f_pump
@@ -693,7 +816,7 @@ def _mixing_drive(
         settle_time=settle_time,
         dt=dt,
     )
-    spec.resolve()  # the one grid resolution: checks dt against both tones
+    spec.resolve()  # the one grid resolution: checks settle_time, and dt against both tones
     return spec
 
 

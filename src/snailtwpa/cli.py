@@ -255,6 +255,10 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     for key in ("pump_frequency", "frequency", "bandwidth"):
         if not getattr(p, key, 1.0) > 0.0:
             raise ConfigError(f"'{key}' must be positive, got {getattr(p, key)}")
+    drive = getattr(p, "drive", None) or vars(p)  # the flux-sweep drive block, or gain-phase's own keys
+    for key in ("pump_current", "signal_current"):
+        if drive.get(key, 0.0) < 0.0:
+            raise ConfigError(f"'{key}' must be >= 0, got {drive[key]}")
     if getattr(p, "gain_uncertainty_db", None) is not None:  # the library takes 10^(x/10)
         _gain_from_db(p.gain_uncertainty_db, "'gain_uncertainty_db'")
     if getattr(p, "flux_min", 0.0) > getattr(p, "flux_max", 0.0):

@@ -13,12 +13,14 @@ class NewtonDivergence(SnailTwpaError):
     """The per-step Newton solve of the transient integrator diverged.
 
     Usually means the time step is too large or the drive is outside the
-    validity range of the model.  Carries the failing step index.
+    validity range of the model.  Carries the failing step index and the
+    index of the failing run among those integrated together.
     """
 
-    def __init__(self, message, step_index=None):
+    def __init__(self, message, step_index=None, member_index=None):
         super().__init__(message)
         self.step_index = step_index
+        self.member_index = member_index
 
 
 class WindowTooShort(SnailTwpaError):

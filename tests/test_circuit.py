@@ -1,10 +1,12 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from snailtwpa import circuit
-from snailtwpa.errors import NewtonDivergence, WindowTooShort
+from snailtwpa.errors import NewtonDivergence, SnailTwpaError, WindowTooShort
 from snailtwpa.circuit import (
     ChainConfig,
     DriveSpec,
@@ -105,6 +107,17 @@ def test_drive_dt_default_and_bounds():
     assert resolved.dt <= 1.0 / (256.0 * F_PUMP) * (1 + 1e-12)
     with pytest.raises(ValueError):
         DriveSpec(tones=(Tone(F_PUMP, 1e-7),), window=60e-9, dt=1.0 / (32 * F_PUMP)).resolve()
+
+
+@pytest.mark.parametrize(
+    "bad", [{"dt": -1e-12}, {"dt": 0.0}, {"dt": math.nan}, {"settle_time": -5e-9}, {"settle_time": math.nan}]
+)
+@pytest.mark.parametrize("tones", [(Tone(F_PUMP, 1e-7),), ()], ids=["tone", "no-tone"])
+def test_drive_spec_rejects_bad_dt_and_settle_time(tones, bad):
+    # unchecked, a negative dt resolves to one step per window and a
+    # negative settle time to no settle
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        DriveSpec(tones=tones, window=6e-9, **bad).resolve()
 
 
 def test_drive_duration_invariant():
@@ -454,3 +467,134 @@ def test_batch_newton_divergence_reports_first_failing_step():
         circuit._integrate([(chain, rest), (chain, driven)], max_newton_iter=1)
     assert batch.value.step_index == serial.value.step_index
     assert str(batch.value) == str(serial.value)
+
+
+def test_earliest_failure_over_groups_is_raised():
+    # two lockstep groups (different dt): the first fails at step 1, the
+    # second at step 0, so the second member's failure is the one reported
+    chain = build_chain(small_config(), 0.3)
+    late = DriveSpec(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    early = DriveSpec(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12).resolve()
+    serial = {}
+    for name, drive in (("late", late), ("early", early)):
+        with pytest.raises(NewtonDivergence) as err:
+            simulate_transient(chain, drive, max_newton_iter=2)
+        serial[name] = err.value
+    assert serial["early"].step_index < serial["late"].step_index
+    with pytest.raises(NewtonDivergence) as batch:
+        circuit._integrate([(chain, late), (chain, early)], max_newton_iter=2)
+    assert batch.value.step_index == serial["early"].step_index
+    assert batch.value.member_index == 1
+    assert str(batch.value) == str(serial["early"])
+
+
+# --- parts run in forked children ----------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the host has; the list of forks made."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made = []
+    fork = os.fork
+
+    def counting():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkeypatch):
+    batches = []
+    integrate = circuit._integrate
+
+    def recording(members, *args, **kwargs):
+        traces = integrate(members, *args, **kwargs)
+        batches.append((members, traces))
+        return traces
+
+    monkeypatch.setattr(circuit, "_integrate", recording)
+    cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
+    degenerate_gain_vs_phase(
+        cfg, 0.59, pump=Tone(F_PUMP, 0.8e-6), signal=Tone(F_PUMP / 2, 0.0011e-6),
+        phase_grid=[0.0, 1.3, 2.9, 4.4], window=2e-9, settle_time=1e-9,
+    )
+    assert len(forks) == 1
+    (members, traces), = batches
+    assert len(members) == 5
+    for (chain, drive), trace in zip(members, traces):
+        serial = simulate_transient(chain, drive)  # B = 1: never forks
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+        assert trace.metadata == serial.metadata
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpus):
+    # the undriven member converges, the driven one fails, in one lockstep
+    # batch (1 CPU) or in the child's part (2 CPUs); either way the caller
+    # gets the driven member's serial step index and message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    chain = build_chain(small_config(), 0.3)
+    rest = DriveSpec(tones=(), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    driven = DriveSpec(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    with pytest.raises(NewtonDivergence) as serial:
+        simulate_transient(chain, driven, max_newton_iter=1)
+    with pytest.raises(NewtonDivergence) as batch:
+        circuit._integrate([(chain, rest), (chain, driven)], max_newton_iter=1)
+    assert len(forks) == cpus - 1
+    assert batch.value.step_index == serial.value.step_index
+    assert batch.value.member_index == 1
+    assert str(batch.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("fate", ["exit", "raise"])
+def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
+    parent = os.getpid()
+    lockstep = circuit._lockstep
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            if fate == "exit":
+                os._exit(3)
+            raise RuntimeError("lost in the child")
+        return lockstep(*args)
+
+    monkeypatch.setattr(circuit, "_lockstep", failing_in_child)
+    chain = build_chain(small_config(), 0.3)
+    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
+    with pytest.raises(expected[0], match=expected[1]):
+        circuit._integrate([(chain, drive), (chain, drive)])
+    assert len(forks) == 1
+
+
+def test_batch_stays_in_process_while_another_thread_runs(forks):
+    chain = build_chain(small_config(), 0.3)
+    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60.0,))
+    thread.start()
+    try:
+        traces = circuit._integrate([(chain, drive), (chain, drive)])
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert not forks
+    assert traces[0].samples.tobytes() == traces[1].samples.tobytes()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_batch_stays_in_process_without_fork_or_affinity(forks, monkeypatch, missing):
+    monkeypatch.delattr(os, missing)
+    chain = build_chain(small_config(), 0.3)
+    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    traces = circuit._integrate([(chain, drive), (chain, drive)])
+    assert not forks
+    assert traces[0].samples.tobytes() == traces[1].samples.tobytes()

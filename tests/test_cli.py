@@ -113,6 +113,10 @@ def test_unknown_key_rejected(tmp_path):
         ("sms", {"target_s_db": 4000}, "'target_s_db'"),
         ("sms", {"seed": -1}, "'seed'"),
         ("tms", {"r_values": [300], "n_rep": 10}, "'r_values' entry 300"),
+        ("gain-phase", {"pump_current": -1e-7}, "'pump_current'"),
+        ("gain-phase", {"signal_current": -1e-9}, "'signal_current'"),
+        ("flux-sweep", {"drive": {"pump_current": -1e-7}}, "'pump_current'"),
+        ("flux-sweep", {"drive": {"signal_current": -1e-9}}, "'signal_current'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):

@@ -1,6 +1,7 @@
 """Start-up without scipy: the package and the commands that never solve
 load no scipy module; the transient loads ``scipy.linalg.lapack`` on its
-first solve; the SI constants are the values scipy gives."""
+first solve; no process-pool module is loaded; the SI constants are the
+values scipy gives."""
 
 import os
 import subprocess
@@ -72,6 +73,21 @@ def test_transient_loads_lapack_on_first_solve(tmp_path):
 
         assert vars(circuit)["lapack"] is scipy.linalg.lapack
         assert circuit.lapack is scipy.linalg.lapack
+        """,
+        tmp_path,
+    )
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # the sweeps fork their parts with os.fork; no pool module may creep
+    # into start-up
+    run_python(
+        """
+        import sys
+        import snailtwpa.cli
+
+        pools = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent."))
+        assert not pools, pools
         """,
         tmp_path,
     )
