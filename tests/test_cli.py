@@ -456,3 +456,57 @@ def test_attenuation_command(tmp_path):
 def test_attenuation_requires_inputs(tmp_path):
     cfg = write_config(tmp_path, {"s21_off_db": -10.0})
     assert main(["attenuation", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+# --- JSON goldens -------------------------------------------------------------------
+
+JSON_GOLDEN = Path(__file__).parent / "golden" / "cli_json"
+JSON_GOLDEN_RUNS = {  # case: (command, config, extra argv); input files are relative to the run directory
+    "sms_synthetic": ("sms", {"target_s_db": -3.0, "phases": [0.0, 0.7], "n_rep": 4000, "seed": 3}, []),
+    "sms_synthetic_seed": ("sms", {"target_s_db": -3.0, "n_rep": 4000, "seed": 3}, ["--seed", "11"]),
+    "sms_file": ("sms", {"input_csv": "quad.csv"}, []),
+    "sms_file_null_uncertainty": ("sms", {"input_csv": "quad.csv", "gain_uncertainty_db": None}, ["--seed", "5"]),
+    "tms": ("tms", {"r_values": [0.25, 0.5], "n_rep": 4000, "seed": 2}, []),
+    "tms_seed": ("tms", {"r_values": [0.25, 0.5], "n_rep": 4000, "thermal_photons": 0.1}, ["--seed", "7"]),
+    "sntj_fit": (
+        "sntj-fit",
+        {"csv": "sntj.csv", "frequency": 3.8525e9, "bandwidth": 3e3,
+         "initial_guess": {"g_sys_db": 60.0, "t_sys": 3.0, "t_electron": 0.04}},
+        [],
+    ),
+    "normalize": ("normalize", {"g_sys_db": 61.7, "f_acq": 3.8525e9, "chain": {"n_cells": 300}, "flux": 0.1}, []),
+    "attenuation": ("attenuation", {"s21_off_db": -10.0, "eta_db": -1.0, "g_sys_db": 61.0}, ["--seed", "3"]),
+}
+
+
+def _write_json_golden_inputs(directory):
+    batches = [
+        sample_gaussian(np.diag([0.8, 1.6]) + 3.0 * np.eye(2), n_rep=3000, seed=21, pump_state="ON"),
+        sample_gaussian(4.0 * np.eye(2), n_rep=3000, seed=22, pump_state="OFF"),
+    ]
+    write_quadrature_csv(directory / "quad.csv", batches)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = SntjModel(frequency=3.8525e9, bandwidth=3e3, t_electron=0.05, t_sys=4.0, g_sys=10**6.17)
+    hf_e = 6.62607015e-34 * model.frequency / 1.602176634e-19
+    v = np.linspace(-8 * hf_e, 8 * hf_e, 201)
+    y = sntj_noise_power(model, v) * (1 + 0.005 * np.random.default_rng(11).standard_normal(v.size))
+    np.savetxt(directory / "sntj.csv", np.column_stack([v, y]), delimiter=",")
+
+
+def _without_git_revision(text):
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith('  "git_revision": '))
+
+
+def test_json_commands_match_goldens(tmp_path, monkeypatch):
+    # result.json and meta.json (less the git revision) of the JSON commands,
+    # byte for byte
+    monkeypatch.chdir(tmp_path)
+    _write_json_golden_inputs(tmp_path)
+    for case, (command, config, extra) in JSON_GOLDEN_RUNS.items():
+        cfg = write_config(tmp_path, config, f"{case}.json")
+        assert main([command, "--config", cfg, "--out", case, *extra]) == 0, case
+        result = (tmp_path / case / "result.json").read_text()
+        meta = _without_git_revision((tmp_path / case / "meta.json").read_text())
+        assert result == (JSON_GOLDEN / f"{case}.result.json").read_text(), case
+        assert meta == (JSON_GOLDEN / f"{case}.meta.json").read_text(), case
