@@ -1,16 +1,19 @@
 """Batch command-line front end.
 
 Subcommands: coeffs | flux-sweep | gain-phase | sms | tms | sntj-fit |
-normalize | attenuation.  Every command reads a JSON run configuration
-(``--config``), writes its primary output (``result.csv`` or
-``result.json``) plus a ``meta.json`` sidecar into ``--out``, and is pure
-with respect to (config, seed): re-running reproduces byte-identical
-files.  Exit codes: 0 ok, 1 runtime/solver error, 2 configuration error.
-The contract holds for any JSON object as config: :func:`parse` reads it
-by the command's table in ``TABLES`` and turns every input the command
-cannot run on into a configuration error before anything is solved, and a
-result that would hold a NaN or an infinity is a runtime error, with no
-``result.json`` written.
+normalize | attenuation.  :func:`main` reads the JSON run configuration
+(``--config``), builds the command's inputs with :func:`parse`, creates
+``--out``, runs the command (``COMMANDS``), which computes and returns,
+and writes what it returned: ``result.csv`` or ``result.json`` plus a
+``meta.json`` sidecar.  A run is pure with respect to (config, seed):
+re-running reproduces byte-identical files.  Exit codes: 0 ok, 1
+runtime/solver error, 2 configuration error, for any JSON object as
+config: :func:`parse` turns every input the command cannot run on into a
+configuration error before anything is solved or written, ``--out``
+included; so does an unreadable config file or an ``--out`` that cannot
+be created.  A result that would hold a NaN or an infinity, or a file
+that cannot be written, is a runtime error; a result that does not
+serialize leaves both files unwritten.
 
 Progress goes to stderr so the primary outputs stay machine-clean.
 """
@@ -104,12 +107,6 @@ TABLES = {
 R_MAX = 4.0
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -132,9 +129,11 @@ def _git_revision() -> str | None:
 
 
 def _finite(value, name: str) -> float:
-    """``value`` as a finite float; anything else is a configuration error
-    naming ``name``."""
+    """``value`` as a finite float; anything else, a JSON boolean included,
+    is a configuration error naming ``name``."""
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
@@ -305,92 +304,39 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     return p
 
 
-def _write_csv(path: Path, header_cols, rows, config: dict) -> None:
-    lines = [
-        f"# schema={SCHEMA_VERSION}",
-        f"# config_sha256={_config_hash(config)}",
-        ",".join(header_cols),
-    ]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as err:  # a NaN or an infinity, which JSON cannot hold
-        raise SnailTwpaError(f"{path.name} not written: {err}") from err
-    path.write_text(text + "\n")
-
-
-def _write_meta(out_dir: Path, command: str, config: dict, seed, extra=None) -> None:
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "config_sha256": _config_hash(config),
-        "master_seed": seed,
-        "git_revision": _git_revision(),
-    }
-    if extra:
-        meta.update(extra)
-    _write_json(out_dir / "meta.json", meta)
-
-
 # --- commands ---------------------------------------------------------------
+# Each command takes the inputs ``parse`` built and returns ``(result,
+# meta_extras)``: ``result`` is a payload dict for result.json or a
+# ``(header, columns)`` pair for result.csv, and ``meta_extras`` are entries
+# added to (or, for ``master_seed``, replacing) meta.json's.  ``main``
+# writes both.
 
 
-def cmd_coeffs(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("coeffs", config, profile, seed)
+def cmd_coeffs(p):
     flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
     sweep = snail.coefficients_vs_flux(p.r, 1e-6, flux)  # coefficients are i_c independent
-    rows = [
-        (float(f), float(a), float(b), float(g))
-        for f, a, b, g in zip(flux, sweep["alpha_tilde"], sweep["beta"], sweep["gamma"])
-    ]
-    _write_csv(out_dir / "result.csv", ("flux_phi0", "alpha_tilde", "beta", "gamma"), rows, config)
-    _write_meta(out_dir, "coeffs", config, seed)
+    columns = (flux, sweep["alpha_tilde"], sweep["beta"], sweep["gamma"])
+    return (("flux_phi0", "alpha_tilde", "beta", "gamma"), columns), {}
 
 
-def cmd_flux_sweep(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("flux-sweep", config, profile, seed)
+def cmd_flux_sweep(p):
     flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
     print(f"flux-sweep: {p.n_points} points, n_cells={p.chain.n_cells}", file=sys.stderr)
     result = circuit.flux_sweep_idler(p.chain, *p.drive, flux)
-    rows = [
-        (float(f), float(p3), float(p4))
-        for f, p3, p4 in zip(result["flux"], result["idler_3wm_dbm"], result["idler_4wm_dbm"])
-    ]
-    _write_csv(
-        out_dir / "result.csv",
-        ("flux_phi0", "idler_3wm_dbm", "idler_4wm_dbm"),
-        rows,
-        config,
-    )
-
-    def nearest_row(target):
-        return int(np.argmin(np.abs(flux - target)))
-
-    _write_meta(
-        out_dir,
-        "flux-sweep",
-        config,
-        seed,
-        extra={
-            "phi1_phi0": 0.59,
-            "phi2_phi0": 0.45,
-            "phi1_row": nearest_row(0.59),
-            "phi2_row": nearest_row(0.45),
-            "f_idler_3wm": result["f_idler_3wm"],
-            "f_idler_4wm": result["f_idler_4wm"],
-            "n_cells": p.chain.n_cells,
-        },
-    )
+    columns = (result["flux"], result["idler_3wm_dbm"], result["idler_4wm_dbm"])
+    extras = {
+        "phi1_phi0": 0.59,
+        "phi2_phi0": 0.45,
+        "phi1_row": int(np.argmin(np.abs(flux - 0.59))),
+        "phi2_row": int(np.argmin(np.abs(flux - 0.45))),
+        "f_idler_3wm": result["f_idler_3wm"],
+        "f_idler_4wm": result["f_idler_4wm"],
+        "n_cells": p.chain.n_cells,
+    }
+    return (("flux_phi0", "idler_3wm_dbm", "idler_4wm_dbm"), columns), extras
 
 
-def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("gain-phase", config, profile, seed)
+def cmd_gain_phase(p):
     phases = np.linspace(0.0, 2.0 * np.pi, p.n_phases, endpoint=False)
     print(f"gain-phase: {p.n_phases} phases, n_cells={p.chain.n_cells}", file=sys.stderr)
     result = circuit.degenerate_gain_vs_phase(
@@ -402,15 +348,8 @@ def cmd_gain_phase(config: dict, out_dir: Path, profile: str, seed) -> None:
         window=p.window,
         settle_time=p.settle_time,
     )
-    rows = [(float(ph), float(g)) for ph, g in zip(result["phase"], result["gain_db"])]
-    _write_csv(out_dir / "result.csv", ("pump_phase_rad", "gain_db"), rows, config)
-    _write_meta(
-        out_dir,
-        "gain-phase",
-        config,
-        seed,
-        extra={"flux_phi0": p.flux, "f_signal": result["f_signal"], "n_cells": p.chain.n_cells},
-    )
+    extras = {"flux_phi0": p.flux, "f_signal": result["f_signal"], "n_cells": p.chain.n_cells}
+    return (("pump_phase_rad", "gain_db"), (result["phase"], result["gain_db"])), extras
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -435,22 +374,13 @@ def _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc) -> gaus
     return gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
 
 
-def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("sms", config, profile, seed)
+def cmd_sms(p):
     if p.input_csv is not None:
         sigma_on = gaussian.estimate_covariance(p.input_csv["ON"])
         sigma_off = gaussian.estimate_covariance(p.input_csv["OFF"])
         psi = gaussian.subtract_background(sigma_on, sigma_off, gain_uncertainty_db=p.gain_uncertainty_db)
         s_x, s_p = gaussian.squeezing_db(psi)
-        payload = {
-            "mode": "from_file",
-            "s_x_db": s_x,
-            "s_p_db": s_p,
-            "covariance": json.loads(psi.to_json()),
-        }
-        _write_json(out_dir / "result.json", payload)
-        _write_meta(out_dir, "sms", config, seed)
-        return
+        return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": json.loads(psi.to_json())}, {}
 
     results = []
     for idx, phase in enumerate(p.phases):
@@ -481,12 +411,10 @@ def cmd_sms(config: dict, out_dir: Path, profile: str, seed) -> None:
         "gain_drift": p.gain_drift,
         "results": results,
     }
-    _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "sms", config, p.seed)
+    return payload, {"master_seed": p.seed}
 
 
-def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("tms", config, profile, seed)
+def cmd_tms(p):
     results = []
     for idx, r in enumerate(p.r_values):
         a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
@@ -517,8 +445,7 @@ def cmd_tms(config: dict, out_dir: Path, profile: str, seed) -> None:
         "gain_drift": p.gain_drift,
         "results": results,
     }
-    _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "tms", config, p.seed)
+    return payload, {"master_seed": p.seed}
 
 
 def _safe_en(sigma: np.ndarray):
@@ -529,8 +456,7 @@ def _safe_en(sigma: np.ndarray):
         return None
 
 
-def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("sntj-fit", config, profile, seed)
+def cmd_sntj_fit(p):
     try:
         result = calibration.fit_sntj(
             p.csv[:, 0],
@@ -543,7 +469,7 @@ def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
     except ValueError as err:  # too few points or a non-positive initial guess
         raise ConfigError(f"sntj-fit: {err}") from err
     errors = result.parameter_errors
-    payload = {
+    return {
         "g_sys_db": result.g_sys_db,
         "g_sys_linear": result.g_sys,
         "t_sys_kelvin": result.t_sys,
@@ -556,14 +482,11 @@ def cmd_sntj_fit(config: dict, out_dir: Path, profile: str, seed) -> None:
         "residual_norm_watts": result.residual_norm,
         "n_iterations": result.n_iter,
         "n_points": int(p.csv.shape[0]),
-    }
-    _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "sntj-fit", config, seed)
+    }, {}
 
 
-def cmd_normalize(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("normalize", config, profile, seed)
-    payload = {
+def cmd_normalize(p):
+    return {
         "upsilon": p.upsilon,
         "eta_linear": p.eta,
         "eta_db": 10.0 * math.log10(p.eta),
@@ -572,22 +495,17 @@ def cmd_normalize(config: dict, out_dir: Path, profile: str, seed) -> None:
         "f_acq": p.f_acq,
         "t_int": p.t_int,
         "epsilon": p.epsilon,
-    }
-    _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "normalize", config, seed)
+    }, {}
 
 
-def cmd_attenuation(config: dict, out_dir: Path, profile: str, seed) -> None:
-    p = parse("attenuation", config, profile, seed)
+def cmd_attenuation(p):
     ledger = calibration.input_attenuation(p.s21_off_db, p.eta_db, p.g_sys_db)
-    payload = {
+    return {
         "a_in_db": ledger.a_in,
         "s21_off_db": ledger.s21_off,
         "eta_db": ledger.eta_db,
         "g_sys_db": ledger.g_sys_db,
-    }
-    _write_json(out_dir / "result.json", payload)
-    _write_meta(out_dir, "attenuation", config, seed)
+    }, {}
 
 
 COMMANDS = {
@@ -616,24 +534,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(name: str, payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:  # a NaN or an infinity, which JSON cannot hold
+        raise SnailTwpaError(f"{name} not written: {err}") from err
+
+
+def _write(out_dir: Path, result, meta: dict) -> None:
+    """A command's ``result`` and its ``meta`` into ``out_dir``; nothing is
+    written unless both serialize."""
+    if isinstance(result, dict):
+        texts = {"result.json": _json("result.json", result)}
+    else:
+        header, columns = result
+        lines = [f"# schema={SCHEMA_VERSION}", f"# config_sha256={meta['config_sha256']}", ",".join(header)]
+        lines += (",".join(map(repr, row)) for row in np.column_stack(columns).tolist())
+        texts = {"result.csv": "\n".join(lines) + "\n"}
+    texts["meta.json"] = _json("meta.json", meta)
+    for name, text in texts.items():
+        try:
+            (out_dir / name).write_text(text)
+        except OSError as err:
+            raise SnailTwpaError(f"cannot write {out_dir / name}: {err}") from err
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config = {}
         if args.config is not None:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
             try:
-                config = json.loads(path.read_text())
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config is not valid JSON: {err}") from err
+                config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+                raise ConfigError(f"cannot read config {args.config}: {err}") from err
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
-        else:
-            config = {}
+        p = parse(args.command, config, args.profile, args.seed)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](config, out_dir, args.profile, args.seed)
+        _build(f"cannot create output directory {out_dir}", out_dir.mkdir, parents=True, exist_ok=True)
+        result, extras = COMMANDS[args.command](p)
+        meta = {
+            "schema": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "config_sha256": _config_hash(config),
+            "master_seed": args.seed,
+            "git_revision": _git_revision(),
+        }
+        _write(out_dir, result, meta | extras)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -12,8 +12,9 @@ Profiles (environment variable SNAILTWPA_PROFILE, default "ci"):
 Criteria 3a/3b/3c encode the residual-3WM claims exactly as stated; the
 suppression and full-size flux-structure clauses are not attainable in
 this model (the measured contrasts are a few dB, not >= 60 dB) and are
-expected to fail honestly; see the design notes in the repository for
-the quantitative analysis.  All other criteria pass.
+expected to fail honestly; the failure messages carry the measured
+numbers, and a residual-3WM budget that would explain them is open item 2
+of ROADMAP.md.  All other criteria pass.
 """
 
 import json
@@ -144,7 +145,7 @@ def test_criterion_3a_polarity_suppression():
         contrast >= 60.0,
         f"n_cells={n_cells}: disorder-off {off:.1f} dBm, disorder-on {on:.1f} dBm, "
         f"contrast {contrast:.1f} dB (model retains an O(one-cell) end/mismatch "
-        "residual; see design notes)",
+        "residual; see ROADMAP.md open item 2)",
     )
 
 

@@ -117,6 +117,9 @@ def test_unknown_key_rejected(tmp_path):
         ("gain-phase", {"signal_current": -1e-9}, "'signal_current'"),
         ("flux-sweep", {"drive": {"pump_current": -1e-7}}, "'pump_current'"),
         ("flux-sweep", {"drive": {"signal_current": -1e-9}}, "'signal_current'"),
+        ("coeffs", {"n_points": True}, "'n_points'"),
+        ("coeffs", {"flux_max": False}, "'flux_max'"),
+        ("sms", {"phases": [True]}, "'phases'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -167,6 +170,41 @@ def test_parse_returns_or_raises_config_error(command, data):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["coeffs", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("config is a directory", 2),
+        ("config is not UTF-8", 2),
+        ("config error", 2),
+        ("out is a file", 2),
+        ("result.csv is a directory", 1),
+    ],
+)
+def test_file_system_failures_name_the_path(tmp_path, capsys, case, code):
+    # no traceback: the path is named, and a config error leaves no --out
+    cfg, out = tmp_path / "config.json", tmp_path / "run"
+    cfg.write_text('{"n_points": 3}')
+    named = cfg
+    if case == "config is a directory":
+        cfg.unlink()
+        cfg.mkdir()
+    elif case == "config is not UTF-8":
+        cfg.write_bytes('{"n_points": 3, "r": "\u00e9"}'.encode("latin-1"))
+    elif case == "config error":
+        cfg.write_text('{"bogus": 3}')
+        named = "bogus"
+    elif case == "out is a file":
+        out.write_text("")
+        named = out
+    else:
+        (out / "result.csv").mkdir(parents=True)
+        named = out / "result.csv"
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "runtime error:") and str(named) in err
+    assert out.exists() == (case in ("out is a file", "result.csv is a directory"))
 
 
 def test_rerun_byte_identical(tmp_path):

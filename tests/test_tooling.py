@@ -19,6 +19,11 @@ def test_commands_are_public_functions_of_cli():
         assert getattr(cli, command.__name__) is command, name
 
 
+def test_every_command_has_a_table():
+    # parse reads a command's config by its table
+    assert set(cli.COMMANDS) == set(cli.TABLES)
+
+
 def test_demo_imports_exist():
     # checked from the source, without running the demos
     demos = sorted(DEMOS.glob("*.py"))
