@@ -306,20 +306,18 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
 
 # --- commands ---------------------------------------------------------------
 # Each command takes the inputs ``parse`` built and returns ``(result,
-# meta_extras)``: ``result`` is a payload dict for result.json or a
-# ``(header, columns)`` pair for result.csv, and ``meta_extras`` are entries
-# added to (or, for ``master_seed``, replacing) meta.json's.  ``main``
-# writes both.
+# meta_extras)``: a payload dict for result.json or a ``(header, columns)``
+# pair for result.csv, and entries that extend (or replace) meta.json's.
 
 
-def cmd_coeffs(p):
+def cmd_coeffs(p: SimpleNamespace) -> tuple:
     flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
     sweep = snail.coefficients_vs_flux(p.r, 1e-6, flux)  # coefficients are i_c independent
     columns = (flux, sweep["alpha_tilde"], sweep["beta"], sweep["gamma"])
     return (("flux_phi0", "alpha_tilde", "beta", "gamma"), columns), {}
 
 
-def cmd_flux_sweep(p):
+def cmd_flux_sweep(p: SimpleNamespace) -> tuple:
     flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
     print(f"flux-sweep: {p.n_points} points, n_cells={p.chain.n_cells}", file=sys.stderr)
     result = circuit.flux_sweep_idler(p.chain, *p.drive, flux)
@@ -336,7 +334,7 @@ def cmd_flux_sweep(p):
     return (("flux_phi0", "idler_3wm_dbm", "idler_4wm_dbm"), columns), extras
 
 
-def cmd_gain_phase(p):
+def cmd_gain_phase(p: SimpleNamespace) -> tuple:
     phases = np.linspace(0.0, 2.0 * np.pi, p.n_phases, endpoint=False)
     print(f"gain-phase: {p.n_phases} phases, n_cells={p.chain.n_cells}", file=sys.stderr)
     result = circuit.degenerate_gain_vs_phase(
@@ -374,7 +372,7 @@ def _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc) -> gaus
     return gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
 
 
-def cmd_sms(p):
+def cmd_sms(p: SimpleNamespace) -> tuple:
     if p.input_csv is not None:
         sigma_on = gaussian.estimate_covariance(p.input_csv["ON"])
         sigma_off = gaussian.estimate_covariance(p.input_csv["OFF"])
@@ -414,7 +412,7 @@ def cmd_sms(p):
     return payload, {"master_seed": p.seed}
 
 
-def cmd_tms(p):
+def cmd_tms(p: SimpleNamespace) -> tuple:
     results = []
     for idx, r in enumerate(p.r_values):
         a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
@@ -456,7 +454,7 @@ def _safe_en(sigma: np.ndarray):
         return None
 
 
-def cmd_sntj_fit(p):
+def cmd_sntj_fit(p: SimpleNamespace) -> tuple:
     try:
         result = calibration.fit_sntj(
             p.csv[:, 0],
@@ -485,7 +483,7 @@ def cmd_sntj_fit(p):
     }, {}
 
 
-def cmd_normalize(p):
+def cmd_normalize(p: SimpleNamespace) -> tuple:
     return {
         "upsilon": p.upsilon,
         "eta_linear": p.eta,
@@ -498,7 +496,7 @@ def cmd_normalize(p):
     }, {}
 
 
-def cmd_attenuation(p):
+def cmd_attenuation(p: SimpleNamespace) -> tuple:
     ledger = calibration.input_attenuation(p.s21_off_db, p.eta_db, p.g_sys_db)
     return {
         "a_in_db": ledger.a_in,
