@@ -139,8 +139,8 @@ def fit_sntj(
 
     Raises IllConditioned when the bias range does not reach 2*hf/e (the
     electron and system temperatures are degenerate below the coth knee)
-    or when the Jacobian is numerically rank-deficient; FitDivergence when
-    the iteration budget is exhausted.
+    or when the Jacobian is not finite or numerically rank-deficient;
+    FitDivergence when the iteration budget is exhausted.
     """
     v = np.asarray(v_bias, dtype=float)
     y = np.asarray(psd_watts, dtype=float)
@@ -193,6 +193,8 @@ def fit_sntj(
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.diag(jtj).copy()
+        if not np.isfinite(jac).all():  # the model overflows: a guess far out of scale
+            raise IllConditioned(f"the model is not finite near (g_sys, t_sys, t_electron) = {np.exp(p).tolist()}")
         if np.any(diag <= 0.0) or np.linalg.cond(jac) > 1e12:
             raise IllConditioned(
                 "Jacobian is numerically rank-deficient; parameters are not "

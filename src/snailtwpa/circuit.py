@@ -55,15 +55,20 @@ tone of the drive, by convention the pump) lies exactly on the grid.
 Spectral readout therefore needs no leakage correction.
 
 The tridiagonal solvers (``dgtsv`` here, ``zgtsv`` in ``linear_transfer``)
-come from ``scipy.linalg.lapack``, which this module imports on the first
-access of its ``lapack`` attribute, not at import time: building chains and
-drives, and every command that never solves, run without scipy.  The
-solvers read ``lapack`` from the module when they are called, so a
-stand-in assigned to ``circuit.lapack`` sees every call.
+come from scipy's compiled LAPACK extension, ``scipy/linalg/_flapack``,
+which this module loads from its file on the first access of its
+``lapack`` attribute, not at import time: building chains and drives, and
+every command that never solves, run without scipy, and a solve loads
+neither the ``scipy`` nor the ``scipy.linalg`` package.
+``scipy.linalg.lapack`` re-exports that extension's functions, so
+``lapack.dgtsv`` here is ``scipy.linalg.lapack.dgtsv``, the same function
+object.  The solvers read ``lapack`` from the module when they are called,
+so a stand-in assigned to ``circuit.lapack`` sees every call.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import pickle
@@ -71,6 +76,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -82,11 +88,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def __getattr__(name):
-    # ``lapack`` (scipy.linalg.lapack) is imported on first access, so that
-    # importing this module, and the commands that never solve, load no scipy
+    # ``lapack`` (scipy's _flapack extension) is loaded on first access, so
+    # that importing this module, and the commands that never solve, load
+    # no scipy; it is loaded from its file, because importing it through
+    # ``scipy.linalg`` runs that whole package
     if name == "lapack":
-        from scipy.linalg import lapack
-
+        scipy = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+        if scipy is None:
+            raise ImportError("scipy, whose LAPACK extension does the solves, is not installed")
+        directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.linalg._flapack")
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
+        lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lapack)
         globals()["lapack"] = lapack
         return lapack
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -515,7 +530,7 @@ def _run_parts(run, parts) -> list:
     or in a child, is raised, and so is SnailTwpaError for a child that
     ends without a reply."""
     if len(parts) > 1:
-        _lapack()  # import scipy's LAPACK once, before the children copy this process
+        _lapack()  # load scipy's LAPACK once, before the children copy this process
     children = []  # (pid, read end of its pipe), until reaped
     try:
         for part in parts[1:]:

@@ -129,13 +129,14 @@ def _git_revision() -> str | None:
 
 
 def _finite(value, name: str) -> float:
-    """``value`` as a finite float; anything else, a JSON boolean included,
-    is a configuration error naming ``name``."""
+    """``value``, a JSON number, as a finite float; anything else, a JSON
+    boolean or a numeric string included, is a configuration error naming
+    ``name``."""
     try:
-        if isinstance(value, bool):  # float(True) is 1.0
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # a bool is an int
             raise TypeError
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -292,8 +293,14 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     elif command == "sntj-fit":
         if p.initial_guess is not None:
             guess = p.initial_guess
+            for key in ("t_sys", "t_electron"):
+                if not guess[key] > 0.0:
+                    raise ConfigError(f"'initial_guess' '{key}' must be positive, got {guess[key]}")
             p.initial_guess = (_gain_from_db(guess["g_sys_db"], "'g_sys_db'"), guess["t_sys"], guess["t_electron"])
-        p.csv = _build(f"cannot read input CSV {p.csv}", _load_psd, p.csv)
+        rows = _build(f"cannot read input CSV {p.csv}", _load_psd, p.csv)
+        if len(rows) < 10:
+            raise ConfigError(f"'csv' {p.csv} has {len(rows)} bias points; the fit needs at least 10")
+        p.csv = rows
     elif command == "normalize":
         if p.eta is None:
             p.eta = _build("cannot compute 'eta' from the chain", _insertion_loss, p.chain, p.flux, p.f_acq)
@@ -455,17 +462,14 @@ def _safe_en(sigma: np.ndarray):
 
 
 def cmd_sntj_fit(p: SimpleNamespace) -> tuple:
-    try:
-        result = calibration.fit_sntj(
-            p.csv[:, 0],
-            p.csv[:, 1],
-            frequency=p.frequency,
-            bandwidth=p.bandwidth,
-            initial_guess=p.initial_guess,
-            max_iter=p.max_iter,
-        )
-    except ValueError as err:  # too few points or a non-positive initial guess
-        raise ConfigError(f"sntj-fit: {err}") from err
+    result = calibration.fit_sntj(
+        p.csv[:, 0],
+        p.csv[:, 1],
+        frequency=p.frequency,
+        bandwidth=p.bandwidth,
+        initial_guess=p.initial_guess,
+        max_iter=p.max_iter,
+    )
     errors = result.parameter_errors
     return {
         "g_sys_db": result.g_sys_db,
@@ -564,7 +568,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
                 raise ConfigError(f"cannot read config {args.config}: {err}") from err
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")

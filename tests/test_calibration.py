@@ -141,6 +141,15 @@ def test_fit_identifiability_guard():
         fit_sntj(v, sntj_noise_power(model, v), F_HALF, BW, initial_guess=(1e6, 3.0, 0.04))
 
 
+@pytest.mark.parametrize("guess", [(1e6, 1e300, 0.04), (1e6, 3.0, 1e300)], ids=["t_sys", "t_electron"])
+def test_fit_guess_out_of_scale_is_ill_conditioned(guess):
+    # the model overflows at the guess: no finite Jacobian to step on
+    v = bias_grid(n=201)
+    with warnings.catch_warnings(), pytest.raises(IllConditioned, match="not finite"):
+        warnings.simplefilter("ignore")
+        fit_sntj(v, sntj_noise_power(make_model(), v), F_HALF, BW, initial_guess=guess)
+
+
 def test_fit_divergence_reports_last_iterate():
     model = make_model()
     v = bias_grid(n=201)

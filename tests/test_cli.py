@@ -120,6 +120,9 @@ def test_unknown_key_rejected(tmp_path):
         ("coeffs", {"n_points": True}, "'n_points'"),
         ("coeffs", {"flux_max": False}, "'flux_max'"),
         ("sms", {"phases": [True]}, "'phases'"),
+        ("coeffs", {"r": "0.07"}, "'r'"),
+        ("coeffs", {"n_points": "3"}, "'n_points'"),
+        ("sms", {"phases": ["0.5"]}, "'phases'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -178,6 +181,7 @@ def test_missing_config_file_is_config_error(tmp_path):
         ("config is a directory", 2),
         ("config is not UTF-8", 2),
         ("config error", 2),
+        ("config nested too deep", 2),
         ("out is a file", 2),
         ("result.csv is a directory", 1),
     ],
@@ -195,6 +199,8 @@ def test_file_system_failures_name_the_path(tmp_path, capsys, case, code):
     elif case == "config error":
         cfg.write_text('{"bogus": 3}')
         named = "bogus"
+    elif case == "config nested too deep":  # beyond json's recursion limit
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
     elif case == "out is a file":
         out.write_text("")
         named = out
@@ -451,6 +457,26 @@ def test_sntj_fit_unreadable_csv_is_config_error(tmp_path, capsys, head):
     assert main(["sntj-fit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(csv) in err
+
+
+@pytest.mark.parametrize(
+    "guess, rows, key",
+    [
+        ({"t_sys": -1.0}, 19, "'t_sys'"),
+        ({"t_electron": 0.0}, 19, "'t_electron'"),
+        ({}, 9, "'csv'"),
+    ],
+)
+def test_sntj_fit_input_checked_before_out(tmp_path, capsys, guess, rows, key):
+    # the fit's own input checks run in parse, so no --out is left behind
+    csv, out = tmp_path / "sntj.csv", tmp_path / "x"
+    csv.write_text("".join(f"{k}e-5,{k}e-12\n" for k in range(1, rows + 1)))
+    initial_guess = {"g_sys_db": 60.0, "t_sys": 3.0, "t_electron": 0.04} | guess
+    cfg = write_config(tmp_path, {"csv": str(csv), "frequency": 4e9, "bandwidth": 3e3, "initial_guess": initial_guess})
+    assert main(["sntj-fit", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
 
 
 def test_sntj_fit_runtime_error_exit_code(tmp_path):

@@ -1,9 +1,14 @@
 """Start-up without scipy: the package and the commands that never solve
-load no scipy module; the transient loads ``scipy.linalg.lapack`` on its
-first solve; no process-pool module is loaded; the SI constants are the
-values scipy gives."""
+load no scipy module; the first solve loads scipy's LAPACK extension
+``_flapack`` from its file, and neither the ``scipy`` nor the
+``scipy.linalg`` package, yet solves with the very functions
+``scipy.linalg.lapack`` exports; no process-pool module is loaded; the SI
+constants are the values scipy gives."""
 
+import importlib.machinery
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -59,23 +64,48 @@ def test_analysis_commands_load_no_scipy(tmp_path):
 
 
 def test_transient_loads_lapack_on_first_solve(tmp_path):
+    # CPython enters a single-phase extension module in sys.modules under its
+    # full name, so "scipy.linalg._flapack" may be there; nothing else of
+    # scipy may be, and a later import of scipy.linalg reuses it
     run_python(
         """
-        import sys
+        import json, sys
         from snailtwpa import circuit
+        from snailtwpa.cli import main
 
-        assert "lapack" not in vars(circuit) and "scipy.linalg" not in sys.modules
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and m != "scipy.linalg._flapack")
+
+        assert "lapack" not in vars(circuit)
         drive = circuit.three_wave_drive(7.705e9, delta_bins=1, window=6e-10, settle_time=0.0).resolve()
         chain = circuit.build_chain(circuit.ChainConfig(n_cells=4), 0.684, f_ref=drive.tones[0].frequency)
-        assert "scipy.linalg" not in sys.modules
+        assert not scipy_loaded() and "lapack" not in vars(circuit)
         circuit.simulate_transient(chain, drive)
-        import scipy.linalg
+        circuit.linear_transfer(chain, [4e9])
+        assert "lapack" in vars(circuit) and not scipy_loaded(), scipy_loaded()
 
-        assert vars(circuit)["lapack"] is scipy.linalg.lapack
-        assert circuit.lapack is scipy.linalg.lapack
+        with open("gain_phase.json", "w") as f:
+            json.dump({"chain": {"n_cells": 4}, "n_phases": 1, "window": 6e-10, "settle_time": 0.0}, f)
+        assert main(["gain-phase", "--config", "gain_phase.json", "--out", "gain_phase"]) == 0
+        assert not scipy_loaded(), scipy_loaded()
+
+        import scipy.linalg.lapack
+
+        assert circuit.lapack.dgtsv is scipy.linalg.lapack.dgtsv
+        assert circuit.lapack.zgtsv is scipy.linalg.lapack.zgtsv
         """,
         tmp_path,
     )
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
+    from snailtwpa import circuit
+
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        circuit.__getattr__("lapack")
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
