@@ -10,20 +10,16 @@ Run:  python demos/03_degenerate_gain_phase.py
 
 import numpy as np
 
-from snailtwpa.circuit import ChainConfig, Tone, degenerate_gain_vs_phase
+from snailtwpa.circuit import ChainConfig, degenerate_gain_vs_phase, three_wave_drive
 
 config = ChainConfig(n_cells=30, disorder_amplitude=0.05, rng_seed=1)
+# pump at 7.705 GHz, signal on the f_p/2 bin (delta_bins=0)
+drive = three_wave_drive(
+    7.705e9, pump_current=0.9e-6, signal_current=0.0011e-6, delta_bins=0, window=15e-9, settle_time=8e-9
+)
 phases = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
 
-result = degenerate_gain_vs_phase(
-    config,
-    flux=0.59,
-    pump=Tone(7.705e9, 0.9e-6),
-    signal=Tone(7.705e9 / 2.0, 0.0011e-6),
-    phase_grid=phases,
-    window=15e-9,
-    settle_time=8e-9,
-)
+result = degenerate_gain_vs_phase(config, flux=0.59, drive=drive, phase_grid=phases)
 
 print(f"signal at {result['f_signal'] / 1e9:.4f} GHz, pump-off level "
       f"{result['pump_off_dbm']:.2f} dBm\n")

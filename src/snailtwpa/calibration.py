@@ -126,16 +126,15 @@ def fit_sntj(
     frequency: float,
     bandwidth: float,
     initial_guess=None,
-    weights=None,
     max_iter: int = 500,
 ) -> SntjFitResult:
     """Fit (G_sys, T_sys, T) to a measured PSD-vs-bias curve.
 
     Levenberg-style damped least squares on log-parameters (which keeps
     the parameters positive and makes the damping scale-free); converged
-    when the relative parameter step drops below 1e-9.  Weights default
-    to uniform.  The parameter covariance is propagated back to natural
-    units from the Jacobian at the solution.
+    when the relative parameter step drops below 1e-9.  The parameter
+    covariance is propagated back to natural units from the Jacobian at
+    the solution.
 
     Raises IllConditioned when the bias range does not reach 2*hf/e (the
     electron and system temperatures are degenerate below the coth knee)
@@ -154,8 +153,6 @@ def fit_sntj(
             f"bias range |eV| < 2hf (max |V| = {np.max(np.abs(v)):.3e} V, "
             f"2hf/e = {2.0 * hf / E_CHARGE:.3e} V): T and T_sys are degenerate"
         )
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-
     if initial_guess is None:
         # slope of the high-bias tail is e*BW*G/2; intercept gives T_sys
         vmax = np.max(np.abs(v))
@@ -172,7 +169,7 @@ def fit_sntj(
     def residual(p_log):
         with np.errstate(over="ignore", invalid="ignore"):
             g, t_sys, t_el = np.exp(p_log)
-            return w * (_noise_power(v, frequency, bandwidth, t_el, t_sys, g) - y)
+            return _noise_power(v, frequency, bandwidth, t_el, t_sys, g) - y
 
     def jacobian(p_log):
         cols = []

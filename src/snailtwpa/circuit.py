@@ -201,16 +201,12 @@ class ResolvedDrive:
     n_total: int
 
     @property
-    def duration(self) -> float:
-        return self.n_total * self.dt
-
-    @property
     def resolution(self) -> float:
         return 1.0 / self.window
 
-    @property
-    def settle_time(self) -> float:
-        return self.n_settle * self.dt
+    def resolve(self) -> ResolvedDrive:
+        """Already resolved: itself, so that either drive type resolves."""
+        return self
 
     def tone_bin(self, frequency: float) -> int:
         b = frequency * self.window
@@ -400,10 +396,6 @@ class TimeTrace:
     input_samples: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
-
 
 @dataclass
 class Spectrum:
@@ -444,8 +436,7 @@ def simulate_transient(
     step index) if a per-step Newton solve does not reach ``newton_tol``
     volts within ``max_newton_iter`` iterations.
     """
-    resolved = drive.resolve() if isinstance(drive, DriveSpec) else drive
-    return _integrate([(chain, resolved)], newton_tol, max_newton_iter)[0]
+    return _integrate([(chain, drive.resolve())], newton_tol, max_newton_iter)[0]
 
 
 def _esr(chain: RealizedChain, resolved: ResolvedDrive) -> float:
@@ -783,7 +774,7 @@ def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
     powers sum to the mean-square of the analyzed segment divided by z0
     (Parseval).
     """
-    resolved = drive.resolve() if isinstance(drive, DriveSpec) else drive
+    resolved = drive.resolve()
     n_settle, n_window = resolved.n_settle, resolved.n_window
     if trace.samples.size < n_settle + n_window:
         raise WindowTooShort(
@@ -878,25 +869,21 @@ def idler_frequencies(drive) -> dict:
     """Idler bin frequencies for a (pump, signal) drive, a
     :class:`DriveSpec` or a :class:`ResolvedDrive`: f_p - f_s (3WM) and
     2*f_p - f_s (4WM)."""
-    resolved = drive.resolve() if isinstance(drive, DriveSpec) else drive
+    resolved = drive.resolve()
     f_p = resolved.tones[0].frequency
     f_s = resolved.tones[1].frequency
     return {"three_wave": f_p - f_s, "four_wave": 2.0 * f_p - f_s}
 
 
-def flux_sweep_idler(
-    config: ChainConfig,
-    drive_3wm: DriveSpec,
-    drive_4wm: DriveSpec,
-    flux_grid,
-) -> dict:
+def flux_sweep_idler(config: ChainConfig, drive_3wm, drive_4wm, flux_grid) -> dict:
     """Idler power vs external flux in both frequency configurations.
 
-    For every flux point the same disorder realization (fixed by
-    ``config.rng_seed``) is rebuilt at the new working point and both
-    drives are simulated; reported are the 3WM idler bin (f_p - f_s of the
-    3WM drive) and the 4WM idler bin (2*f_p - f_s of the 4WM drive), in
-    dBm at the output port.
+    The drives are (pump, signal) drives, :class:`DriveSpec` or
+    :class:`ResolvedDrive`.  For every flux point the same disorder
+    realization (fixed by ``config.rng_seed``) is rebuilt at the new
+    working point and both drives are simulated; reported are the 3WM
+    idler bin (f_p - f_s of the 3WM drive) and the 4WM idler bin
+    (2*f_p - f_s of the 4WM drive), in dBm at the output port.
     """
     flux_grid = np.asarray(flux_grid, dtype=float)
     r3 = drive_3wm.resolve()
@@ -917,46 +904,29 @@ def flux_sweep_idler(
     }
 
 
-def degenerate_gain_vs_phase(
-    config: ChainConfig,
-    flux: float,
-    pump: Tone,
-    signal: Tone,
-    phase_grid,
-    window: float = 60e-9,
-    settle_time: float = 10e-9,
-    dt: float | None = None,
-) -> dict:
+def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive, phase_grid) -> dict:
     """Signal gain (dB) vs pump phase in the degenerate configuration.
 
-    The signal is pinned to f_p/2 on the resolved grid; gain is the
+    ``drive`` is a (pump, signal) drive, :class:`DriveSpec` or
+    :class:`ResolvedDrive`, whose signal lies on the f_p/2 bin of the
+    resolved grid, as ``three_wave_drive(..., delta_bins=0)`` builds it;
+    each phase of ``phase_grid`` replaces the pump's phase.  Gain is the
     signal-bin power with the pump on minus the signal-bin power with the
-    pump off (one pump-off reference run per sweep).
+    pump off (one pump-off reference run per sweep).  Raises ValueError
+    when the signal is not on the f_p/2 bin.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
-    base = three_wave_drive(
-        pump.frequency,
-        pump_current=pump.peak_current,
-        signal_current=signal.peak_current,
-        delta_bins=0,
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
-    )
-    resolved = base.resolve()
-    f_signal = resolved.tones[1].frequency
-    if signal.frequency > 0 and abs(signal.frequency - f_signal) > 1e-3:
-        if abs(signal.frequency - f_signal) > 1e-6 * f_signal:
-            raise ValueError(
-                f"signal must sit at f_p/2 = {f_signal} Hz on the grid, got {signal.frequency}"
-            )
-    chain = build_chain(config, flux, f_ref=resolved.tones[0].frequency)
+    resolved = drive.resolve()
+    pump_on, signal = resolved.tones
+    f_signal = signal.frequency
+    if 2 * resolved.tone_bin(f_signal) != resolved.tone_bin(pump_on.frequency):
+        raise ValueError(f"signal at {f_signal} Hz is not on the f_p/2 = {pump_on.frequency / 2} Hz bin")
+    chain = build_chain(config, flux, f_ref=pump_on.frequency)
 
     # all runs share the resolved grid exactly (same window, dt, settle)
-    pump_on = resolved.tones[0]
-    drive_off = replace(resolved, tones=(resolved.tones[1],))
+    drive_off = replace(resolved, tones=(signal,))
     drives = [drive_off] + [
-        replace(resolved, tones=(replace(pump_on, phase=float(phase)), resolved.tones[1]))
+        replace(resolved, tones=(replace(pump_on, phase=float(phase)), signal))
         for phase in phase_grid
     ]
     traces = _integrate([(chain, drive) for drive in drives])
@@ -979,7 +949,7 @@ def linear_transfer(chain: RealizedChain, frequencies, f_ref: float | None = Non
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     cfg = chain.config
     n = cfg.n_cells
-    esr = chain.esr_ohms(f_ref) if cfg.tan_delta > 0.0 else 0.0
+    esr = chain.esr_ohms(f_ref)
     g_port = 1.0 / cfg.z0
     out = np.empty(freqs.size, dtype=complex)
     zgtsv = _lapack().zgtsv

@@ -239,7 +239,8 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     """The inputs of ``command``, read from ``config`` by its table in
     TABLES, checked, and built into the library's objects: the chain block
     into a ChainConfig, the drive block into the (3WM, 4WM) drive pair,
-    input files into their contents and the normalization keys into
+    gain-phase's drive keys into its degenerate 3WM drive, input files
+    into their contents and the normalization keys into
     NormalizationParams and its factor ``upsilon``.  ``seed`` (--seed),
     when given, replaces the chain's ``rng_seed`` and the ``seed`` of sms
     and tms.
@@ -278,8 +279,8 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         makers = (circuit.three_wave_drive, circuit.four_wave_drive)
         p.drive = tuple(_build("invalid 'drive' block", make, **p.drive) for make in makers)
     elif command == "gain-phase":
-        _build("invalid drive", circuit.three_wave_drive, p.pump_frequency, p.pump_current,
-               p.signal_current, delta_bins=0, window=p.window, settle_time=p.settle_time)
+        p.drive = _build("invalid drive", circuit.three_wave_drive, p.pump_frequency, p.pump_current,
+                         p.signal_current, delta_bins=0, window=p.window, settle_time=p.settle_time)
     elif command == "sms":
         p.squeeze = _gain_from_db(p.target_s_db, "'target_s_db'")
         if p.input_csv is not None:
@@ -344,15 +345,7 @@ def cmd_flux_sweep(p: SimpleNamespace) -> tuple:
 def cmd_gain_phase(p: SimpleNamespace) -> tuple:
     phases = np.linspace(0.0, 2.0 * np.pi, p.n_phases, endpoint=False)
     print(f"gain-phase: {p.n_phases} phases, n_cells={p.chain.n_cells}", file=sys.stderr)
-    result = circuit.degenerate_gain_vs_phase(
-        p.chain,
-        p.flux,
-        pump=circuit.Tone(p.pump_frequency, p.pump_current),
-        signal=circuit.Tone(p.pump_frequency / 2.0, p.signal_current),
-        phase_grid=phases,
-        window=p.window,
-        settle_time=p.settle_time,
-    )
+    result = circuit.degenerate_gain_vs_phase(p.chain, p.flux, p.drive, phases)
     extras = {"flux_phi0": p.flux, "f_signal": result["f_signal"], "n_cells": p.chain.n_cells}
     return (("pump_phase_rad", "gain_db"), (result["phase"], result["gain_db"])), extras
 

@@ -20,7 +20,7 @@ symplectic eigenvalue of the partially transposed covariance matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ SINGLE_MODE = ("signal",)
 TWO_MODE = ("signal", "idler")
 
 _SYMPLECTIC_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+_SYM_TOL = 1e-12  # CovMatrix's asymmetry bound, relative to max(1, max |entry|)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -102,7 +104,6 @@ class CovMatrix:
     entries: np.ndarray
     uncertainty: np.ndarray | None = None
     systematic: tuple | None = None
-    _sym_tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -110,7 +111,7 @@ class CovMatrix:
             raise DimensionMismatch(f"covariance must be 2x2 or 4x4, got {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m))))
         asym = float(np.max(np.abs(m - m.T)))
-        if asym > self._sym_tol * scale:
+        if asym > _SYM_TOL * scale:
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
         self.entries = 0.5 * (m + m.T)
         if self.uncertainty is not None:

@@ -199,15 +199,10 @@ def _gain_curve(n_cells, flux, pump_current, n_phases=8, window=None):
     config = circuit.ChainConfig(n_cells=n_cells, disorder_amplitude=0.05, rng_seed=1)
     window = window if window is not None else (60e-9 if FULL else 30e-9)
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    out = circuit.degenerate_gain_vs_phase(
-        config,
-        flux,
-        pump=circuit.Tone(F_PUMP, pump_current),
-        signal=circuit.Tone(F_PUMP / 2.0, 0.0011e-6),
-        phase_grid=phases,
-        window=window,
-        settle_time=10e-9,
+    drive = circuit.three_wave_drive(
+        F_PUMP, pump_current, 0.0011e-6, delta_bins=0, window=window, settle_time=10e-9
     )
+    out = circuit.degenerate_gain_vs_phase(config, flux, drive, phases)
     return out["gain_db"]
 
 
@@ -228,15 +223,10 @@ def test_criterion_4_gain_phase():
     # 2*pi periodicity: one repeated phase point
     rep = _gain_curve(n_cells, 0.59, PUMP_PHI1, n_phases=1)
     config = circuit.ChainConfig(n_cells=n_cells, disorder_amplitude=0.05, rng_seed=1)
-    rep_shift = circuit.degenerate_gain_vs_phase(
-        config,
-        0.59,
-        pump=circuit.Tone(F_PUMP, PUMP_PHI1),
-        signal=circuit.Tone(F_PUMP / 2.0, 0.0011e-6),
-        phase_grid=np.array([2.0 * np.pi]),
-        window=60e-9 if FULL else 30e-9,
-        settle_time=10e-9,
-    )["gain_db"]
+    drive = circuit.three_wave_drive(
+        F_PUMP, PUMP_PHI1, 0.0011e-6, delta_bins=0, window=60e-9 if FULL else 30e-9, settle_time=10e-9
+    )
+    rep_shift = circuit.degenerate_gain_vs_phase(config, 0.59, drive, np.array([2.0 * np.pi]))["gain_db"]
     periodic = abs(rep_shift[0] - rep[0]) < 0.01
     ok = (
         periodic

@@ -341,32 +341,35 @@ def test_flux_sweep_structure_and_fixed_realization():
     np.testing.assert_array_equal(a.junction_factors, b.junction_factors)
 
 
+def test_flux_sweep_takes_resolved_drives():
+    cfg = ChainConfig(n_cells=4, disorder_amplitude=0.05, rng_seed=2)
+    d3 = three_wave_drive(F_PUMP, window=1.2e-9, settle_time=0.5e-9)
+    d4 = four_wave_drive(F_PUMP, window=1.2e-9, settle_time=0.5e-9)
+    specs = flux_sweep_idler(cfg, d3, d4, [0.45, 0.59])
+    resolved = flux_sweep_idler(cfg, d3.resolve(), d4.resolve(), [0.45, 0.59])
+    assert specs.keys() == resolved.keys()
+    for key, value in specs.items():
+        assert np.asarray(resolved[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
+def test_degenerate_gain_rejects_non_degenerate_drive():
+    drive = three_wave_drive(F_PUMP, 0.4e-6, 0.0011e-6, delta_bins=2, window=2e-9, settle_time=1e-9)
+    with pytest.raises(ValueError, match="f_p/2"):
+        degenerate_gain_vs_phase(ChainConfig(n_cells=4), 0.59, drive, [0.0])
+
+
 def test_degenerate_gain_zero_pump_is_flat_zero():
     cfg = ChainConfig(n_cells=6, disorder_amplitude=0.05, rng_seed=4)
-    out = degenerate_gain_vs_phase(
-        cfg,
-        0.59,
-        pump=Tone(F_PUMP, 0.0),
-        signal=Tone(F_PUMP / 2, 0.0011e-6),
-        phase_grid=np.linspace(0, 2 * np.pi, 5),
-        window=6e-9,
-        settle_time=3e-9,
-    )
+    drive = three_wave_drive(F_PUMP, 0.0, 0.0011e-6, delta_bins=0, window=6e-9, settle_time=3e-9)
+    out = degenerate_gain_vs_phase(cfg, 0.59, drive, np.linspace(0, 2 * np.pi, 5))
     np.testing.assert_array_equal(out["gain_db"], np.zeros(5))
 
 
 def test_degenerate_gain_periodic_in_2pi():
     cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
     phases = np.array([0.8, 0.8 + 2 * np.pi])
-    out = degenerate_gain_vs_phase(
-        cfg,
-        0.59,
-        pump=Tone(F_PUMP, 0.4e-6),
-        signal=Tone(F_PUMP / 2, 0.0011e-6),
-        phase_grid=phases,
-        window=6e-9,
-        settle_time=3e-9,
-    )
+    drive = three_wave_drive(F_PUMP, 0.4e-6, 0.0011e-6, delta_bins=0, window=6e-9, settle_time=3e-9)
+    out = degenerate_gain_vs_phase(cfg, 0.59, drive, phases)
     assert abs(out["gain_db"][1] - out["gain_db"][0]) < 0.01
 
 
@@ -416,15 +419,8 @@ def test_batched_gain_phase_members_match_serial_bitwise(monkeypatch, signal_cur
 
     monkeypatch.setattr(circuit, "_integrate", recording)
     cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
-    degenerate_gain_vs_phase(
-        cfg,
-        0.59,
-        pump=Tone(F_PUMP, 0.8e-6),
-        signal=Tone(F_PUMP / 2, signal_current),
-        phase_grid=[0.0, 1.3, 2.9],
-        window=2e-9,
-        settle_time=1e-9,
-    )
+    drive = three_wave_drive(F_PUMP, 0.8e-6, signal_current, delta_bins=0, window=2e-9, settle_time=1e-9)
+    degenerate_gain_vs_phase(cfg, 0.59, drive, [0.0, 1.3, 2.9])
     assert len(batches) == 1
     members, traces = batches[0]
     assert len(members) == 4
@@ -519,10 +515,8 @@ def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkey
 
     monkeypatch.setattr(circuit, "_integrate", recording)
     cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
-    degenerate_gain_vs_phase(
-        cfg, 0.59, pump=Tone(F_PUMP, 0.8e-6), signal=Tone(F_PUMP / 2, 0.0011e-6),
-        phase_grid=[0.0, 1.3, 2.9, 4.4], window=2e-9, settle_time=1e-9,
-    )
+    drive = three_wave_drive(F_PUMP, 0.8e-6, 0.0011e-6, delta_bins=0, window=2e-9, settle_time=1e-9)
+    degenerate_gain_vs_phase(cfg, 0.59, drive, [0.0, 1.3, 2.9, 4.4])
     assert len(forks) == 1
     (members, traces), = batches
     assert len(members) == 5

@@ -271,6 +271,20 @@ def test_gain_phase_zero_pump_flat(tmp_path):
     np.testing.assert_array_equal(rows[:, 1], np.zeros(4))
 
 
+def test_gain_phase_builds_its_drive_once(tmp_path, monkeypatch):
+    calls = []
+    make = circuit.three_wave_drive
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, "three_wave_drive", counting)
+    cfg = write_config(tmp_path, {"chain": {"n_cells": 4}, "n_phases": 1, "window": 6e-10, "settle_time": 0.0})
+    assert main(["gain-phase", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+
+
 # --- sms / tms -------------------------------------------------------------------
 
 

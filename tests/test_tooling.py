@@ -24,17 +24,47 @@ def test_every_command_has_a_table():
     assert set(cli.COMMANDS) == set(cli.TABLES)
 
 
+def _package_imports(demo: Path) -> tuple:
+    """A demo's syntax tree, and the names it imports from the package,
+    each with its object."""
+    tree = ast.parse(demo.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("snailtwpa"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    return tree, imported
+
+
 def test_demo_imports_exist():
     # checked from the source, without running the demos
     demos = sorted(DEMOS.glob("*.py"))
     assert demos
     for demo in demos:
-        for node in ast.walk(ast.parse(demo.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("snailtwpa"):
-                module = importlib.import_module(node.module)
-                for alias in node.names:
-                    assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
-            elif isinstance(node, ast.Import):
+        tree, _ = _package_imports(demo)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.startswith("snailtwpa"):
                         importlib.import_module(alias.name)
+
+
+def test_demo_calls_bind_to_signatures():
+    # a call to a name imported from the package must bind to its current
+    # signature; checked from the source, without running the demos
+    n_calls = 0
+    for demo in sorted(DEMOS.glob("*.py")):
+        tree, imported = _package_imports(demo)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
+                where = f"{demo.name}:{node.lineno} {node.func.id}"
+                assert not any(isinstance(arg, ast.Starred) for arg in node.args), where
+                assert all(kw.arg is not None for kw in node.keywords), where
+                try:
+                    inspect.signature(imported[node.func.id]).bind(*node.args, **{kw.arg: kw for kw in node.keywords})
+                except TypeError as err:
+                    raise AssertionError(f"{where}: {err}") from None
+                n_calls += 1
+    assert n_calls
