@@ -17,7 +17,7 @@ tridiagonal solve in the node voltages; the whole run is deterministic for
 a given configuration and seed.
 
 One private core, ``_integrate``, advances B independent runs (chain and
-resolved drive) in lockstep (``_lockstep``); ``simulate_transient`` is its
+drive) in lockstep (``_lockstep``); ``simulate_transient`` is its
 B = 1 case, and the phase and flux sweeps pass all their runs at once.  The B chains are
 laid end to end as one ladder of B*(N+1) nodes, joined by inert branches,
 so each Newton iteration is one pass of elementwise operations and one
@@ -49,10 +49,12 @@ index, with the message a serial run of that member gives.  A child that
 raises sends the exception back, to be raised here; a child that ends
 without a reply raises SnailTwpaError naming its exit status.
 
-All drive tones are snapped onto the FFT bin grid of the analysis window;
-the window itself is first adjusted so that the reference tone (the first
-tone of the drive, by convention the pump) lies exactly on the grid.
-Spectral readout therefore needs no leakage correction.
+A drive has one type, :class:`Drive`, made by :func:`snap_drive` or the
+mixing-drive builders: its tones are snapped onto the FFT bin grid of the
+analysis window, and the window itself is first adjusted so that the
+reference tone (the first tone of the drive, by convention the pump) lies
+exactly on the grid.  Spectral readout therefore needs no leakage
+correction.
 
 The tridiagonal solvers (``dgtsv`` here, ``zgtsv`` in ``linear_transfer``)
 come from scipy's compiled LAPACK extension, ``scipy/linalg/_flapack``,
@@ -121,7 +123,7 @@ class ChainConfig:
     c_j                : junction capacitance per cell, F
     c_g                : ground capacitance per cell, F
     i_c_nominal        : nominal large-junction critical current, A
-    r                  : SNAIL junction size ratio
+    r                  : SNAIL junction size ratio (bounded, see below)
     tan_delta          : dielectric loss tangent of c_g
     flux_polarity      : per-cell flux sign pattern; None means alternating
                          (+1, -1, +1, ...)
@@ -129,6 +131,16 @@ class ChainConfig:
                          critical-current spread (0.05 = +/- 5 %)
     rng_seed           : seed of the disorder draw
     z0                 : source/termination impedance, ohm
+
+    A SNAIL is single-valued only for 0 < r_eff < 1/3
+    (:class:`snail.SnailParams`), and a cell's r_eff lies between
+    r*(1-a)/(1+a) and r*(1+a)/(1-a) (a = disorder_amplitude; the extremes
+    have the three large junctions at one end of [1-a, 1+a] and the small
+    one at the other).  A config whose extreme cells leave that range is
+    rejected.  The extremes are computed with :func:`build_chain`'s own
+    arithmetic, whose rounding is monotone in each junction factor, and
+    the draws lie in [1-a, 1+a]; so every accepted config builds, whatever
+    the seed.
     """
 
     n_cells: int = 700
@@ -150,12 +162,18 @@ class ChainConfig:
         for name in ("c_j", "c_g", "i_c_nominal", "z0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.r < 1.0:
-            raise ValueError("r must be in (0, 1)")
         if self.tan_delta < 0.0:
             raise ValueError("tan_delta must be >= 0")
-        if not 0.0 <= self.disorder_amplitude <= 0.2:
+        a = self.disorder_amplitude
+        if not 0.0 <= a <= 0.2:
             raise ValueError("disorder_amplitude must be in [0, 0.2]")
+        extremes = np.array([[1.0 - a] * 3 + [1.0 + a], [1.0 + a] * 3 + [1.0 - a]])
+        r_max, r_min = _cell_ratios(self, extremes)[1]
+        if not (0.0 < r_min and r_max < 1.0 / 3.0):
+            raise ValueError(
+                f"'r' = {self.r} with disorder_amplitude {a} gives cells with r_eff in "
+                f"[{r_min:.4g}, {r_max:.4g}]; a single-valued SNAIL needs 0 < r_eff < 1/3"
+            )
         if self.flux_polarity is not None:
             pol = tuple(int(s) for s in self.flux_polarity)
             if len(pol) != self.n_cells or any(s not in (-1, 1) for s in pol):
@@ -185,13 +203,10 @@ class Tone:
             raise ValueError("tone amplitude must be >= 0")
 
 
-def _as_tone(t) -> Tone:
-    return t if isinstance(t, Tone) else Tone(*t)
-
-
 @dataclass(frozen=True)
-class ResolvedDrive:
-    """Grid-consistent drive: window, step and tones are mutually snapped."""
+class Drive:
+    """Drive snapped onto its analysis grid by :func:`snap_drive`: window,
+    step and tones are mutually consistent."""
 
     tones: tuple
     window: float
@@ -204,8 +219,9 @@ class ResolvedDrive:
     def resolution(self) -> float:
         return 1.0 / self.window
 
-    def resolve(self) -> ResolvedDrive:
-        """Already resolved: itself, so that either drive type resolves."""
+    def resolve(self) -> Drive:
+        """Itself.  Only the benchmark's workloads (perfbench/workloads.py)
+        call it, on a drive builder's result."""
         return self
 
     def tone_bin(self, frequency: float) -> int:
@@ -222,78 +238,57 @@ class ResolvedDrive:
         return out
 
 
-@dataclass
-class DriveSpec:
-    """Requested drive; :meth:`resolve` snaps it onto the analysis grid.
+def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: float | None = None) -> Drive:
+    """The drive of ``tones`` snapped onto the analysis grid.
 
-    tones       : sequence of :class:`Tone` (or (f, amp, phase) tuples);
-                  the first tone is the reference (pump) for gridding and
-                  for the default time step
-    duration    : total simulated time, s (default: settle + window)
-    settle_time : discarded start-up interval, s
+    tones       : sequence of :class:`Tone`; the first tone is the
+                  reference (pump) for gridding and for the default step
     window      : requested analysis window, s; adjusted to the nearest
                   integer number of reference-tone periods
+    settle_time : discarded start-up interval, s
     dt          : requested time step, s (default: reference period / 256,
                   which holds the spectral readout dt-converged to better
                   than 0.1 dB; must satisfy dt <= period/64 for every tone)
 
-    :meth:`resolve` raises ValueError on a non-positive window or dt, a
-    negative settle time, a dt too coarse for a tone, or a duration too
-    short for settle time plus window.
+    Raises ValueError on a non-positive window or dt, a negative settle
+    time, or a dt too coarse for a tone.
     """
-
-    tones: tuple = ()
-    duration: float | None = None
-    settle_time: float = 10e-9
-    window: float = 60e-9
-    dt: float | None = None
-
-    def resolve(self) -> ResolvedDrive:
-        tones = tuple(_as_tone(t) for t in self.tones)
-        if not self.window > 0.0:
-            raise ValueError(f"window must be positive, got {self.window}")
-        if not self.settle_time >= 0.0:
-            raise ValueError(f"settle_time must be >= 0, got {self.settle_time}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if tones:
-            f_ref = tones[0].frequency
-            n_ref = max(int(round(self.window * f_ref)), 1)
-            window = n_ref / f_ref
-            snapped = []
-            for tone in tones:
-                m = max(int(round(tone.frequency * window)), 1)
-                snapped.append(Tone(m / window, tone.peak_current, tone.phase))
-            tones = tuple(snapped)
-            dt_target = self.dt if self.dt is not None else 1.0 / (256.0 * f_ref)
-            f_max = max(t.frequency for t in tones)
-            if dt_target > 1.0 / (64.0 * f_max):
-                raise ValueError(
-                    f"dt = {dt_target:.3e} s exceeds 1/(64*f) for the "
-                    f"{f_max:.4g} Hz tone"
-                )
-        else:
-            window = self.window
-            dt_target = self.dt if self.dt is not None else window / 4096.0
-        n_window = max(int(math.ceil(window / dt_target - 1e-9)), 1)
-        dt = window / n_window
-        n_settle = int(math.ceil(self.settle_time / dt - 1e-9)) if self.settle_time > 0 else 0
-        if self.duration is None:
-            n_total = n_settle + n_window
-        else:
-            n_total = int(round(self.duration / dt))
-            if n_total < n_settle + n_window:
-                raise ValueError(
-                    "duration too short: window must fit after the settle time"
-                )
-        return ResolvedDrive(
-            tones=tones,
-            window=window,
-            dt=dt,
-            n_window=n_window,
-            n_settle=n_settle,
-            n_total=n_total,
-        )
+    tones = tuple(tones)
+    if not window > 0.0:
+        raise ValueError(f"window must be positive, got {window}")
+    if not settle_time >= 0.0:
+        raise ValueError(f"settle_time must be >= 0, got {settle_time}")
+    if dt is not None and not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if tones:
+        f_ref = tones[0].frequency
+        n_ref = max(int(round(window * f_ref)), 1)
+        window = n_ref / f_ref
+        snapped = []
+        for tone in tones:
+            m = max(int(round(tone.frequency * window)), 1)
+            snapped.append(Tone(m / window, tone.peak_current, tone.phase))
+        tones = tuple(snapped)
+        dt_target = dt if dt is not None else 1.0 / (256.0 * f_ref)
+        f_max = max(t.frequency for t in tones)
+        if dt_target > 1.0 / (64.0 * f_max):
+            raise ValueError(
+                f"dt = {dt_target:.3e} s exceeds 1/(64*f) for the "
+                f"{f_max:.4g} Hz tone"
+            )
+    else:
+        dt_target = dt if dt is not None else window / 4096.0
+    n_window = max(int(math.ceil(window / dt_target - 1e-9)), 1)
+    dt = window / n_window
+    n_settle = int(math.ceil(settle_time / dt - 1e-9)) if settle_time > 0 else 0
+    return Drive(
+        tones=tones,
+        window=window,
+        dt=dt,
+        n_window=n_window,
+        n_settle=n_settle,
+        n_total=n_settle + n_window,
+    )
 
 
 @dataclass
@@ -332,6 +327,14 @@ class RealizedChain:
         return self.config.tan_delta / (TWO_PI * f * self.config.c_g)
 
 
+def _cell_ratios(config: ChainConfig, factors: np.ndarray) -> tuple:
+    """(i_c_eff, r_eff) of cells with the given (n, 4) junction factors."""
+    i_large = factors[:, :3] * config.i_c_nominal
+    i_c_eff = 3.0 / np.sum(1.0 / i_large, axis=1)
+    i_small = factors[:, 3] * (config.r * config.i_c_nominal)
+    return i_c_eff, i_small / i_c_eff
+
+
 def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) -> RealizedChain:
     """Realize the chain at an external flux (in Phi0 units).
 
@@ -349,10 +352,7 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
     rng = np.random.default_rng(config.rng_seed)
     a = config.disorder_amplitude
     factors = rng.uniform(1.0 - a, 1.0 + a, size=(config.n_cells, 4))
-    i_large = factors[:, :3] * config.i_c_nominal
-    i_c_eff = 3.0 / np.sum(1.0 / i_large, axis=1)
-    i_small = factors[:, 3] * (config.r * config.i_c_nominal)
-    r_eff = i_small / i_c_eff
+    i_c_eff, r_eff = _cell_ratios(config, factors)
     phi_ext = config.polarity() * (TWO_PI * flux)
 
     n = config.n_cells
@@ -424,11 +424,11 @@ _DBM_FLOOR_WATTS = 1e-40
 
 def simulate_transient(
     chain: RealizedChain,
-    drive,
+    drive: Drive,
     newton_tol: float = 1e-15,
     max_newton_iter: int = 20,
 ) -> TimeTrace:
-    """Integrate the chain under the given drive (DriveSpec or ResolvedDrive).
+    """Integrate the chain under the given drive.
 
     Initial condition is the zero-current equilibrium (all node voltages
     zero, junction phases at their working points), so an undriven chain
@@ -436,20 +436,20 @@ def simulate_transient(
     step index) if a per-step Newton solve does not reach ``newton_tol``
     volts within ``max_newton_iter`` iterations.
     """
-    return _integrate([(chain, drive.resolve())], newton_tol, max_newton_iter)[0]
+    return _integrate([(chain, drive)], newton_tol, max_newton_iter)[0]
 
 
-def _esr(chain: RealizedChain, resolved: ResolvedDrive) -> float:
+def _esr(chain: RealizedChain, drive: Drive) -> float:
     if chain.config.tan_delta == 0.0:
         return 0.0
     f_ref = chain.f_ref
-    if f_ref is None and resolved.tones:
-        f_ref = resolved.tones[0].frequency
+    if f_ref is None and drive.tones:
+        f_ref = drive.tones[0].frequency
     return chain.esr_ohms(f_ref)
 
 
 def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) -> list:
-    """Integrate (RealizedChain, ResolvedDrive) members; one TimeTrace each.
+    """Integrate (RealizedChain, Drive) members; one TimeTrace each.
 
     Members that share the cell count, the circuit constants and the time
     grid form a lockstep group; each group is cut into parts that run at
@@ -458,11 +458,11 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
     the earliest failing step over all members, ties going to the lowest
     member index, which it carries as ``member_index``.
     """
-    esrs = [_esr(chain, resolved) for chain, resolved in members]
+    esrs = [_esr(chain, drive) for chain, drive in members]
     groups = {}
-    for i, (chain, resolved) in enumerate(members):
+    for i, (chain, drive) in enumerate(members):
         cfg = chain.config
-        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, esrs[i], resolved.dt, resolved.n_total)
+        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, esrs[i], drive.dt, drive.n_total)
         groups.setdefault(key, []).append(i)
 
     def run(part):
@@ -486,21 +486,21 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
         raise min(failures, key=lambda err: (err.step_index, err.member_index))
 
     traces = []
-    for (chain, resolved), esr, record in zip(members, esrs, records):
+    for (chain, drive), esr, record in zip(members, esrs, records):
         metadata = {
             "n_cells": chain.n_cells,
             "flux": chain.flux,
             "rng_seed": chain.config.rng_seed,
             "disorder_amplitude": chain.config.disorder_amplitude,
             "esr_ohms": esr,
-            "dt": resolved.dt,
-            "window": resolved.window,
-            "n_settle": resolved.n_settle,
-            "n_window": resolved.n_window,
-            "tones": [(t.frequency, t.peak_current, t.phase) for t in resolved.tones],
+            "dt": drive.dt,
+            "window": drive.window,
+            "n_settle": drive.n_settle,
+            "n_window": drive.n_window,
+            "tones": [(t.frequency, t.peak_current, t.phase) for t in drive.tones],
             "z0": chain.config.z0,
         }
-        traces.append(TimeTrace(dt=resolved.dt, samples=record[1], input_samples=record[0], metadata=metadata))
+        traces.append(TimeTrace(dt=drive.dt, samples=record[1], input_samples=record[0], metadata=metadata))
     return traces
 
 
@@ -581,7 +581,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
     n_total) records of the input ([b, 0]) and output ([b, 1]) node.  A
     failure raises NewtonDivergence with the batch-local member_index."""
     chains = [chain for chain, _ in members]
-    drives = [resolved for _, resolved in members]
+    drives = [drive for _, drive in members]
     cfg = chains[0].config
     esr = _esr(chains[0], drives[0])
     n = cfg.n_cells
@@ -620,7 +620,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
     g_shunt[::m] = 0.0  # node 0 has no shunt; its diagonal is g_port + gb[0]
 
     t_grid = dt * np.arange(1, n_total + 1)
-    i_src = np.stack([resolved.source_current(t_grid) for resolved in drives], axis=1)
+    i_src = np.stack([drive.source_current(t_grid) for drive in drives], axis=1)
 
     # Node voltages live in row 1 of a (2, nb*m) pair whose row 0 holds the
     # Newton right-hand side, which dgtsv overwrites with the update; two
@@ -765,7 +765,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
     return record
 
 
-def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
+def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:
     """Rectangular-window FFT of the post-settle window, in dBm into z0.
 
     Tones are snapped to the bin grid, so no leakage correction is
@@ -774,8 +774,7 @@ def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
     powers sum to the mean-square of the analyzed segment divided by z0
     (Parseval).
     """
-    resolved = drive.resolve()
-    n_settle, n_window = resolved.n_settle, resolved.n_window
+    n_settle, n_window = drive.n_settle, drive.n_window
     if trace.samples.size < n_settle + n_window:
         raise WindowTooShort(
             f"trace has {trace.samples.size} samples, need settle+window = "
@@ -788,12 +787,12 @@ def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
     power[1:] *= 2.0
     if n_window % 2 == 0:
         power[-1] *= 0.5  # Nyquist bin is not doubled
-    freqs = np.arange(power.size) / resolved.window
+    freqs = np.arange(power.size) / drive.window
     psd_dbm = 10.0 * np.log10(np.maximum(power, _DBM_FLOOR_WATTS) / 1e-3)
     return Spectrum(
         bin_frequencies=freqs,
         psd_dbm=psd_dbm,
-        resolution=resolved.resolution,
+        resolution=drive.resolution,
         power_watts=power,
         z0=z0,
     )
@@ -801,29 +800,22 @@ def extract_spectrum(trace: TimeTrace, drive) -> Spectrum:
 
 def _mixing_drive(
     pump_photons: int, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
-) -> DriveSpec:
+) -> Drive:
     """Pump plus a weak signal ``delta_bins`` FFT bins below
     pump_photons*f_p/2, for the process that turns ``pump_photons`` pump
     photons into a signal and an idler (at pump_photons*f_p - f_s).  The
     window is snapped to whole pump periods, an even number for 3WM."""
     pump = Tone(f_pump, pump_current, pump_phase)
-    if not window > 0.0:  # checked before the snapping arithmetic; resolve() checks settle_time and dt
+    if not window > 0.0:  # checked before the snapping arithmetic; snap_drive checks settle_time and dt
         raise ValueError(f"window must be positive, got {window}")
     periods = 2 // pump_photons
     m_pump = periods * max(int(round(window * f_pump / periods)), 1)
     window = m_pump / f_pump
     m_signal = pump_photons * m_pump // 2 - delta_bins
     if not 0 < m_signal < pump_photons * m_pump:
-        # resolve()'s dt rule keeps the tones, so also the idler, far below Nyquist
+        # snap_drive's dt rule keeps the tones, so also the idler, far below Nyquist
         raise ValueError(f"delta_bins = {delta_bins} puts the signal or the idler at or below 0 Hz")
-    spec = DriveSpec(
-        tones=(pump, Tone(m_signal / window, signal_current, 0.0)),
-        window=window,
-        settle_time=settle_time,
-        dt=dt,
-    )
-    spec.resolve()  # the one grid resolution: checks settle_time, and dt against both tones
-    return spec
+    return snap_drive((pump, Tone(m_signal / window, signal_current, 0.0)), window, settle_time, dt)
 
 
 def three_wave_drive(
@@ -835,10 +827,10 @@ def three_wave_drive(
     window: float = 60e-9,
     settle_time: float = 10e-9,
     dt: float | None = None,
-) -> DriveSpec:
+) -> Drive:
     """Pump at f_p plus a weak signal at f_p/2 - delta; the 3WM idler is
     generated at f_p - f_s = f_p/2 + delta.  ``delta_bins`` counts FFT
-    bins of the resolved window, which is snapped to an even number of
+    bins of the snapped window, which is snapped to an even number of
     pump periods so that f_p/2 is exactly on-grid; 0 is the degenerate
     drive.  Raises ValueError on a non-positive window or dt, a negative
     settle time, or a signal or idler at or below 0 Hz."""
@@ -856,7 +848,7 @@ def four_wave_drive(
     window: float = 60e-9,
     settle_time: float = 10e-9,
     dt: float | None = None,
-) -> DriveSpec:
+) -> Drive:
     """Pump at f_p plus a weak signal at f_p - delta; the 4WM idler is
     generated at 2*f_p - f_s = f_p + delta.  Raises ValueError as
     :func:`three_wave_drive` does."""
@@ -865,36 +857,31 @@ def four_wave_drive(
     )
 
 
-def idler_frequencies(drive) -> dict:
-    """Idler bin frequencies for a (pump, signal) drive, a
-    :class:`DriveSpec` or a :class:`ResolvedDrive`: f_p - f_s (3WM) and
-    2*f_p - f_s (4WM)."""
-    resolved = drive.resolve()
-    f_p = resolved.tones[0].frequency
-    f_s = resolved.tones[1].frequency
+def idler_frequencies(drive: Drive) -> dict:
+    """Idler bin frequencies for a (pump, signal) drive: f_p - f_s (3WM)
+    and 2*f_p - f_s (4WM)."""
+    f_p = drive.tones[0].frequency
+    f_s = drive.tones[1].frequency
     return {"three_wave": f_p - f_s, "four_wave": 2.0 * f_p - f_s}
 
 
-def flux_sweep_idler(config: ChainConfig, drive_3wm, drive_4wm, flux_grid) -> dict:
+def flux_sweep_idler(config: ChainConfig, drive_3wm: Drive, drive_4wm: Drive, flux_grid) -> dict:
     """Idler power vs external flux in both frequency configurations.
 
-    The drives are (pump, signal) drives, :class:`DriveSpec` or
-    :class:`ResolvedDrive`.  For every flux point the same disorder
-    realization (fixed by ``config.rng_seed``) is rebuilt at the new
-    working point and both drives are simulated; reported are the 3WM
+    The drives are (pump, signal) drives.  For every flux point the same
+    disorder realization (fixed by ``config.rng_seed``) is rebuilt at the
+    new working point and both drives are simulated; reported are the 3WM
     idler bin (f_p - f_s of the 3WM drive) and the 4WM idler bin
     (2*f_p - f_s of the 4WM drive), in dBm at the output port.
     """
     flux_grid = np.asarray(flux_grid, dtype=float)
-    r3 = drive_3wm.resolve()
-    r4 = drive_4wm.resolve()
-    f_idler3 = idler_frequencies(r3)["three_wave"]
-    f_idler4 = idler_frequencies(r4)["four_wave"]
-    f_ref = r3.tones[0].frequency
+    f_idler3 = idler_frequencies(drive_3wm)["three_wave"]
+    f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
+    f_ref = drive_3wm.tones[0].frequency
     chains = [build_chain(config, float(flux), f_ref=f_ref) for flux in flux_grid]
-    traces = _integrate([(chain, r3) for chain in chains] + [(chain, r4) for chain in chains])
-    psd3 = np.array([extract_spectrum(t, r3).power_dbm_at(f_idler3) for t in traces[: len(chains)]])
-    psd4 = np.array([extract_spectrum(t, r4).power_dbm_at(f_idler4) for t in traces[len(chains) :]])
+    traces = _integrate([(chain, drive_3wm) for chain in chains] + [(chain, drive_4wm) for chain in chains])
+    psd3 = np.array([extract_spectrum(t, drive_3wm).power_dbm_at(f_idler3) for t in traces[: len(chains)]])
+    psd4 = np.array([extract_spectrum(t, drive_4wm).power_dbm_at(f_idler4) for t in traces[len(chains) :]])
     return {
         "flux": flux_grid,
         "idler_3wm_dbm": psd3,
@@ -904,32 +891,30 @@ def flux_sweep_idler(config: ChainConfig, drive_3wm, drive_4wm, flux_grid) -> di
     }
 
 
-def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive, phase_grid) -> dict:
+def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive: Drive, phase_grid) -> dict:
     """Signal gain (dB) vs pump phase in the degenerate configuration.
 
-    ``drive`` is a (pump, signal) drive, :class:`DriveSpec` or
-    :class:`ResolvedDrive`, whose signal lies on the f_p/2 bin of the
-    resolved grid, as ``three_wave_drive(..., delta_bins=0)`` builds it;
+    ``drive`` is a (pump, signal) drive whose signal lies on the f_p/2
+    bin of its grid, as ``three_wave_drive(..., delta_bins=0)`` builds it;
     each phase of ``phase_grid`` replaces the pump's phase.  Gain is the
     signal-bin power with the pump on minus the signal-bin power with the
     pump off (one pump-off reference run per sweep).  Raises ValueError
     when the signal is not on the f_p/2 bin.
     """
     phase_grid = np.asarray(phase_grid, dtype=float)
-    resolved = drive.resolve()
-    pump_on, signal = resolved.tones
+    pump_on, signal = drive.tones
     f_signal = signal.frequency
-    if 2 * resolved.tone_bin(f_signal) != resolved.tone_bin(pump_on.frequency):
+    if 2 * drive.tone_bin(f_signal) != drive.tone_bin(pump_on.frequency):
         raise ValueError(f"signal at {f_signal} Hz is not on the f_p/2 = {pump_on.frequency / 2} Hz bin")
     chain = build_chain(config, flux, f_ref=pump_on.frequency)
 
-    # all runs share the resolved grid exactly (same window, dt, settle)
-    drive_off = replace(resolved, tones=(signal,))
+    # all runs share the drive's grid exactly (same window, dt, settle)
+    drive_off = replace(drive, tones=(signal,))
     drives = [drive_off] + [
-        replace(resolved, tones=(replace(pump_on, phase=float(phase)), signal))
+        replace(drive, tones=(replace(pump_on, phase=float(phase)), signal))
         for phase in phase_grid
     ]
-    traces = _integrate([(chain, drive) for drive in drives])
+    traces = _integrate([(chain, member) for member in drives])
     p_off = extract_spectrum(traces[0], drive_off).power_dbm_at(f_signal)
     gains = np.array(
         [extract_spectrum(t, d).power_dbm_at(f_signal) - p_off for t, d in zip(traces[1:], drives[1:])]

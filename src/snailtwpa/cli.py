@@ -113,19 +113,24 @@ def _config_hash(config: dict) -> str:
 
 
 def _git_revision() -> str | None:
+    """HEAD's commit, with ``+dirty`` when the package's tracked files
+    differ from it; None outside a git checkout.  One git process, which
+    takes no lock on the index."""
     try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+        status = subprocess.run(
+            ["git", "--no-optional-locks", "status", "--porcelain=v2", "--branch", "--untracked-files=no", "--", "."],
             capture_output=True,
             text=True,
             timeout=5,
             cwd=Path(__file__).parent,
         )
-        if rev.returncode == 0:
-            return rev.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        pass
-    return None
+        return None
+    lines = status.stdout.splitlines()
+    sha = next((line.split()[2] for line in lines if line.startswith("# branch.oid ")), "(initial)")
+    if status.returncode != 0 or sha == "(initial)":
+        return None
+    return sha + "+dirty" if any(not line.startswith("#") for line in lines) else sha
 
 
 def _finite(value, name: str) -> float:
@@ -152,11 +157,6 @@ def _gain_from_db(db: float, name: str) -> float:
     if not 0.0 < gain < math.inf:
         raise ConfigError(f"{name} is out of range, got {db} dB")
     return gain
-
-
-def _snail_ratio(r: float) -> None:
-    if not 0.0 < r < 1.0 / 3.0:
-        raise ConfigError(f"'r' must be in (0, 1/3) for a single-valued SNAIL, got {r}")
 
 
 def _value(default, value, name: str, profile: str):
@@ -268,9 +268,8 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         if hasattr(p, key):
             _build(f"invalid '{key}'", snail.SnailParams.from_flux, CHAIN["r"], CHAIN["i_c_nominal"], getattr(p, key))
     if hasattr(p, "r"):
-        _snail_ratio(p.r)
+        _build("invalid 'r'", snail.SnailParams, p.r, CHAIN["i_c_nominal"], 0.0)
     if hasattr(p, "chain"):
-        _snail_ratio(p.chain["r"])
         if seed is not None:
             p.chain["rng_seed"] = seed
         p.chain = _build("invalid 'chain' block", circuit.ChainConfig, **p.chain)

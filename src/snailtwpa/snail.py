@@ -39,9 +39,15 @@ TWO_PI = 2.0 * math.pi
 class SnailParams:
     """Physics of one SNAIL element.
 
-    r        : small-to-large junction size ratio, 0 < r < 1
+    r        : small-to-large junction size ratio, 0 < r < 1/3
     i_c      : large-junction critical current in A
     phi_ext  : reduced external flux 2*pi*Phi_ext/Phi0, in radians
+
+    The bound on r keeps the SNAIL single-valued: for r < 1/3 its
+    potential has a single minimum at every flux, so there is one
+    zero-current branch to track (:func:`find_phi_star`); for larger r it
+    can have several and the element is hysteretic (Frattini et al.,
+    Appl. Phys. Lett. 110, 222603 (2017)).
     """
 
     r: float
@@ -49,8 +55,8 @@ class SnailParams:
     phi_ext: float
 
     def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"junction ratio r must be in (0, 1), got {self.r}")
+        if not 0.0 < self.r < 1.0 / 3.0:
+            raise ValueError(f"junction ratio r must be in (0, 1/3) for a single-valued SNAIL, got {self.r}")
         if not self.i_c > 0.0:
             raise ValueError(f"critical current must be positive, got {self.i_c}")
         if not math.isfinite(self.phi_ext):
@@ -115,8 +121,6 @@ def find_phi_star(params: SnailParams, guess: float | None = None) -> float:
 
     Raises NoConvergence if the iteration budget (100) is exhausted.
     """
-    if not params.r < 1.0 / 3.0:
-        raise ValueError(f"unique-branch root finding requires r < 1/3, got {params.r}")
     tol = 1e-12 * params.i_c
     lo = params.phi_ext - 0.5 * math.pi
     hi = params.phi_ext + 0.5 * math.pi

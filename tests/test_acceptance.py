@@ -13,8 +13,9 @@ Criteria 3a/3b/3c encode the residual-3WM claims exactly as stated; the
 suppression and full-size flux-structure clauses are not attainable in
 this model (the measured contrasts are a few dB, not >= 60 dB) and are
 expected to fail honestly; the failure messages carry the measured
-numbers, and a residual-3WM budget that would explain them is open item 2
-of ROADMAP.md.  All other criteria pass.
+numbers, and a residual-3WM budget that would explain them is the ROADMAP.md
+open item "A residual-3WM budget that explains both red criteria".  All
+other criteria pass.
 """
 
 import json
@@ -111,9 +112,9 @@ def test_criterion_2_flux_shape(tmp_path):
 # --- criterion 3: residual-3WM mechanism -------------------------------------
 
 
-def _idler_level(config, flux, drive, resolved, f_idler):
-    chain = circuit.build_chain(config, flux, f_ref=resolved.tones[0].frequency)
-    spec = circuit.extract_spectrum(circuit.simulate_transient(chain, resolved), resolved)
+def _idler_level(config, flux, drive, f_idler):
+    chain = circuit.build_chain(config, flux, f_ref=drive.tones[0].frequency)
+    spec = circuit.extract_spectrum(circuit.simulate_transient(chain, drive), drive)
     return spec.power_dbm_at(f_idler)
 
 
@@ -122,21 +123,18 @@ def test_criterion_3a_polarity_suppression():
     # level at the flux of maximal |beta|
     n_cells = 700 if FULL else 100
     drive = circuit.three_wave_drive(F_PUMP)
-    resolved = drive.resolve()
     f_idler = circuit.idler_frequencies(drive)["three_wave"]
     flux_star = 0.684  # flux of maximal |beta| for r = 0.07
     off = _idler_level(
         circuit.ChainConfig(n_cells=n_cells, disorder_amplitude=0.0),
         flux_star,
         drive,
-        resolved,
         f_idler,
     )
     on = _idler_level(
         circuit.ChainConfig(n_cells=n_cells, disorder_amplitude=0.05, rng_seed=1),
         flux_star,
         drive,
-        resolved,
         f_idler,
     )
     contrast = on - off
@@ -145,7 +143,7 @@ def test_criterion_3a_polarity_suppression():
         contrast >= 60.0,
         f"n_cells={n_cells}: disorder-off {off:.1f} dBm, disorder-on {on:.1f} dBm, "
         f"contrast {contrast:.1f} dB (model retains an O(one-cell) end/mismatch "
-        "residual; see ROADMAP.md open item 2)",
+        "residual; see the ROADMAP.md open item 'A residual-3WM budget that explains both red criteria')",
     )
 
 
@@ -154,11 +152,10 @@ def test_criterion_3b_three_wave_flux_structure():
     # disorder ON: broad maxima near both 0.45 and 0.59 Phi0
     config = circuit.ChainConfig(n_cells=700, disorder_amplitude=0.05, rng_seed=1)
     drive = circuit.three_wave_drive(F_PUMP)
-    resolved = drive.resolve()
     f_idler = circuit.idler_frequencies(drive)["three_wave"]
     flux_grid = np.array([0.40, 0.45, 0.50, 0.55, 0.59, 0.634, 0.684])
     levels = np.array(
-        [_idler_level(config, f, drive, resolved, f_idler) for f in flux_grid]
+        [_idler_level(config, f, drive, f_idler) for f in flux_grid]
     )
     at = dict(zip(flux_grid.tolist(), levels.tolist()))
     dip = at[0.50]
@@ -176,13 +173,12 @@ def test_criterion_3c_four_wave_contrast():
     # 4WM idler at Phi1 = 0.59 lower than at Phi2 = 0.45 by >= 6 dB in
     # >= 3 of 5 disorder seeds
     drive = circuit.four_wave_drive(F_PUMP)
-    resolved = drive.resolve()
     f_idler = circuit.idler_frequencies(drive)["four_wave"]
     contrasts = []
     for seed in (1, 2, 3, 4, 5):
         config = circuit.ChainConfig(n_cells=700, disorder_amplitude=0.05, rng_seed=seed)
-        p2 = _idler_level(config, 0.45, drive, resolved, f_idler)
-        p1 = _idler_level(config, 0.59, drive, resolved, f_idler)
+        p2 = _idler_level(config, 0.45, drive, f_idler)
+        p1 = _idler_level(config, 0.59, drive, f_idler)
         contrasts.append(p2 - p1)
     n_pass = sum(c >= 6.0 for c in contrasts)
     report(

@@ -266,23 +266,22 @@ def test_insertion_loss_against_transient():
     # default chain parameters
     from snailtwpa.circuit import (
         ChainConfig,
-        DriveSpec,
         Tone,
         build_chain,
         extract_spectrum,
         simulate_transient,
+        snap_drive,
     )
 
     probe = F_HALF
-    drive = DriveSpec(tones=(Tone(probe, 0.0011e-6, 0.0),), window=15e-9, settle_time=12e-9)
-    resolved = drive.resolve()
-    f_snap = resolved.tones[0].frequency
+    drive = snap_drive(tones=(Tone(probe, 0.0011e-6, 0.0),), window=15e-9, settle_time=12e-9)
+    f_snap = drive.tones[0].frequency
 
     powers = {}
     for tan_delta in (2.1e-3, 0.0):
         cfg = ChainConfig(n_cells=700, tan_delta=tan_delta, disorder_amplitude=0.0)
         chain = build_chain(cfg, 0.0, f_ref=f_snap)
-        spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
+        spec = extract_spectrum(simulate_transient(chain, drive), drive)
         powers[tan_delta] = spec.power_dbm_at(f_snap)
     deficit_db = powers[0.0] - powers[2.1e-3]
 

@@ -1,15 +1,17 @@
 import math
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snailtwpa import circuit
 from snailtwpa.errors import NewtonDivergence, SnailTwpaError, WindowTooShort
 from snailtwpa.circuit import (
     ChainConfig,
-    DriveSpec,
     RealizedChain,
     Spectrum,
     TimeTrace,
@@ -22,6 +24,7 @@ from snailtwpa.circuit import (
     idler_frequencies,
     linear_transfer,
     simulate_transient,
+    snap_drive,
     three_wave_drive,
 )
 
@@ -88,25 +91,47 @@ def test_flux_polarity_validation():
             ChainConfig(**bad)
 
 
-# --- drive resolution -------------------------------------------------------
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 8),
+    r=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    a=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**64 - 1),
+    flux=st.floats(-1.0, 1.0),
+)
+def test_accepted_chain_config_builds_at_any_seed(n_cells, r, a, seed, flux):
+    # a cell's r_eff = r * f_small * mean(1/f_large), each factor drawn from
+    # [1-a, 1+a], lies in [r*(1-a)/(1+a), r*(1+a)/(1-a)]; a config is
+    # rejected only when that upper end reaches 1/3 or the small junction's
+    # critical current underflows, and an accepted one builds whatever the seed
+    try:
+        cfg = ChainConfig(n_cells=n_cells, r=r, disorder_amplitude=a, rng_seed=seed)
+    except ValueError:
+        i_small_min = r * ChainConfig.i_c_nominal * (1.0 - a)
+        assert r * (1.0 + a) / (1.0 - a) >= (1.0 - 1e-9) / 3.0 or i_small_min < sys.float_info.min
+        return
+    chain = build_chain(cfg, flux)
+    assert np.all(chain.r_eff < 1.0 / 3.0)
+
+
+# --- drive snapping ---------------------------------------------------------
 
 
 def test_drive_snapping_keeps_pump_exact():
-    drive = DriveSpec(tones=(Tone(F_PUMP, 1e-7),), window=60e-9)
-    resolved = drive.resolve()
+    drive = snap_drive(tones=(Tone(F_PUMP, 1e-7),), window=60e-9)
     # the window adjusts so that the pump is exactly on the bin grid
-    assert resolved.tones[0].frequency == pytest.approx(F_PUMP, rel=1e-12)
-    bins = resolved.tones[0].frequency * resolved.window
+    assert drive.tones[0].frequency == pytest.approx(F_PUMP, rel=1e-12)
+    bins = drive.tones[0].frequency * drive.window
     assert bins == pytest.approx(round(bins), abs=1e-6)
-    assert resolved.window == pytest.approx(60e-9, rel=0.01)
-    assert resolved.resolution == pytest.approx(16.67e6, rel=0.005)
+    assert drive.window == pytest.approx(60e-9, rel=0.01)
+    assert drive.resolution == pytest.approx(16.67e6, rel=0.005)
 
 
 def test_drive_dt_default_and_bounds():
-    resolved = DriveSpec(tones=(Tone(F_PUMP, 1e-7),), window=60e-9).resolve()
-    assert resolved.dt <= 1.0 / (256.0 * F_PUMP) * (1 + 1e-12)
+    drive = snap_drive(tones=(Tone(F_PUMP, 1e-7),), window=60e-9)
+    assert drive.dt <= 1.0 / (256.0 * F_PUMP) * (1 + 1e-12)
     with pytest.raises(ValueError):
-        DriveSpec(tones=(Tone(F_PUMP, 1e-7),), window=60e-9, dt=1.0 / (32 * F_PUMP)).resolve()
+        snap_drive(tones=(Tone(F_PUMP, 1e-7),), window=60e-9, dt=1.0 / (32 * F_PUMP))
 
 
 @pytest.mark.parametrize(
@@ -114,33 +139,23 @@ def test_drive_dt_default_and_bounds():
 )
 @pytest.mark.parametrize("tones", [(Tone(F_PUMP, 1e-7),), ()], ids=["tone", "no-tone"])
 def test_drive_spec_rejects_bad_dt_and_settle_time(tones, bad):
-    # unchecked, a negative dt resolves to one step per window and a
+    # unchecked, a negative dt snaps to one step per window and a
     # negative settle time to no settle
     with pytest.raises(ValueError, match=next(iter(bad))):
-        DriveSpec(tones=tones, window=6e-9, **bad).resolve()
-
-
-def test_drive_duration_invariant():
-    with pytest.raises(ValueError):
-        DriveSpec(
-            tones=(Tone(F_PUMP, 1e-7),), window=60e-9, settle_time=10e-9, duration=30e-9
-        ).resolve()
+        snap_drive(tones=tones, window=6e-9, **bad)
 
 
 def test_three_and_four_wave_builders():
     d3 = three_wave_drive(F_PUMP, delta_bins=2)
-    r3 = d3.resolve()
-    m_p = r3.tone_bin(r3.tones[0].frequency)
-    m_s = r3.tone_bin(r3.tones[1].frequency)
+    m_p = d3.tone_bin(d3.tones[0].frequency)
+    m_s = d3.tone_bin(d3.tones[1].frequency)
     assert m_p % 2 == 0 and m_s == m_p // 2 - 2
     idlers = idler_frequencies(d3)
-    assert idlers["three_wave"] == pytest.approx((m_p - m_s) / r3.window)
-    assert idler_frequencies(r3) == idlers
+    assert idlers["three_wave"] == pytest.approx((m_p - m_s) / d3.window)
 
     d4 = four_wave_drive(F_PUMP, delta_bins=2)
-    r4 = d4.resolve()
-    m_s4 = r4.tone_bin(r4.tones[1].frequency)
-    assert m_s4 == r4.tone_bin(r4.tones[0].frequency) - 2
+    m_s4 = d4.tone_bin(d4.tones[1].frequency)
+    assert m_s4 == d4.tone_bin(d4.tones[0].frequency) - 2
 
 
 @pytest.mark.parametrize("builder", [three_wave_drive, four_wave_drive])
@@ -165,7 +180,7 @@ def test_drive_builders_reject_off_grid_inputs(builder, bad):
 
 def test_zero_drive_stays_at_rest():
     chain = build_chain(small_config(), 0.3)
-    drive = DriveSpec(tones=(), window=4e-9, settle_time=1e-9, dt=1e-12)
+    drive = snap_drive(tones=(), window=4e-9, settle_time=1e-9, dt=1e-12)
     trace = simulate_transient(chain, drive)
     assert np.max(np.abs(trace.samples)) < 1e-15
     assert np.max(np.abs(trace.input_samples)) < 1e-15
@@ -175,11 +190,10 @@ def test_linear_regime_against_frequency_domain_oracle():
     # weak on-grid tone far below the band edge: the transient bin
     # amplitude must match the independent nodal frequency-domain solve
     chain = build_chain(small_config(n=12), 0.25)
-    drive = DriveSpec(tones=(Tone(4.0e9, 0.0011e-6),), window=10e-9, settle_time=8e-9)
-    resolved = drive.resolve()
-    f0 = resolved.tones[0].frequency
-    trace = simulate_transient(chain, resolved)
-    spec = extract_spectrum(trace, resolved)
+    drive = snap_drive(tones=(Tone(4.0e9, 0.0011e-6),), window=10e-9, settle_time=8e-9)
+    f0 = drive.tones[0].frequency
+    trace = simulate_transient(chain, drive)
+    spec = extract_spectrum(trace, drive)
     amp_transient = math.sqrt(2.0 * spec.z0 * spec.power_watts[spec.bin_index(f0)])
     amp_oracle = abs(linear_transfer(chain, [f0])[0]) * 0.0011e-6
     assert amp_transient == pytest.approx(amp_oracle, rel=2e-3)
@@ -193,7 +207,7 @@ def test_newton_divergence_reports_step():
     # the validated dt keeps Newton robust even far beyond the physical
     # drive range, so the budget-exhaustion path is exercised directly
     chain = build_chain(small_config(), 0.3)
-    drive = DriveSpec(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0)
+    drive = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0)
     with pytest.raises(NewtonDivergence) as err:
         simulate_transient(chain, drive, max_newton_iter=1)
     assert err.value.step_index is not None
@@ -214,12 +228,11 @@ def test_linearity_of_signal_bin():
     chain = build_chain(small_config(n=10), 0.4)
     gains = {}
     for scale in (1.0, 2.0):
-        drive = DriveSpec(
+        drive = snap_drive(
             tones=(Tone(3.85e9, scale * 0.0011e-6),), window=8e-9, settle_time=6e-9
         )
-        resolved = drive.resolve()
-        spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
-        gains[scale] = spec.power_dbm_at(resolved.tones[0].frequency)
+        spec = extract_spectrum(simulate_transient(chain, drive), drive)
+        gains[scale] = spec.power_dbm_at(drive.tones[0].frequency)
     assert gains[2.0] - gains[1.0] == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
 
 
@@ -228,12 +241,11 @@ def test_energy_balance_lossless():
     # source (lossless ladder, resistive ports only)
     cfg = small_config(n=10, tan_delta=0.0)
     chain = build_chain(cfg, 0.3)
-    drive = DriveSpec(tones=(Tone(4.0e9, 0.05e-6),), window=20e-9, settle_time=15e-9)
-    resolved = drive.resolve()
-    trace = simulate_transient(chain, resolved)
-    sl = slice(resolved.n_settle, resolved.n_settle + resolved.n_window)
-    t_grid = trace.dt * np.arange(1, resolved.n_total + 1)
-    i_src = resolved.source_current(t_grid)[sl]
+    drive = snap_drive(tones=(Tone(4.0e9, 0.05e-6),), window=20e-9, settle_time=15e-9)
+    trace = simulate_transient(chain, drive)
+    sl = slice(drive.n_settle, drive.n_settle + drive.n_window)
+    t_grid = trace.dt * np.arange(1, drive.n_total + 1)
+    i_src = drive.source_current(t_grid)[sl]
     v_in = trace.input_samples[sl]
     p_delivered = np.mean((i_src - v_in / cfg.z0) * v_in)
     p_load = np.mean(trace.samples[sl] ** 2) / cfg.z0
@@ -249,9 +261,8 @@ def test_dt_convergence_of_idler_bin():
         drive = three_wave_drive(
             F_PUMP, window=8e-9, settle_time=5e-9, dt=1.0 / (div * F_PUMP)
         )
-        resolved = drive.resolve()
-        chain = build_chain(cfg, 0.59, f_ref=resolved.tones[0].frequency)
-        spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
+        chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
+        spec = extract_spectrum(simulate_transient(chain, drive), drive)
         levels[div] = spec.power_dbm_at(idler_frequencies(drive)["three_wave"])
     assert abs(levels[512] - levels[256]) < 0.1
 
@@ -261,9 +272,8 @@ def test_idler_line_present_with_disorder():
     # line at f_p - f_s when disorder is on
     cfg = ChainConfig(n_cells=40, disorder_amplitude=0.05, rng_seed=2)
     drive = three_wave_drive(F_PUMP, window=15e-9, settle_time=10e-9)
-    resolved = drive.resolve()
-    chain = build_chain(cfg, 0.59, f_ref=resolved.tones[0].frequency)
-    spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
+    chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
+    spec = extract_spectrum(simulate_transient(chain, drive), drive)
     idler = spec.power_dbm_at(idler_frequencies(drive)["three_wave"])
     assert idler > -260.0  # clearly above the numerical floor
 
@@ -284,10 +294,9 @@ def test_spectrum_pure_sine_single_bin():
     dt = window / n_window
     f0 = 25 / window  # exactly on-grid
     v0 = 3.2e-6
-    drive = DriveSpec(tones=(), window=window, settle_time=0.0, dt=dt)
-    resolved = drive.resolve()
+    drive = snap_drive(tones=(), window=window, settle_time=0.0, dt=dt)
     trace = synthetic_trace(f0, v0, 0, n_window, dt)
-    spec = extract_spectrum(trace, resolved)
+    spec = extract_spectrum(trace, drive)
     k = spec.bin_index(f0)
     assert spec.power_watts[k] == pytest.approx(v0**2 / (2 * 50.0), rel=1e-9)
     # all other bins at the float64 rounding floor (>= 250 dB down; exact
@@ -300,27 +309,25 @@ def test_spectrum_parseval():
     window = 20e-9
     n_window = 2048
     dt = window / n_window
-    drive = DriveSpec(tones=(), window=window, settle_time=0.0, dt=dt)
-    resolved = drive.resolve()
+    drive = snap_drive(tones=(), window=window, settle_time=0.0, dt=dt)
     rng = np.random.default_rng(0)
     samples = 1e-6 * rng.standard_normal(n_window)
     trace = TimeTrace(dt=dt, samples=samples, input_samples=samples * 0, metadata={"z0": 50.0})
-    spec = extract_spectrum(trace, resolved)
+    spec = extract_spectrum(trace, drive)
     mean_square = np.mean(samples**2)
     assert np.sum(spec.power_watts) * 50.0 == pytest.approx(mean_square, rel=1e-9)
 
 
 def test_spectrum_resolution_sixty_ns():
-    resolved = DriveSpec(tones=(Tone(F_PUMP, 1e-7),), window=60e-9).resolve()
-    assert resolved.resolution == pytest.approx(16.67e6, rel=0.005)
+    drive = snap_drive(tones=(Tone(F_PUMP, 1e-7),), window=60e-9)
+    assert drive.resolution == pytest.approx(16.67e6, rel=0.005)
 
 
 def test_window_too_short():
-    drive = DriveSpec(tones=(), window=20e-9, settle_time=10e-9, dt=1e-11)
-    resolved = drive.resolve()
+    drive = snap_drive(tones=(), window=20e-9, settle_time=10e-9, dt=1e-11)
     trace = synthetic_trace(1e9, 1e-6, 0, 100, 1e-11)
     with pytest.raises(WindowTooShort):
-        extract_spectrum(trace, resolved)
+        extract_spectrum(trace, drive)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -339,17 +346,6 @@ def test_flux_sweep_structure_and_fixed_realization():
     a = build_chain(cfg, 0.45)
     b = build_chain(cfg, 0.59)
     np.testing.assert_array_equal(a.junction_factors, b.junction_factors)
-
-
-def test_flux_sweep_takes_resolved_drives():
-    cfg = ChainConfig(n_cells=4, disorder_amplitude=0.05, rng_seed=2)
-    d3 = three_wave_drive(F_PUMP, window=1.2e-9, settle_time=0.5e-9)
-    d4 = four_wave_drive(F_PUMP, window=1.2e-9, settle_time=0.5e-9)
-    specs = flux_sweep_idler(cfg, d3, d4, [0.45, 0.59])
-    resolved = flux_sweep_idler(cfg, d3.resolve(), d4.resolve(), [0.45, 0.59])
-    assert specs.keys() == resolved.keys()
-    for key, value in specs.items():
-        assert np.asarray(resolved[key]).tobytes() == np.asarray(value).tobytes(), key
 
 
 def test_degenerate_gain_rejects_non_degenerate_drive():
@@ -389,13 +385,12 @@ def test_polarity_cancellation_relative_to_uniform():
     # alternation suppresses the 3WM idler far below the uniform-polarity
     # coherent level (full criterion lives in the acceptance suite)
     drive = three_wave_drive(F_PUMP, window=15e-9, settle_time=10e-9)
-    resolved = drive.resolve()
     f_i = idler_frequencies(drive)["three_wave"]
     levels = {}
     for name, polarity in (("alt", None), ("uniform", tuple([1] * 40))):
         cfg = ChainConfig(n_cells=40, disorder_amplitude=0.0, flux_polarity=polarity)
-        chain = build_chain(cfg, 0.59, f_ref=resolved.tones[0].frequency)
-        spec = extract_spectrum(simulate_transient(chain, resolved), resolved)
+        chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
+        spec = extract_spectrum(simulate_transient(chain, drive), drive)
         levels[name] = spec.power_dbm_at(f_i)
     assert levels["uniform"] - levels["alt"] > 25.0
 
@@ -436,14 +431,13 @@ def test_batched_flux_sweep_matches_serial_loop():
     d4 = four_wave_drive(F_PUMP, window=3e-9, settle_time=1e-9)
     flux = [0.4, 0.5, 0.59]
     out = flux_sweep_idler(cfg, d3, d4, flux)
-    r3, r4 = d3.resolve(), d4.resolve()
     f3 = idler_frequencies(d3)["three_wave"]
     f4 = idler_frequencies(d4)["four_wave"]
     serial3, serial4 = [], []
     for phi in flux:
-        chain = build_chain(cfg, phi, f_ref=r3.tones[0].frequency)
-        serial3.append(extract_spectrum(simulate_transient(chain, r3), r3).power_dbm_at(f3))
-        serial4.append(extract_spectrum(simulate_transient(chain, r4), r4).power_dbm_at(f4))
+        chain = build_chain(cfg, phi, f_ref=d3.tones[0].frequency)
+        serial3.append(extract_spectrum(simulate_transient(chain, d3), d3).power_dbm_at(f3))
+        serial4.append(extract_spectrum(simulate_transient(chain, d4), d4).power_dbm_at(f4))
     assert out["idler_3wm_dbm"].tobytes() == np.array(serial3).tobytes()
     assert out["idler_4wm_dbm"].tobytes() == np.array(serial4).tobytes()
 
@@ -453,8 +447,8 @@ def test_batch_newton_divergence_reports_first_failing_step():
     # step, the driven one cannot, and the batch reports the driven
     # member's own failing step
     chain = build_chain(small_config(), 0.3)
-    rest = DriveSpec(tones=(), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
-    driven = DriveSpec(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
+    driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     assert rest.n_total == driven.n_total and rest.dt == driven.dt
     simulate_transient(chain, rest, max_newton_iter=1)
     with pytest.raises(NewtonDivergence) as serial:
@@ -469,8 +463,8 @@ def test_earliest_failure_over_groups_is_raised():
     # two lockstep groups (different dt): the first fails at step 1, the
     # second at step 0, so the second member's failure is the one reported
     chain = build_chain(small_config(), 0.3)
-    late = DriveSpec(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
-    early = DriveSpec(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12).resolve()
+    late = snap_drive(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12)
+    early = snap_drive(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12)
     serial = {}
     for name, drive in (("late", late), ("early", early)):
         with pytest.raises(NewtonDivergence) as err:
@@ -535,8 +529,8 @@ def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpu
     # gets the driven member's serial step index and message
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     chain = build_chain(small_config(), 0.3)
-    rest = DriveSpec(tones=(), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
-    driven = DriveSpec(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12).resolve()
+    rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
+    driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     with pytest.raises(NewtonDivergence) as serial:
         simulate_transient(chain, driven, max_newton_iter=1)
     with pytest.raises(NewtonDivergence) as batch:
@@ -561,7 +555,7 @@ def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
 
     monkeypatch.setattr(circuit, "_lockstep", failing_in_child)
     chain = build_chain(small_config(), 0.3)
-    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
     with pytest.raises(expected[0], match=expected[1]):
         circuit._integrate([(chain, drive), (chain, drive)])
@@ -570,7 +564,7 @@ def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
 
 def test_batch_stays_in_process_while_another_thread_runs(forks):
     chain = build_chain(small_config(), 0.3)
-    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60.0,))
     thread.start()
@@ -588,7 +582,7 @@ def test_batch_stays_in_process_while_another_thread_runs(forks):
 def test_batch_stays_in_process_without_fork_or_affinity(forks, monkeypatch, missing):
     monkeypatch.delattr(os, missing)
     chain = build_chain(small_config(), 0.3)
-    drive = DriveSpec(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12).resolve()
+    drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     traces = circuit._integrate([(chain, drive), (chain, drive)])
     assert not forks
     assert traces[0].samples.tobytes() == traces[1].samples.tobytes()

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+import subprocess
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -123,14 +125,17 @@ def test_unknown_key_rejected(tmp_path):
         ("coeffs", {"r": "0.07"}, "'r'"),
         ("coeffs", {"n_points": "3"}, "'n_points'"),
         ("sms", {"phases": ["0.5"]}, "'phases'"),
+        ("gain-phase", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
+        ("flux-sweep", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
-    # rejected while parsing, before any solve, with the offending key named
+    # rejected while parsing, before any solve or --out, with the offending key named
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "x").exists()
 
 
 def _json_config(table):
@@ -588,3 +593,34 @@ def test_json_commands_match_goldens(tmp_path, monkeypatch):
         meta = _without_git_revision((tmp_path / case / "meta.json").read_text())
         assert result == (JSON_GOLDEN / f"{case}.result.json").read_text(), case
         assert meta == (JSON_GOLDEN / f"{case}.meta.json").read_text(), case
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_git_revision_marks_edited_package_dirty(tmp_path, monkeypatch):
+    # a copy of the package in its own repository: HEAD's sha while the
+    # package matches it, "+dirty" once a tracked package file is edited;
+    # untracked files and files outside the package do not count
+    package = tmp_path / "snailtwpa"
+    shutil.copytree(Path(cli.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "notes.txt").write_text("outside the package\n")
+
+    def git(*args):
+        command = ["git", "-c", "user.name=test", "-c", "user.email=test@example.org", "-c", "commit.gpgsign=false", *args]
+        return subprocess.run(command, cwd=tmp_path, check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "package")
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    assert cli._git_revision() == git("rev-parse", "HEAD")
+
+    (tmp_path / "notes.txt").write_text("edited\n")
+    (package / "untracked.py").write_text("")
+    assert cli._git_revision() == git("rev-parse", "HEAD")
+
+    with open(package / "circuit.py", "a") as source:
+        source.write("# edited\n")
+    assert cli._git_revision() == git("rev-parse", "HEAD") + "+dirty"
+
+    git("commit", "-q", "-am", "edit")
+    assert cli._git_revision() == git("rev-parse", "HEAD")

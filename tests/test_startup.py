@@ -77,7 +77,7 @@ def test_transient_loads_lapack_on_first_solve(tmp_path):
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and m != "scipy.linalg._flapack")
 
         assert "lapack" not in vars(circuit)
-        drive = circuit.three_wave_drive(7.705e9, delta_bins=1, window=6e-10, settle_time=0.0).resolve()
+        drive = circuit.three_wave_drive(7.705e9, delta_bins=1, window=6e-10, settle_time=0.0)
         chain = circuit.build_chain(circuit.ChainConfig(n_cells=4), 0.684, f_ref=drive.tones[0].frequency)
         assert not scipy_loaded() and "lapack" not in vars(circuit)
         circuit.simulate_transient(chain, drive)

@@ -2,12 +2,15 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from snailtwpa import cli
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 def test_commands_are_public_functions_of_cli():
@@ -68,3 +71,21 @@ def test_demo_calls_bind_to_signatures():
                     raise AssertionError(f"{where}: {err}") from None
                 n_calls += 1
     assert n_calls
+
+
+def test_benchmark_workloads_run_and_pass_their_checks(tmp_path):
+    # the benchmark (perfbench/workloads.py, loaded from its file and left
+    # unchanged) calls the package by name; each workload's warm-up and one
+    # operation must run and pass the workload's own checks
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    declared = {entry["name"] for entry in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(workloads.WORKLOADS) == declared
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload.warm_up(workdir)
+        outputs = workload.operation(workload.prepare(0, workdir))
+        problems, _ = workload.check(outputs, outputs)
+        assert problems == [], (name, problems)
