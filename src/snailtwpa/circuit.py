@@ -10,11 +10,19 @@ z0 at node 0 and the line is terminated by z0 at node N.  External flux is
 applied with alternating sign cell-to-cell, and per-junction critical
 currents carry a bounded random spread.
 
+The shunt ESR is a fixed resistance, set once when the chain is built:
+:func:`build_chain` turns tan_delta into a resistance whose loss angle is
+tan_delta at its ``f_ref`` (the pump, in both sweeps), and every solver
+reads that one value, ``RealizedChain.esr``.  A lossy chain built without
+``f_ref`` has no ESR, and solving it raises ValueError.
+
 Integration is fixed-step trapezoidal (A-stable) with a full Newton solve
 per step.  Junction phases and the reactive branches enter through their
 trapezoidal companion models, so each Newton iteration reduces to a
 tridiagonal solve in the node voltages; the whole run is deterministic for
-a given configuration and seed.
+a given configuration and seed.  The Newton tolerance and iteration limit
+are the module constants ``NEWTON_TOL`` and ``MAX_NEWTON_ITER``, which the
+solver reads from the module as it runs.
 
 One private core, ``_integrate``, advances B independent runs (chain and
 drive) in lockstep (``_lockstep``); ``simulate_transient`` is its
@@ -77,7 +85,7 @@ import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -87,6 +95,8 @@ from .errors import NewtonDivergence, SnailTwpaError, WindowTooShort
 from .snail import SnailParams, coefficients, find_phi_star
 
 TWO_PI = 2.0 * math.pi
+NEWTON_TOL = 1e-15  # V: a step converges when max |dV| < NEWTON_TOL + 1e-10 * max |V|
+MAX_NEWTON_ITER = 20  # Newton iterations allowed per step
 
 
 def __getattr__(name):
@@ -136,7 +146,8 @@ class ChainConfig:
     (:class:`snail.SnailParams`), and a cell's r_eff lies between
     r*(1-a)/(1+a) and r*(1+a)/(1-a) (a = disorder_amplitude; the extremes
     have the three large junctions at one end of [1-a, 1+a] and the small
-    one at the other).  A config whose extreme cells leave that range is
+    one at the other).  A config whose extreme cells leave that range, or
+    whose i_c_nominal gives them a non-finite or zero i_c_eff, is
     rejected.  The extremes are computed with :func:`build_chain`'s own
     arithmetic, whose rounding is monotone in each junction factor, and
     the draws lie in [1-a, 1+a]; so every accepted config builds, whatever
@@ -168,7 +179,13 @@ class ChainConfig:
         if not 0.0 <= a <= 0.2:
             raise ValueError("disorder_amplitude must be in [0, 0.2]")
         extremes = np.array([[1.0 - a] * 3 + [1.0 + a], [1.0 + a] * 3 + [1.0 - a]])
-        r_max, r_min = _cell_ratios(self, extremes)[1]
+        with np.errstate(all="ignore"):  # a subnormal or huge i_c_nominal is reported below
+            i_c_eff, (r_max, r_min) = _cell_ratios(self, extremes)
+        if not (np.all(np.isfinite(i_c_eff)) and np.all(i_c_eff > 0.0)):
+            raise ValueError(
+                f"'i_c_nominal' = {self.i_c_nominal} with disorder_amplitude {a} gives cells with i_c_eff "
+                f"in [{i_c_eff.min():.4g}, {i_c_eff.max():.4g}]; it must be finite and positive"
+            )
         if not (0.0 < r_min and r_max < 1.0 / 3.0):
             raise ValueError(
                 f"'r' = {self.r} with disorder_amplitude {a} gives cells with r_eff in "
@@ -293,12 +310,14 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
 
 @dataclass
 class RealizedChain:
-    """Chain with disorder applied: per-cell SNAIL parameters and the
-    linearization at the flux working point."""
+    """Chain with disorder applied: per-cell SNAIL parameters, the
+    linearization at the flux working point, and the shunt ESR that every
+    solver uses, fixed by :func:`build_chain` from its ``f_ref`` (None for
+    a lossy chain built without ``f_ref``, which no solver accepts)."""
 
     config: ChainConfig
     flux: float  # external flux in Phi0 units (magnitude; sign per cell)
-    f_ref: float | None
+    esr: float | None  # ohm
     junction_factors: np.ndarray  # (n_cells, 4) uniform draws
     r_eff: np.ndarray
     i_c_eff: np.ndarray
@@ -312,19 +331,6 @@ class RealizedChain:
     @property
     def n_cells(self) -> int:
         return self.config.n_cells
-
-    def esr_ohms(self, f_ref: float | None = None) -> float:
-        """Equivalent series resistance of c_g for loss tangent tan_delta,
-        referenced at ``f_ref`` (defaults to the chain's pump frequency)."""
-        if self.config.tan_delta == 0.0:
-            return 0.0
-        f = f_ref if f_ref is not None else self.f_ref
-        if f is None:
-            raise ValueError(
-                "tan_delta > 0 requires a reference frequency for the ESR; "
-                "pass f_ref or simulate with at least one tone"
-            )
-        return self.config.tan_delta / (TWO_PI * f * self.config.c_g)
 
 
 def _cell_ratios(config: ChainConfig, factors: np.ndarray) -> tuple:
@@ -348,7 +354,19 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
     rule i_c_eff = 3 / sum(1/i_large); the small-junction draw scales
     ``r * i_c_nominal`` and sets r_eff = i_small / i_c_eff.  Cell k is
     biased at ``polarity[k] * flux``.
+
+    The shunt loss is fixed here too: the ESR of c_g is
+    tan_delta/(2*pi*f_ref*c_g), so its loss angle is tan_delta exactly at
+    ``f_ref`` (the sweeps pass the pump frequency).  A lossless chain has
+    ESR 0.0 with or without ``f_ref``; a lossy chain built without it has
+    none, and solving it raises ValueError.
     """
+    if config.tan_delta == 0.0:
+        esr = 0.0
+    elif f_ref is not None:
+        esr = config.tan_delta / (TWO_PI * f_ref * config.c_g)
+    else:
+        esr = None
     rng = np.random.default_rng(config.rng_seed)
     a = config.disorder_amplitude
     factors = rng.uniform(1.0 - a, 1.0 + a, size=(config.n_cells, 4))
@@ -373,7 +391,7 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
     return RealizedChain(
         config=config,
         flux=flux,
-        f_ref=f_ref,
+        esr=esr,
         junction_factors=factors,
         r_eff=r_eff,
         i_c_eff=i_c_eff,
@@ -389,19 +407,19 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
 @dataclass
 class TimeTrace:
     """Simulated node voltages: ``samples[j]`` is the output-port voltage
-    at t = (j+1)*dt; ``input_samples`` is the source node."""
+    at t = (j+1)*dt; ``input_samples`` is the source node; ``z0`` is the
+    port impedance, ohm, that the spectrum refers the power into."""
 
     dt: float
     samples: np.ndarray
     input_samples: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    z0: float
 
 
 @dataclass
 class Spectrum:
     """Single-sided power spectrum of the analysis window, referred into z0."""
 
-    bin_frequencies: np.ndarray
     psd_dbm: np.ndarray
     resolution: float
     power_watts: np.ndarray
@@ -411,7 +429,7 @@ class Spectrum:
         m = int(round(frequency / self.resolution))
         if abs(frequency - m * self.resolution) > 1e-3 * self.resolution:
             raise ValueError(f"{frequency} Hz is not on the bin grid")
-        if not 0 <= m < self.bin_frequencies.size:
+        if not 0 <= m < self.psd_dbm.size:
             raise ValueError(f"{frequency} Hz is outside the spectrum")
         return m
 
@@ -422,33 +440,27 @@ class Spectrum:
 _DBM_FLOOR_WATTS = 1e-40
 
 
-def simulate_transient(
-    chain: RealizedChain,
-    drive: Drive,
-    newton_tol: float = 1e-15,
-    max_newton_iter: int = 20,
-) -> TimeTrace:
+def simulate_transient(chain: RealizedChain, drive: Drive) -> TimeTrace:
     """Integrate the chain under the given drive.
 
     Initial condition is the zero-current equilibrium (all node voltages
     zero, junction phases at their working points), so an undriven chain
-    stays identically at rest.  Raises NewtonDivergence (with the failing
-    step index) if a per-step Newton solve does not reach ``newton_tol``
-    volts within ``max_newton_iter`` iterations.
+    stays identically at rest.  The shunt loss is the chain's own ESR,
+    fixed at build; a lossy chain built without ``f_ref`` raises
+    ValueError.  Raises NewtonDivergence (with the failing step index) if
+    a per-step Newton solve does not reach ``NEWTON_TOL`` volts within
+    ``MAX_NEWTON_ITER`` iterations (module constants).
     """
-    return _integrate([(chain, drive)], newton_tol, max_newton_iter)[0]
+    return _integrate([(chain, drive)])[0]
 
 
-def _esr(chain: RealizedChain, drive: Drive) -> float:
-    if chain.config.tan_delta == 0.0:
-        return 0.0
-    f_ref = chain.f_ref
-    if f_ref is None and drive.tones:
-        f_ref = drive.tones[0].frequency
-    return chain.esr_ohms(f_ref)
+def _check_shunt(chains) -> None:
+    """Raise ValueError for a lossy chain built without f_ref (it has no ESR)."""
+    if any(chain.esr is None for chain in chains):
+        raise ValueError("a lossy chain (tan_delta > 0) has no shunt ESR; pass f_ref to build_chain to set it")
 
 
-def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) -> list:
+def _integrate(members) -> list:
     """Integrate (RealizedChain, Drive) members; one TimeTrace each.
 
     Members that share the cell count, the circuit constants and the time
@@ -458,15 +470,15 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
     the earliest failing step over all members, ties going to the lowest
     member index, which it carries as ``member_index``.
     """
-    esrs = [_esr(chain, drive) for chain, drive in members]
+    _check_shunt(chain for chain, _ in members)
     groups = {}
     for i, (chain, drive) in enumerate(members):
         cfg = chain.config
-        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, esrs[i], drive.dt, drive.n_total)
+        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, chain.esr, drive.dt, drive.n_total)
         groups.setdefault(key, []).append(i)
 
     def run(part):
-        return _lockstep([members[i] for i in part], newton_tol, max_newton_iter)
+        return _lockstep([members[i] for i in part])
 
     n_parts = _parallel_parts(len(members))
     records = [None] * len(members)
@@ -485,23 +497,10 @@ def _integrate(members, newton_tol: float = 1e-15, max_newton_iter: int = 20) ->
     if failures:
         raise min(failures, key=lambda err: (err.step_index, err.member_index))
 
-    traces = []
-    for (chain, drive), esr, record in zip(members, esrs, records):
-        metadata = {
-            "n_cells": chain.n_cells,
-            "flux": chain.flux,
-            "rng_seed": chain.config.rng_seed,
-            "disorder_amplitude": chain.config.disorder_amplitude,
-            "esr_ohms": esr,
-            "dt": drive.dt,
-            "window": drive.window,
-            "n_settle": drive.n_settle,
-            "n_window": drive.n_window,
-            "tones": [(t.frequency, t.peak_current, t.phase) for t in drive.tones],
-            "z0": chain.config.z0,
-        }
-        traces.append(TimeTrace(dt=drive.dt, samples=record[1], input_samples=record[0], metadata=metadata))
-    return traces
+    return [
+        TimeTrace(dt=drive.dt, samples=record[1], input_samples=record[0], z0=chain.config.z0)
+        for (chain, drive), record in zip(members, records)
+    ]
 
 
 def _parallel_parts(n_members: int) -> int:
@@ -576,14 +575,13 @@ def _reply(run, part, write_end) -> None:
         os._exit(status)
 
 
-def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
+def _lockstep(members) -> np.ndarray:
     """Advance members of one lockstep group as one batch; their (B, 2,
     n_total) records of the input ([b, 0]) and output ([b, 1]) node.  A
     failure raises NewtonDivergence with the batch-local member_index."""
     chains = [chain for chain, _ in members]
     drives = [drive for _, drive in members]
     cfg = chains[0].config
-    esr = _esr(chains[0], drives[0])
     n = cfg.n_cells
     m = n + 1  # nodes per member
     nb = len(members)
@@ -593,7 +591,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
 
     g_cj = 2.0 * cfg.c_j / dt
     half_dt_cg = dt / (2.0 * cfg.c_g)
-    g_sh = 1.0 / (esr + half_dt_cg)
+    g_sh = 1.0 / (chains[0].esr + half_dt_cg)
     g_port = 1.0 / cfg.z0
     c_phase = math.pi * dt / PHI0  # trapezoidal phase increment per volt
 
@@ -669,7 +667,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
         pair, v, v_lo, v_hi, v_ports, v_in, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
         v_ser_head = v_ser_new[:-1]
         pending = all_members
-        for _ in range(max_newton_iter):
+        for _ in range(MAX_NEWTON_ITER):
             subtract(v_lo, v_hi, v_ser_head)
             add(v_ser_new, v_ser, phi_new)
             multiply(phi_new, c_phase, phi_new)
@@ -732,7 +730,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
                             member_index=b,
                         )
                     raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step, member_index=b)
-                if not err < newton_tol + 1e-10 * v_max[b]:
+                if not err < NEWTON_TOL + 1e-10 * v_max[b]:
                     still.append(b)
             if not still:
                 break
@@ -743,7 +741,7 @@ def _lockstep(members, newton_tol: float, max_newton_iter: int) -> np.ndarray:
         else:
             raise NewtonDivergence(
                 f"no Newton convergence at step {step} "
-                f"(|dV| = {errs[pending[0]]:.3e} V after {max_newton_iter} iterations); "
+                f"(|dV| = {errs[pending[0]]:.3e} V after {MAX_NEWTON_ITER} iterations); "
                 "reduce dt or the drive amplitude",
                 step_index=step,
                 member_index=pending[0],
@@ -780,22 +778,15 @@ def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:
             f"trace has {trace.samples.size} samples, need settle+window = "
             f"{n_settle + n_window}"
         )
-    z0 = trace.metadata.get("z0", 50.0)
+    z0 = trace.z0
     seg = trace.samples[n_settle : n_settle + n_window]
     spec = np.fft.rfft(seg)
     power = np.abs(spec) ** 2 / (n_window**2 * z0)
     power[1:] *= 2.0
     if n_window % 2 == 0:
         power[-1] *= 0.5  # Nyquist bin is not doubled
-    freqs = np.arange(power.size) / drive.window
     psd_dbm = 10.0 * np.log10(np.maximum(power, _DBM_FLOOR_WATTS) / 1e-3)
-    return Spectrum(
-        bin_frequencies=freqs,
-        psd_dbm=psd_dbm,
-        resolution=drive.resolution,
-        power_watts=power,
-        z0=z0,
-    )
+    return Spectrum(psd_dbm=psd_dbm, resolution=drive.resolution, power_watts=power, z0=z0)
 
 
 def _mixing_drive(
@@ -922,26 +913,28 @@ def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive: Drive, pha
     return {"phase": phase_grid, "gain_db": gains, "f_signal": f_signal, "pump_off_dbm": p_off}
 
 
-def linear_transfer(chain: RealizedChain, frequencies, f_ref: float | None = None) -> np.ndarray:
+def linear_transfer(chain: RealizedChain, frequencies) -> np.ndarray:
     """Small-signal frequency-domain transfer: output-node voltage per
     ampere of source current, from the nodal equations linearized at the
     flux working point.
 
     Independent of the transient integrator; used as an oracle for the
     linear regime and for insertion-loss cross-checks.  The shunt ESR is
-    the same fixed resistance the transient uses (referenced at f_ref).
+    the chain's own, the fixed resistance the transient uses (set by
+    build_chain at its f_ref); a lossy chain built without f_ref raises
+    ValueError.
     """
+    _check_shunt([chain])
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     cfg = chain.config
     n = cfg.n_cells
-    esr = chain.esr_ohms(f_ref)
     g_port = 1.0 / cfg.z0
     out = np.empty(freqs.size, dtype=complex)
     zgtsv = _lapack().zgtsv
     for idx, f in enumerate(freqs):
         jw = 1j * TWO_PI * f
         y_ser = 1.0 / (jw * chain.inductance) + jw * cfg.c_j
-        y_sh = (jw * cfg.c_g) / (1.0 + jw * cfg.c_g * esr)
+        y_sh = (jw * cfg.c_g) / (1.0 + jw * cfg.c_g * chain.esr)
         diag = np.empty(n + 1, dtype=complex)
         diag[0] = g_port + y_ser[0]
         diag[1:] = y_sh

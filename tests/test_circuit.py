@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,41 @@ def test_flux_polarity_validation():
     for bad in ({"n_cells": 4.5}, {"rng_seed": -1}, {"rng_seed": 1.5}):
         with pytest.raises(ValueError):
             ChainConfig(**bad)
+
+
+def test_subnormal_critical_current_is_rejected_by_name():
+    # 1/i_large overflows for a subnormal i_c_nominal, so i_c_eff is 0 and
+    # r_eff infinite; the config is rejected for its current, not for 'r',
+    # and without numpy warnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'i_c_nominal'"):
+            ChainConfig(n_cells=2, i_c_nominal=1e-310)
+        with pytest.raises(ValueError, match="'i_c_nominal'"):
+            ChainConfig(n_cells=2, i_c_nominal=math.inf)
+
+
+def test_build_chain_fixes_the_shunt_resistance():
+    cfg = ChainConfig(n_cells=4)
+    assert build_chain(cfg, 0.59, f_ref=F_PUMP).esr == cfg.tan_delta / (2 * math.pi * F_PUMP * cfg.c_g)
+    assert build_chain(cfg, 0.59).esr is None
+    lossless = ChainConfig(n_cells=4, tan_delta=0.0)
+    assert build_chain(lossless, 0.59).esr == 0.0
+    assert build_chain(lossless, 0.59, f_ref=F_PUMP).esr == 0.0
+
+
+def test_lossy_chain_without_f_ref_cannot_be_solved():
+    # a chain is one circuit whatever it is driven with: its ESR never
+    # falls back to the drive's first tone, so a lossy chain built without
+    # f_ref is refused by every solver
+    chain = build_chain(ChainConfig(n_cells=4), 0.59)
+    drive = three_wave_drive(F_PUMP, 0.0, 0.0011e-6, delta_bins=0, window=6e-10, settle_time=0.0)
+    with pytest.raises(ValueError, match="f_ref"):
+        simulate_transient(chain, drive)
+    with pytest.raises(ValueError, match="f_ref"):
+        circuit._integrate([(build_chain(ChainConfig(n_cells=4), 0.59, f_ref=F_PUMP), drive), (chain, drive)])
+    with pytest.raises(ValueError, match="f_ref"):
+        linear_transfer(chain, [4e9])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -203,21 +239,22 @@ def test_linear_regime_against_frequency_domain_oracle():
         assert spec.power_dbm_at(harmonic) - fund_dbm < -100.0
 
 
-def test_newton_divergence_reports_step():
+def test_newton_divergence_reports_step(monkeypatch):
     # the validated dt keeps Newton robust even far beyond the physical
     # drive range, so the budget-exhaustion path is exercised directly
     chain = build_chain(small_config(), 0.3)
     drive = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0)
+    monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NewtonDivergence) as err:
-        simulate_transient(chain, drive, max_newton_iter=1)
+        simulate_transient(chain, drive)
     assert err.value.step_index is not None
 
 
 def test_determinism_bitwise():
     cfg = ChainConfig(n_cells=10, disorder_amplitude=0.05, rng_seed=3)
     drive = three_wave_drive(F_PUMP, window=8e-9, settle_time=4e-9)
-    a = extract_spectrum(simulate_transient(build_chain(cfg, 0.5), drive), drive)
-    b = extract_spectrum(simulate_transient(build_chain(cfg, 0.5), drive), drive)
+    a = extract_spectrum(simulate_transient(build_chain(cfg, 0.5, f_ref=drive.tones[0].frequency), drive), drive)
+    b = extract_spectrum(simulate_transient(build_chain(cfg, 0.5, f_ref=drive.tones[0].frequency), drive), drive)
     np.testing.assert_array_equal(a.power_watts, b.power_watts)
     np.testing.assert_array_equal(a.psd_dbm, b.psd_dbm)
 
@@ -285,7 +322,7 @@ def synthetic_trace(f0, amp, n_settle, n_window, dt, z0=50.0):
     n_total = n_settle + n_window
     t = dt * np.arange(1, n_total + 1)
     samples = amp * np.sin(2 * np.pi * f0 * t + 0.37)
-    return TimeTrace(dt=dt, samples=samples, input_samples=np.zeros_like(samples), metadata={"z0": z0})
+    return TimeTrace(dt=dt, samples=samples, input_samples=np.zeros_like(samples), z0=z0)
 
 
 def test_spectrum_pure_sine_single_bin():
@@ -312,7 +349,7 @@ def test_spectrum_parseval():
     drive = snap_drive(tones=(), window=window, settle_time=0.0, dt=dt)
     rng = np.random.default_rng(0)
     samples = 1e-6 * rng.standard_normal(n_window)
-    trace = TimeTrace(dt=dt, samples=samples, input_samples=samples * 0, metadata={"z0": 50.0})
+    trace = TimeTrace(dt=dt, samples=samples, input_samples=samples * 0, z0=50.0)
     spec = extract_spectrum(trace, drive)
     mean_square = np.mean(samples**2)
     assert np.sum(spec.power_watts) * 50.0 == pytest.approx(mean_square, rel=1e-9)
@@ -442,7 +479,7 @@ def test_batched_flux_sweep_matches_serial_loop():
     assert out["idler_4wm_dbm"].tobytes() == np.array(serial4).tobytes()
 
 
-def test_batch_newton_divergence_reports_first_failing_step():
+def test_batch_newton_divergence_reports_first_failing_step(monkeypatch):
     # one Newton iteration per step: the undriven member converges at every
     # step, the driven one cannot, and the batch reports the driven
     # member's own failing step
@@ -450,29 +487,31 @@ def test_batch_newton_divergence_reports_first_failing_step():
     rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
     driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     assert rest.n_total == driven.n_total and rest.dt == driven.dt
-    simulate_transient(chain, rest, max_newton_iter=1)
+    monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 1)
+    simulate_transient(chain, rest)
     with pytest.raises(NewtonDivergence) as serial:
-        simulate_transient(chain, driven, max_newton_iter=1)
+        simulate_transient(chain, driven)
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, rest), (chain, driven)], max_newton_iter=1)
+        circuit._integrate([(chain, rest), (chain, driven)])
     assert batch.value.step_index == serial.value.step_index
     assert str(batch.value) == str(serial.value)
 
 
-def test_earliest_failure_over_groups_is_raised():
+def test_earliest_failure_over_groups_is_raised(monkeypatch):
     # two lockstep groups (different dt): the first fails at step 1, the
     # second at step 0, so the second member's failure is the one reported
     chain = build_chain(small_config(), 0.3)
     late = snap_drive(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12)
     early = snap_drive(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12)
+    monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 2)
     serial = {}
     for name, drive in (("late", late), ("early", early)):
         with pytest.raises(NewtonDivergence) as err:
-            simulate_transient(chain, drive, max_newton_iter=2)
+            simulate_transient(chain, drive)
         serial[name] = err.value
     assert serial["early"].step_index < serial["late"].step_index
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, late), (chain, early)], max_newton_iter=2)
+        circuit._integrate([(chain, late), (chain, early)])
     assert batch.value.step_index == serial["early"].step_index
     assert batch.value.member_index == 1
     assert str(batch.value) == str(serial["early"])
@@ -518,7 +557,7 @@ def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkey
         serial = simulate_transient(chain, drive)  # B = 1: never forks
         assert trace.samples.tobytes() == serial.samples.tobytes()
         assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
-        assert trace.metadata == serial.metadata
+        assert (trace.dt, trace.z0) == (serial.dt, serial.z0)
     assert len(forks) == 1
 
 
@@ -531,10 +570,11 @@ def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpu
     chain = build_chain(small_config(), 0.3)
     rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
     driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
+    monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 1)  # forked children inherit it
     with pytest.raises(NewtonDivergence) as serial:
-        simulate_transient(chain, driven, max_newton_iter=1)
+        simulate_transient(chain, driven)
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, rest), (chain, driven)], max_newton_iter=1)
+        circuit._integrate([(chain, rest), (chain, driven)])
     assert len(forks) == cpus - 1
     assert batch.value.step_index == serial.value.step_index
     assert batch.value.member_index == 1

@@ -127,6 +127,7 @@ def test_unknown_key_rejected(tmp_path):
         ("sms", {"phases": ["0.5"]}, "'phases'"),
         ("gain-phase", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
         ("flux-sweep", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
+        ("flux-sweep", {"chain": {"i_c_nominal": 1e-310}}, "'i_c_nominal'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):

@@ -7,7 +7,7 @@ import inspect
 import json
 from pathlib import Path
 
-from snailtwpa import cli
+from snailtwpa import circuit, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -89,3 +89,30 @@ def test_benchmark_workloads_run_and_pass_their_checks(tmp_path):
         outputs = workload.operation(workload.prepare(0, workdir))
         problems, _ = workload.check(outputs, outputs)
         assert problems == [], (name, problems)
+
+
+def test_benchmark_tracer_counts_a_traced_transient():
+    # the benchmark's --trace 1 path (perfbench/tracing.py, loaded from its
+    # file and left unchanged) wraps circuit.simulate_transient, binds its
+    # parameters by name and counts dgtsv calls through a stand-in lapack;
+    # run on the idler-700 warm-up chain and drive
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    drive = circuit.three_wave_drive(7.705e9, delta_bins=1, window=6e-10, settle_time=0.0)
+    chain = circuit.build_chain(circuit.ChainConfig(n_cells=4), 0.684, f_ref=drive.tones[0].frequency)
+    real = circuit.lapack
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert circuit.lapack is not real
+        tracer.begin(0)
+        circuit.simulate_transient(chain, drive)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts[0]
+    assert counts["circuit.steps"] == drive.n_total
+    assert counts["circuit.cell_steps"] == 4 * drive.n_total
+    assert counts["circuit.dgtsv_calls"] >= drive.n_total
+    assert circuit.lapack is real and real.__name__ == "scipy.linalg._flapack"
