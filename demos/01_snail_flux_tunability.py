@@ -15,7 +15,7 @@ import numpy as np
 from snailtwpa.snail import coefficients_vs_flux
 
 flux = np.linspace(-1.0, 1.0, 201)
-sweep = coefficients_vs_flux(0.07, 2.19e-6, flux)
+sweep = coefficients_vs_flux(0.07, flux)
 
 print(f"{'flux/Phi0':>10} {'phi*':>10} {'alpha~':>10} {'beta':>12} {'gamma':>12}")
 for k in range(0, flux.size, 10):

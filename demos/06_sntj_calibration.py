@@ -55,5 +55,5 @@ print(f"normalization factor : {normalization_factor(params):.6g} per FS unit")
 print("(gain raised by the 1 dB loss allowance first, so squeezing levels "
       "inferred with it are conservative lower bounds)")
 
-ledger = input_attenuation(s21_off=-10.0, eta_db=10 * np.log10(eta), g_sys_db=fit.g_sys_db)
-print(f"input attenuation    : {ledger.a_in:.2f} dB (from S21_off = -10 dB)")
+a_in = input_attenuation(s21_off=-10.0, eta_db=10 * np.log10(eta), g_sys_db=fit.g_sys_db)
+print(f"input attenuation    : {a_in:.2f} dB (from S21_off = -10 dB)")

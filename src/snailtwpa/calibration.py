@@ -139,8 +139,15 @@ def fit_sntj(
     Raises IllConditioned when the bias range does not reach 2*hf/e (the
     electron and system temperatures are degenerate below the coth knee)
     or when the Jacobian is not finite or numerically rank-deficient;
-    FitDivergence when the iteration budget is exhausted.
+    FitDivergence when the iteration budget is exhausted; ValueError on a
+    non-positive frequency or bandwidth (as :class:`SntjModel`) or a
+    ``max_iter`` below 1.
     """
+    for name, value in (("frequency", frequency), ("bandwidth", bandwidth)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     v = np.asarray(v_bias, dtype=float)
     y = np.asarray(psd_watts, dtype=float)
     if v.shape != y.shape or v.ndim != 1:
@@ -184,7 +191,6 @@ def fit_sntj(
     r = residual(p)
     cost = float(r @ r)
     lam = 1e-3
-    n_iter = 0
     for n_iter in range(1, max_iter + 1):
         jac = jacobian(p)
         jtj = jac.T @ jac
@@ -289,23 +295,10 @@ def normalization_factor(params: NormalizationParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class AttenuationLedger:
-    """Input-line attenuation bookkeeping, all in dB:
-    s21_off = a_in + eta_db + g_sys_db."""
-
-    s21_off: float
-    eta_db: float
-    g_sys_db: float
-
-    @property
-    def a_in(self) -> float:
-        return self.s21_off - self.eta_db - self.g_sys_db
-
-
-def input_attenuation(s21_off: float, eta_db: float, g_sys_db: float) -> AttenuationLedger:
-    """Total input-line attenuation from the pump-off transmission."""
-    return AttenuationLedger(s21_off=s21_off, eta_db=eta_db, g_sys_db=g_sys_db)
+def input_attenuation(s21_off: float, eta_db: float, g_sys_db: float) -> float:
+    """Total input-line attenuation a_in in dB from the pump-off
+    transmission, all in dB: s21_off = a_in + eta_db + g_sys_db."""
+    return s21_off - eta_db - g_sys_db
 
 
 def insertion_loss_from_tan_delta(

@@ -267,16 +267,16 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
                   which holds the spectral readout dt-converged to better
                   than 0.1 dB; must satisfy dt <= period/64 for every tone)
 
-    Raises ValueError on a non-positive window or dt, a negative settle
-    time, or a dt too coarse for a tone.
+    Raises ValueError on a non-positive or non-finite window or dt, a
+    negative or non-finite settle time, or a dt too coarse for a tone.
     """
     tones = tuple(tones)
-    if not window > 0.0:
-        raise ValueError(f"window must be positive, got {window}")
-    if not settle_time >= 0.0:
-        raise ValueError(f"settle_time must be >= 0, got {settle_time}")
-    if dt is not None and not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
+    if not 0.0 <= settle_time < math.inf:
+        raise ValueError(f"settle_time must be >= 0 and finite, got {settle_time}")
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if tones:
         f_ref = tones[0].frequency
         n_ref = max(int(round(window * f_ref)), 1)
@@ -328,10 +328,6 @@ class RealizedChain:
     gamma: np.ndarray
     inductance: np.ndarray
 
-    @property
-    def n_cells(self) -> int:
-        return self.config.n_cells
-
 
 def _cell_ratios(config: ChainConfig, factors: np.ndarray) -> tuple:
     """(i_c_eff, r_eff) of cells with the given (n, 4) junction factors."""
@@ -359,8 +355,11 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
     tan_delta/(2*pi*f_ref*c_g), so its loss angle is tan_delta exactly at
     ``f_ref`` (the sweeps pass the pump frequency).  A lossless chain has
     ESR 0.0 with or without ``f_ref``; a lossy chain built without it has
-    none, and solving it raises ValueError.
+    none, and solving it raises ValueError.  An ``f_ref`` that is neither
+    None nor positive and finite raises ValueError.
     """
+    if f_ref is not None and not 0.0 < f_ref < math.inf:
+        raise ValueError(f"f_ref must be None or positive and finite, got {f_ref}")
     if config.tan_delta == 0.0:
         esr = 0.0
     elif f_ref is not None:
@@ -790,15 +789,15 @@ def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:
 
 
 def _mixing_drive(
-    pump_photons: int, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
+    pump_photons: int, f_pump, pump_current, signal_current, delta_bins, window, settle_time, dt
 ) -> Drive:
     """Pump plus a weak signal ``delta_bins`` FFT bins below
     pump_photons*f_p/2, for the process that turns ``pump_photons`` pump
     photons into a signal and an idler (at pump_photons*f_p - f_s).  The
     window is snapped to whole pump periods, an even number for 3WM."""
-    pump = Tone(f_pump, pump_current, pump_phase)
-    if not window > 0.0:  # checked before the snapping arithmetic; snap_drive checks settle_time and dt
-        raise ValueError(f"window must be positive, got {window}")
+    pump = Tone(f_pump, pump_current)
+    if not 0.0 < window < math.inf:  # checked before the snapping arithmetic; snap_drive checks settle_time and dt
+        raise ValueError(f"window must be positive and finite, got {window}")
     periods = 2 // pump_photons
     m_pump = periods * max(int(round(window * f_pump / periods)), 1)
     window = m_pump / f_pump
@@ -814,7 +813,6 @@ def three_wave_drive(
     pump_current: float = 0.157e-6,
     signal_current: float = 0.0011e-6,
     delta_bins: int = 2,
-    pump_phase: float = 0.0,
     window: float = 60e-9,
     settle_time: float = 10e-9,
     dt: float | None = None,
@@ -823,11 +821,10 @@ def three_wave_drive(
     generated at f_p - f_s = f_p/2 + delta.  ``delta_bins`` counts FFT
     bins of the snapped window, which is snapped to an even number of
     pump periods so that f_p/2 is exactly on-grid; 0 is the degenerate
-    drive.  Raises ValueError on a non-positive window or dt, a negative
-    settle time, or a signal or idler at or below 0 Hz."""
-    return _mixing_drive(
-        1, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
-    )
+    drive.  The pump has phase 0.  Raises ValueError on a non-positive or
+    non-finite window or dt, a negative or non-finite settle time, or a
+    signal or idler at or below 0 Hz."""
+    return _mixing_drive(1, f_pump, pump_current, signal_current, delta_bins, window, settle_time, dt)
 
 
 def four_wave_drive(
@@ -835,7 +832,6 @@ def four_wave_drive(
     pump_current: float = 0.157e-6,
     signal_current: float = 0.0011e-6,
     delta_bins: int = 2,
-    pump_phase: float = 0.0,
     window: float = 60e-9,
     settle_time: float = 10e-9,
     dt: float | None = None,
@@ -843,9 +839,7 @@ def four_wave_drive(
     """Pump at f_p plus a weak signal at f_p - delta; the 4WM idler is
     generated at 2*f_p - f_s = f_p + delta.  Raises ValueError as
     :func:`three_wave_drive` does."""
-    return _mixing_drive(
-        2, f_pump, pump_current, signal_current, delta_bins, pump_phase, window, settle_time, dt
-    )
+    return _mixing_drive(2, f_pump, pump_current, signal_current, delta_bins, window, settle_time, dt)
 
 
 def idler_frequencies(drive: Drive) -> dict:

@@ -56,7 +56,6 @@ SIM_CHAIN = {**CHAIN, "n_cells": PROFILE}  # the simulating commands size the ch
 DRIVE = {
     name: param.default
     for name, param in inspect.signature(circuit.three_wave_drive).parameters.items()
-    if name != "pump_phase"
 } | {"f_pump": 7.705e9}
 NORMALIZATION = {
     f.name: f.default
@@ -319,7 +318,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
 
 def cmd_coeffs(p: SimpleNamespace) -> tuple:
     flux = np.linspace(p.flux_min, p.flux_max, p.n_points)
-    sweep = snail.coefficients_vs_flux(p.r, 1e-6, flux)  # coefficients are i_c independent
+    sweep = snail.coefficients_vs_flux(p.r, flux)
     columns = (flux, sweep["alpha_tilde"], sweep["beta"], sweep["gamma"])
     return (("flux_phi0", "alpha_tilde", "beta", "gamma"), columns), {}
 
@@ -377,7 +376,7 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
         sigma_off = gaussian.estimate_covariance(p.input_csv["OFF"])
         psi = gaussian.subtract_background(sigma_on, sigma_off, gain_uncertainty_db=p.gain_uncertainty_db)
         s_x, s_p = gaussian.squeezing_db(psi)
-        return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": json.loads(psi.to_json())}, {}
+        return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": psi.to_dict()}, {}
 
     results = []
     for idx, phase in enumerate(p.phases):
@@ -396,7 +395,7 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
                 "s_p_db": s_p,
                 "stat_err_x_db": err_x,
                 "stat_err_p_db": err_p,
-                "covariance": json.loads(psi.to_json()),
+                "covariance": psi.to_dict(),
             }
         )
         print(f"sms phase {idx + 1}/{len(p.phases)}", file=sys.stderr)
@@ -427,7 +426,7 @@ def cmd_tms(p: SimpleNamespace) -> tuple:
             "e_n": e_n,
             "nu_minus": nu,
             "e_n_true": max(-math.log(nu_true), 0.0) + 0.0,  # +0.0 normalizes -0.0
-            "covariance": json.loads(psi.to_json()),
+            "covariance": psi.to_dict(),
         }
         if psi.systematic is not None:
             lo, hi = psi.systematic
@@ -493,12 +492,11 @@ def cmd_normalize(p: SimpleNamespace) -> tuple:
 
 
 def cmd_attenuation(p: SimpleNamespace) -> tuple:
-    ledger = calibration.input_attenuation(p.s21_off_db, p.eta_db, p.g_sys_db)
     return {
-        "a_in_db": ledger.a_in,
-        "s21_off_db": ledger.s21_off,
-        "eta_db": ledger.eta_db,
-        "g_sys_db": ledger.g_sys_db,
+        "a_in_db": calibration.input_attenuation(p.s21_off_db, p.eta_db, p.g_sys_db),
+        "s21_off_db": p.s21_off_db,
+        "eta_db": p.eta_db,
+        "g_sys_db": p.g_sys_db,
     }, {}
 
 

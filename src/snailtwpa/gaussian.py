@@ -19,7 +19,6 @@ symplectic eigenvalue of the partially transposed covariance matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +40,16 @@ _SYMPLECTIC_2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _SYM_TOL = 1e-12  # CovMatrix's asymmetry bound, relative to max(1, max |entry|)
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form Omega in (x1, p1, x2, p2, ...) ordering."""
-    return np.kron(np.eye(n_modes), _SYMPLECTIC_2)
+def symplectic_form(n: int) -> np.ndarray:
+    """Standard symplectic form Omega of n modes in (x1, p1, x2, p2, ...) ordering."""
+    return np.kron(np.eye(n), _SYMPLECTIC_2)
 
 
 @dataclass
 class QuadratureBatch:
     """Repeated (x, p) quadrature records for one or two modes.
 
-    records     : array of shape (n_rep, 2*n_modes), columns ordered as
+    records     : array of shape (n_rep, 2*len(mode_labels)), columns ordered as
                   (x_signal, p_signal[, x_idler, p_idler])
     mode_labels : ("signal",) or ("signal", "idler")
     pump_state  : "ON" or "OFF"
@@ -72,10 +71,10 @@ class QuadratureBatch:
         self.mode_labels = tuple(self.mode_labels)
         if self.mode_labels not in (SINGLE_MODE, TWO_MODE):
             raise ValueError(f"mode_labels must be {SINGLE_MODE} or {TWO_MODE}")
-        n_modes = len(self.mode_labels)
-        if self.records.shape[1] != 2 * n_modes:
+        columns = 2 * len(self.mode_labels)
+        if self.records.shape[1] != columns:
             raise DimensionMismatch(
-                f"records have {self.records.shape[1]} columns, expected {2 * n_modes}"
+                f"records have {self.records.shape[1]} columns, expected {columns}"
             )
         if self.pump_state not in ("ON", "OFF"):
             raise ValueError("pump_state must be 'ON' or 'OFF'")
@@ -85,10 +84,6 @@ class QuadratureBatch:
     @property
     def n_rep(self) -> int:
         return self.records.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_labels)
 
 
 @dataclass
@@ -129,15 +124,10 @@ class CovMatrix:
         w = np.linalg.eigvalsh(self.entries + 1j * omega)
         return bool(w.min() >= -tol)
 
-    def blocks(self):
-        """A, B, C blocks of a two-mode matrix, sigma = [[A, C], [C.T, B]]."""
-        if self.dim != 4:
-            raise DimensionMismatch("block decomposition requires a 4x4 matrix")
-        e = self.entries
-        return e[:2, :2], e[2:, 2:], e[:2, 2:]
-
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The matrix as plain data: ``dim``, ``entries``, ``uncertainty``,
+        ``systematic`` (None or [lower, upper]) and ``physical``."""
+        return {
             "dim": self.dim,
             "entries": self.entries.tolist(),
             "uncertainty": None if self.uncertainty is None else self.uncertainty.tolist(),
@@ -146,20 +136,6 @@ class CovMatrix:
             else [self.systematic[0].tolist(), self.systematic[1].tolist()],
             "physical": self.is_physical(),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CovMatrix":
-        payload = json.loads(text)
-        unc = payload.get("uncertainty")
-        syst = payload.get("systematic")
-        return cls(
-            entries=np.array(payload["entries"], dtype=float),
-            uncertainty=None if unc is None else np.array(unc, dtype=float),
-            systematic=None
-            if syst is None
-            else (np.array(syst[0], dtype=float), np.array(syst[1], dtype=float)),
-        )
 
 
 def estimate_covariance(batch: QuadratureBatch) -> CovMatrix:
@@ -250,9 +226,10 @@ def logarithmic_negativity(sigma: CovMatrix):
     """
     if sigma.dim != 4:
         raise DimensionMismatch("logarithmic negativity requires a 4x4 matrix")
-    a, b, c = sigma.blocks()
+    e = sigma.entries
+    a, b, c = e[:2, :2], e[2:, 2:], e[:2, 2:]
     delta = np.linalg.det(a) + np.linalg.det(b) - 2.0 * np.linalg.det(c)
-    det_sigma = np.linalg.det(sigma.entries)
+    det_sigma = np.linalg.det(e)
     disc = delta**2 - 4.0 * det_sigma
     scale = max(delta**2, abs(4.0 * det_sigma), 1.0e-300)
     if disc < -1e-10 * scale:
@@ -280,7 +257,6 @@ def logarithmic_negativity(sigma: CovMatrix):
 
 def sample_gaussian(
     target,
-    means=None,
     n_rep: int = 10_000,
     seed=0,
     pump_state: str = "OFF",
@@ -288,7 +264,7 @@ def sample_gaussian(
     """Draw a synthetic quadrature batch with covariance ``target``.
 
     ``target`` is a CovMatrix or array in the factor-4 convention; raw
-    quadrature records are drawn from N(means, target/4) so that
+    quadrature records are drawn from N(0, target/4) so that
     :func:`estimate_covariance` recovers ``target``.  Cholesky
     factorization with a symmetric-eigendecomposition fallback for
     semidefinite targets; deterministic for a given seed.
@@ -311,8 +287,6 @@ def sample_gaussian(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(size=(n_rep, dim))
     records = z @ factor.T
-    if means is not None:
-        records = records + np.asarray(means, dtype=float)
     labels = SINGLE_MODE if dim == 2 else TWO_MODE
     return QuadratureBatch(
         records=records, mode_labels=labels, pump_state=pump_state, normalized=True

@@ -172,12 +172,14 @@ def coefficients(params: SnailParams, phi_star: float | None = None) -> SnailCoe
     )
 
 
-def coefficients_vs_flux(r: float, i_c: float, flux: np.ndarray) -> dict:
+def coefficients_vs_flux(r: float, flux: np.ndarray) -> dict:
     """Sweep the coefficients over external flux (in Phi0 units).
 
     Roots are tracked along the sweep by warm-starting each Newton solve
     with the previous flux point's phi_star.  Returns arrays keyed by
-    ``flux``, ``phi_star``, ``alpha_tilde``, ``beta``, ``gamma``.
+    ``flux``, ``phi_star``, ``alpha_tilde``, ``beta``, ``gamma``.  It takes
+    no critical current: i_c scales the current relation as a whole, so
+    it cancels from every returned quantity.
     """
     flux = np.asarray(flux, dtype=float)
     n = flux.size
@@ -187,7 +189,9 @@ def coefficients_vs_flux(r: float, i_c: float, flux: np.ndarray) -> dict:
     gamma = np.empty(n)
     guess = None
     for k in range(n):
-        params = SnailParams.from_flux(r, i_c, float(flux.flat[k]))
+        # i_c cancels but for the rounding residue of a root at 0 (beta ~1e-26
+        # at flux 0.0); 1e-6 A, what the coeffs command always passed, keeps it
+        params = SnailParams.from_flux(r, 1e-6, float(flux.flat[k]))
         root = find_phi_star(params, guess=guess)
         c = coefficients(params, phi_star=root)
         phi_star[k] = root

@@ -52,7 +52,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_coefficients():
     start = time.perf_counter()
     flux = np.linspace(-1.0, 1.0, 1001)  # phi_ext in [-2pi, 2pi]
-    sweep = snail.coefficients_vs_flux(0.07, 2.19e-6, flux)
+    sweep = snail.coefficients_vs_flux(0.07, flux)
     beta, gamma = sweep["beta"], sweep["gamma"]
     c0 = snail.coefficients(snail.SnailParams.from_flux(0.07, 2.19e-6, 0.0))
     gamma_oracle = (1.0 / 6.0) * (0.07 + 1.0 / 27.0) / (0.07 + 1.0 / 3.0)
@@ -74,7 +74,7 @@ def test_criterion_1_coefficients():
 def test_criterion_2_flux_shape(tmp_path):
     start = time.perf_counter()
     flux = np.linspace(-1.0, 1.0, 1001)
-    sweep = snail.coefficients_vs_flux(0.07, 2.19e-6, flux)
+    sweep = snail.coefficients_vs_flux(0.07, flux)
     beta, gamma = sweep["beta"], sweep["gamma"]
     crossings = np.where(np.diff(np.sign(gamma)) != 0)[0]
     extrema = [

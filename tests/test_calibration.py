@@ -7,7 +7,6 @@ import pytest
 from snailtwpa.constants import BOLTZMANN, E_CHARGE, PLANCK
 from snailtwpa.errors import FitDivergence, IllConditioned
 from snailtwpa.calibration import (
-    AttenuationLedger,
     NormalizationParams,
     SntjModel,
     fit_sntj,
@@ -166,6 +165,18 @@ def test_fit_requires_enough_points():
         fit_sntj(v, sntj_noise_power(model, v), F_HALF, BW)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"max_iter": 0}, {"frequency": -F_HALF}, {"frequency": 0.0}, {"bandwidth": -BW}, {"bandwidth": math.nan}]
+)
+def test_fit_rejects_the_inputs_the_model_rejects(bad):
+    # unchecked, max_iter 0 ends in UnboundLocalError, a negative frequency
+    # "fits" without a word and a negative bandwidth reads as ill-conditioned
+    v = bias_grid(n=201)
+    args = {"frequency": F_HALF, "bandwidth": BW, "max_iter": 500} | bad
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        fit_sntj(v, sntj_noise_power(make_model(), v), initial_guess=(1e6, 3.0, 0.04), **args)
+
+
 # --- normalization factor -------------------------------------------------
 
 
@@ -217,24 +228,22 @@ def test_upsilon_conservatism_monotonicity():
         previous_mag = mag
 
 
-# --- attenuation ledger ----------------------------------------------------
+# --- input attenuation -----------------------------------------------------
 
 
 def test_attenuation_zero_case():
-    assert input_attenuation(0.0, 0.0, 0.0).a_in == 0.0
+    assert input_attenuation(0.0, 0.0, 0.0) == 0.0
 
 
 def test_attenuation_arithmetic():
-    led = input_attenuation(-10.0, -1.0, 61.0)
-    assert led.a_in == pytest.approx(-70.0)
+    assert input_attenuation(-10.0, -1.0, 61.0) == pytest.approx(-70.0)
 
 
 def test_attenuation_round_trip_random():
     rng = np.random.default_rng(5)
     for _ in range(20):
         s21, eta, g = rng.uniform(-80, 80, size=3)
-        led = input_attenuation(s21, eta, g)
-        assert led.a_in + led.eta_db + led.g_sys_db == pytest.approx(led.s21_off, abs=1e-9)
+        assert input_attenuation(s21, eta, g) + eta + g == pytest.approx(s21, abs=1e-9)
 
 
 # --- insertion loss ---------------------------------------------------------

@@ -113,6 +113,15 @@ def test_build_chain_fixes_the_shunt_resistance():
     assert build_chain(lossless, 0.59, f_ref=F_PUMP).esr == 0.0
 
 
+@pytest.mark.parametrize("f_ref", [-1e9, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("tan_delta", [2.1e-3, 0.0], ids=["lossy", "lossless"])
+def test_build_chain_rejects_a_reference_frequency_that_sets_no_loss(f_ref, tan_delta):
+    # unchecked on a lossy chain, -1e9 gives a negative ESR, 0.0 a bare
+    # ZeroDivisionError, nan a nan ESR and inf a silently lossless chain
+    with pytest.raises(ValueError, match="f_ref"):
+        build_chain(ChainConfig(n_cells=2, tan_delta=tan_delta), 0.5, f_ref=f_ref)
+
+
 def test_lossy_chain_without_f_ref_cannot_be_solved():
     # a chain is one circuit whatever it is driven with: its ESR never
     # falls back to the drive's first tone, so a lossy chain built without
@@ -171,14 +180,25 @@ def test_drive_dt_default_and_bounds():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"dt": -1e-12}, {"dt": 0.0}, {"dt": math.nan}, {"settle_time": -5e-9}, {"settle_time": math.nan}]
+    "bad",
+    [
+        {"dt": -1e-12},
+        {"dt": 0.0},
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"settle_time": -5e-9},
+        {"settle_time": math.nan},
+        {"settle_time": math.inf},
+        {"window": math.inf},
+    ],
 )
 @pytest.mark.parametrize("tones", [(Tone(F_PUMP, 1e-7),), ()], ids=["tone", "no-tone"])
 def test_drive_spec_rejects_bad_dt_and_settle_time(tones, bad):
-    # unchecked, a negative dt snaps to one step per window and a
-    # negative settle time to no settle
+    # unchecked, a negative dt snaps to one step per window, an infinite
+    # one to a single step, a negative settle time to no settle, and an
+    # infinite window or settle time fails in the snapping arithmetic
     with pytest.raises(ValueError, match=next(iter(bad))):
-        snap_drive(tones=tones, window=6e-9, **bad)
+        snap_drive(tones=tones, **{"window": 6e-9} | bad)
 
 
 def test_three_and_four_wave_builders():
@@ -202,12 +222,16 @@ def test_three_and_four_wave_builders():
         {"window": 0.0},
         {"settle_time": -1e-9},
         {"dt": -1e-12},
+        {"window": math.inf},
+        {"window": math.nan},
+        {"settle_time": math.inf},
+        {"dt": math.inf},
         {"delta_bins": 1000},  # signal below 0 Hz
         {"delta_bins": -100, "window": 6e-10},  # idler below 0 Hz
     ],
 )
 def test_drive_builders_reject_off_grid_inputs(builder, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         builder(F_PUMP, **bad)
 
 

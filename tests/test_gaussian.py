@@ -1,4 +1,3 @@
-import json
 import math
 from pathlib import Path
 
@@ -230,12 +229,6 @@ def test_sampler_semidefinite_fallback():
     np.testing.assert_array_equal(batch.records, np.zeros((50, 2)))
 
 
-def test_sampler_means():
-    batch = sample_gaussian(np.eye(2), means=[1.0, -2.0], n_rep=100_000, seed=7)
-    assert np.mean(batch.records[:, 0]) == pytest.approx(1.0, abs=0.01)
-    assert np.mean(batch.records[:, 1]) == pytest.approx(-2.0, abs=0.01)
-
-
 # --- invariants -----------------------------------------------------------
 
 
@@ -434,10 +427,10 @@ def test_quadrature_csv_round_trip_is_bit_exact(tmp_path_factory, on, off):
 
 def test_covariance_json_round_trip():
     sigma = estimate_covariance(sample_gaussian(tmsv(0.4), n_rep=5000, seed=3))
-    text = sigma.to_json()
-    payload = json.loads(text)
+    payload = sigma.to_dict()
+    assert sorted(payload) == ["dim", "entries", "physical", "systematic", "uncertainty"]
     assert payload["dim"] == 4
     assert isinstance(payload["physical"], bool)
-    back = CovMatrix.from_json(text)
-    np.testing.assert_allclose(back.entries, sigma.entries, atol=1e-15)
-    np.testing.assert_allclose(back.uncertainty, sigma.uncertainty, atol=1e-15)
+    assert payload["systematic"] is None
+    assert payload["entries"] == sigma.entries.tolist()
+    assert payload["uncertainty"] == sigma.uncertainty.tolist()

@@ -129,7 +129,7 @@ def test_inductance_from_alpha():
 
 def test_beta_odd_gamma_even_over_sweep():
     flux = np.linspace(-1.0, 1.0, 1001)  # phi_ext in [-2pi, 2pi]
-    sweep = coefficients_vs_flux(R, I_C, flux)
+    sweep = coefficients_vs_flux(R, flux)
     beta, gamma = sweep["beta"], sweep["gamma"]
     np.testing.assert_allclose(beta, -beta[::-1], atol=1e-10)
     np.testing.assert_allclose(gamma, gamma[::-1], atol=1e-10)
@@ -138,7 +138,7 @@ def test_beta_odd_gamma_even_over_sweep():
 
 def test_gamma_changes_sign_within_sweep():
     flux = np.linspace(-1.0, 1.0, 1001)
-    gamma = coefficients_vs_flux(R, I_C, flux)["gamma"]
+    gamma = coefficients_vs_flux(R, flux)["gamma"]
     n_crossings = int(np.sum(np.diff(np.sign(gamma)) != 0))
     assert n_crossings >= 2
     assert n_crossings % 2 == 0  # even count, gamma is even in flux
@@ -173,7 +173,7 @@ def test_coefficients_periodic_in_6pi():
 
 def test_sweep_matches_pointwise():
     flux = np.linspace(-0.8, 0.8, 33)
-    sweep = coefficients_vs_flux(R, I_C, flux)
+    sweep = coefficients_vs_flux(R, flux)
     for i in (0, 7, 16, 25, 32):
         c = coefficients(SnailParams.from_flux(R, I_C, float(flux[i])))
         assert sweep["beta"][i] == pytest.approx(c.beta, abs=1e-12)

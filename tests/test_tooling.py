@@ -5,7 +5,12 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from snailtwpa import circuit, cli
 
@@ -71,6 +76,22 @@ def test_demo_calls_bind_to_signatures():
                     raise AssertionError(f"{where}: {err}") from None
                 n_calls += 1
     assert n_calls
+
+
+@pytest.mark.parametrize(
+    "demo, writes",
+    [("01_snail_flux_tunability.py", "snail_coefficients.csv"), ("06_sntj_calibration.py", None)],
+)
+def test_fast_demos_run(tmp_path, demo, writes):
+    # the demos that take under a second run to the end: a call that binds
+    # can still use its result wrongly
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    if writes is not None:
+        assert (tmp_path / writes).is_file()
 
 
 def test_benchmark_workloads_run_and_pass_their_checks(tmp_path):
