@@ -11,6 +11,8 @@ Subpackages:
                                logarithmic negativity of quadrature data
 - :mod:`snailtwpa.calibration` shot-noise (SNTJ) system-gain calibration
                                and quadrature normalization
+- :mod:`snailtwpa.parallel`    independent parts of a job, run at once
+                               in forked children
 - :mod:`snailtwpa.cli`         batch command-line front end
 """
 

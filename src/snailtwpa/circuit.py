@@ -41,21 +41,14 @@ it alone.
 
 Members that cannot share a batch (another cell count, circuit constant
 or time grid) form separate lockstep groups, which run one after another.
-Each group is cut into at most P contiguous parts of near-equal size, and
-so of near-equal cell-steps, where P is the number of CPUs this process
-may run on (``os.sched_getaffinity``).  This process runs the first part;
-a child made by ``os.fork`` runs each other part at the same time, sends
-back only its members' input and output records, pickled over a pipe, and
-leaves by ``os._exit``.  A member's arithmetic does not depend on the part
-it runs in, so the traces do not depend on P.  The run stays in this
-process when P is 1, when there is one member, when the platform has no
-``fork`` or ``sched_getaffinity``, or when another thread is alive (the
-child would inherit any lock that thread holds, held for ever).  Every part runs to its end or to
-its first failure; NewtonDivergence is then raised for the earliest
+Each group is cut into parts that run at once, in this process and in
+forked children (:mod:`snailtwpa.parallel`); a member's arithmetic does
+not depend on the part it runs in, so the traces do not depend on the
+number of usable CPUs.  scipy's LAPACK is loaded before forking, so that
+the children share this process's copy.  Every part runs to its end or
+to its first failure; NewtonDivergence is then raised for the earliest
 failing step over all groups and parts, ties going to the lowest member
-index, with the message a serial run of that member gives.  A child that
-raises sends the exception back, to be raised here; a child that ends
-without a reply raises SnailTwpaError naming its exit status.
+index, with the message a serial run of that member gives.
 
 A drive has one type, :class:`Drive`, made by :func:`snap_drive` or the
 mixing-drive builders: its tones are snapped onto the FFT bin grid of the
@@ -81,17 +74,15 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-import pickle
-import signal
 import sys
-import threading
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
+from . import parallel
 from .constants import PHI0
-from .errors import NewtonDivergence, SnailTwpaError, WindowTooShort
+from .errors import NewtonDivergence, WindowTooShort
 from .snail import SnailParams, coefficients, find_phi_star
 
 TWO_PI = 2.0 * math.pi
@@ -477,16 +468,19 @@ def _integrate(members) -> list:
         groups.setdefault(key, []).append(i)
 
     def run(part):
-        return _lockstep([members[i] for i in part])
+        try:
+            return _lockstep([members[i] for i in part])
+        except NewtonDivergence as err:  # an outcome: the other parts run on
+            return err
 
-    n_parts = _parallel_parts(len(members))
+    n_parts = parallel.usable_cpus(len(members))
+    if n_parts > 1:
+        _lapack()  # load scipy's LAPACK once, before the children copy this process
     records = [None] * len(members)
     failures = []
     for idx in groups.values():
-        k = min(n_parts, len(idx))
-        cuts = [-(-j * len(idx) // k) for j in range(k + 1)]  # the first parts take the remainder
-        parts = [idx[a:b] for a, b in zip(cuts, cuts[1:])]
-        for part, outcome in zip(parts, _run_parts(run, parts)):
+        parts = parallel.cut(idx, n_parts)
+        for part, outcome in zip(parts, parallel.run_parts(run, parts)):
             if isinstance(outcome, NewtonDivergence):
                 outcome.member_index = part[outcome.member_index]
                 failures.append(outcome)
@@ -500,78 +494,6 @@ def _integrate(members) -> list:
         TimeTrace(dt=drive.dt, samples=record[1], input_samples=record[0], z0=chain.config.z0)
         for (chain, drive), record in zip(members, records)
     ]
-
-
-def _parallel_parts(n_members: int) -> int:
-    """How many parts a lockstep group may be cut into: the usable CPUs, or
-    1 where a child cannot or should not be forked."""
-    if n_members < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1  # one run, or no fork or CPU affinity on this platform (Windows, macOS)
-    if threading.active_count() > 1:
-        return 1  # a child would inherit any lock another thread holds, held for ever
-    return len(os.sched_getaffinity(0))
-
-
-def _run_parts(run, parts) -> list:
-    """``run(part)`` for every part, all at once: the first in this process,
-    each other in a child forked for it.  An outcome is what ``run``
-    returned or the NewtonDivergence it raised; any other exception, here
-    or in a child, is raised, and so is SnailTwpaError for a child that
-    ends without a reply."""
-    if len(parts) > 1:
-        _lapack()  # load scipy's LAPACK once, before the children copy this process
-    children = []  # (pid, read end of its pipe), until reaped
-    try:
-        for part in parts[1:]:
-            read_end, write_end = os.pipe()
-            pipe = open(read_end, "rb")
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _reply(run, part, write_end)
-            finally:
-                os.close(write_end)
-            children.append((pid, pipe))
-        try:
-            outcomes = [run(parts[0])]
-        except NewtonDivergence as err:
-            outcomes = [err]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                reply = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise SnailTwpaError(f"transient worker process {pid} {how} without sending its result")
-            done, outcome = pickle.loads(reply)
-            if not (done or isinstance(outcome, NewtonDivergence)):
-                raise outcome
-            outcomes.append(outcome)
-        return outcomes
-    finally:
-        for pid, pipe in children:  # left only when this process raised: stop them
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _reply(run, part, write_end) -> None:
-    """In a forked child: run one part, write (done, records or exception)
-    to the parent and leave, never returning into the caller's code."""
-    status = 1
-    try:
-        try:
-            reply = (True, run(part))
-        except BaseException as err:  # handed to the parent, which raises it
-            reply = (False, err)
-        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _lockstep(members) -> np.ndarray:

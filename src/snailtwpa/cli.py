@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import calibration, circuit, gaussian, snail
+from . import calibration, circuit, gaussian, parallel, snail
 from .errors import ConfigError, SnailTwpaError
 
 SCHEMA_VERSION = "snailtwpa/v1"
@@ -353,21 +353,28 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _synthetic_psi(psi_true, n_add, drift, n_rep, master, idx, gain_unc) -> gaussian.CovMatrix:
-    """Background-subtracted covariance of synthetic ON and OFF records for
-    point ``idx``: the OFF state is vacuum plus ``n_add`` added photons, the
-    ON state adds ``psi_true`` on top of a background drifted by ``drift``."""
-    eye = np.eye(len(psi_true))
-    off_true = (1.0 + 2.0 * n_add) * eye
-    on_true = psi_true - eye + off_true * (1.0 + drift) ** 2
-    on_seed, off_seed = np.random.SeedSequence(entropy=master, spawn_key=(idx,)).spawn(2)
-    on = gaussian.estimate_covariance(
-        gaussian.sample_gaussian(on_true, n_rep=n_rep, seed=on_seed, pump_state="ON")
-    )
-    off = gaussian.estimate_covariance(
-        gaussian.sample_gaussian(off_true, n_rep=n_rep, seed=off_seed, pump_state="OFF")
-    )
-    return gaussian.subtract_background(on, off, gain_uncertainty_db=gain_unc)
+def _synthetic_psis(p: SimpleNamespace, targets) -> list:
+    """Background-subtracted covariances of synthetic ON and OFF records,
+    one per target state: the OFF state is vacuum plus
+    ``added_noise_photons`` photons, the ON state adds the target on top of
+    a background drifted by ``gain_drift``.  Point ``idx`` draws from its
+    own spawn key of ``seed``, so the points run at once on every usable
+    CPU (:mod:`snailtwpa.parallel`) with the same bits for any number."""
+
+    def point(idx):
+        eye = np.eye(len(targets[idx]))
+        off_true = (1.0 + 2.0 * p.added_noise_photons) * eye
+        on_true = targets[idx] - eye + off_true * (1.0 + p.gain_drift) ** 2
+        on_seed, off_seed = np.random.SeedSequence(entropy=p.seed, spawn_key=(idx,)).spawn(2)
+        on = gaussian.estimate_covariance(
+            gaussian.sample_gaussian(on_true, n_rep=p.n_rep, seed=on_seed, pump_state="ON")
+        )
+        off = gaussian.estimate_covariance(
+            gaussian.sample_gaussian(off_true, n_rep=p.n_rep, seed=off_seed, pump_state="OFF")
+        )
+        return gaussian.subtract_background(on, off, gain_uncertainty_db=p.gain_uncertainty_db)
+
+    return parallel.map_parts(point, range(len(targets)))
 
 
 def cmd_sms(p: SimpleNamespace) -> tuple:
@@ -378,13 +385,12 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
         s_x, s_p = gaussian.squeezing_db(psi)
         return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": psi.to_dict()}, {}
 
-    results = []
-    for idx, phase in enumerate(p.phases):
+    targets = []
+    for phase in p.phases:
         rot = _rotation(p.target_theta + phase)
-        psi_true = rot @ np.diag([p.squeeze, 1.0 / p.squeeze]) @ rot.T
-        psi = _synthetic_psi(
-            psi_true, p.added_noise_photons, p.gain_drift, p.n_rep, p.seed, idx, p.gain_uncertainty_db
-        )
+        targets.append(rot @ np.diag([p.squeeze, 1.0 / p.squeeze]) @ rot.T)
+    results = []
+    for idx, (phase, psi) in enumerate(zip(p.phases, _synthetic_psis(p, targets))):
         s_x, s_p = gaussian.squeezing_db(psi)
         err_x = 10.0 / math.log(10.0) * psi.uncertainty[0, 0] / psi.entries[0, 0]
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
@@ -411,14 +417,13 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
 
 
 def cmd_tms(p: SimpleNamespace) -> tuple:
-    results = []
-    for idx, r in enumerate(p.r_values):
+    targets = []
+    for r in p.r_values:
         a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
         c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
-        psi_true = np.block([[a_block, c_block], [c_block.T, a_block]])
-        psi = _synthetic_psi(
-            psi_true, p.added_noise_photons, p.gain_drift, p.n_rep, p.seed, idx, p.gain_uncertainty_db
-        )
+        targets.append(np.block([[a_block, c_block], [c_block.T, a_block]]))
+    results = []
+    for idx, (r, psi_true, psi) in enumerate(zip(p.r_values, targets, _synthetic_psis(p, targets))):
         e_n, nu = gaussian.logarithmic_negativity(psi)
         nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     ComplexEigenvalue,
     DegenerateBatch,
@@ -299,20 +300,19 @@ def sample_gaussian(
 _CSV_ROW = np.dtype([("rep", "i8"), ("mode", "U7"), ("x", "f8"), ("p", "f8"), ("pump", "U4")])
 
 
-def _csv_rows(batch: QuadratureBatch) -> list:
-    """The data lines of one batch, one per (repetition, mode) in that order.
-
-    A function of its own so that the ``tolist()`` copy of one batch is
-    freed before the next batch's copy is made.
-    """
+def _csv_text(batch: QuadratureBatch, reps: range) -> str:
+    """The data lines of repetitions ``reps`` of one batch, one per
+    (repetition, mode) in that order, each ending in a newline."""
     state = batch.pump_state
-    records = batch.records.tolist()
+    records = batch.records[reps.start : reps.stop].tolist()
     if batch.mode_labels == SINGLE_MODE:
-        return [f"{i},signal,{x!r},{p!r},{state}" for i, (x, p) in enumerate(records)]
-    return [
-        f"{i},signal,{xs!r},{ps!r},{state}\n{i},idler,{xi!r},{pi!r},{state}"
-        for i, (xs, ps, xi, pi) in enumerate(records)
-    ]
+        return "".join([f"{i},signal,{x!r},{p!r},{state}\n" for i, (x, p) in zip(reps, records)])
+    return "".join(
+        [
+            f"{i},signal,{xs!r},{ps!r},{state}\n{i},idler,{xi!r},{pi!r},{state}\n"
+            for i, (xs, ps, xi, pi) in zip(reps, records)
+        ]
+    )
 
 
 def write_quadrature_csv(path, batches) -> None:
@@ -323,6 +323,14 @@ def write_quadrature_csv(path, batches) -> None:
     same float).  Header comments record the format version, normalization
     state and mode labels.  All batches must share the same normalization
     state.
+
+    The rows are formatted in parts: each batch is cut into contiguous
+    repetition ranges, at most one per usable CPU, and the ranges run at
+    once in this process and in forked children (:mod:`snailtwpa.parallel`).
+    The file is opened only once every part's text is back, and is written
+    as the header followed by the parts in order, so its bytes do not
+    depend on the number of parts; a part that fails raises before the
+    file is created or truncated.
     """
     if isinstance(batches, QuadratureBatch):
         batches = [batches]
@@ -330,16 +338,18 @@ def write_quadrature_csv(path, batches) -> None:
     if len(normalized) != 1:
         raise ValueError("cannot mix normalized and raw batches in one file")
     labels = max((b.mode_labels for b in batches), key=len)
-    lines = [
-        "# snailtwpa quadrature records v1",
-        f"# normalized={'true' if normalized.pop() else 'false'}",
-        f"# modes={','.join(labels)}",
-        "rep_index,mode,x,p,pump_state",
-    ]
-    for batch in batches:
-        lines += _csv_rows(batch)
+    header = (
+        "# snailtwpa quadrature records v1\n"
+        f"# normalized={'true' if normalized.pop() else 'false'}\n"
+        f"# modes={','.join(labels)}\n"
+        "rep_index,mode,x,p,pump_state\n"
+    )
+    n_parts = parallel.usable_cpus(sum(b.n_rep for b in batches))
+    pieces = [(b, reps) for b in batches for reps in parallel.cut(range(b.n_rep), n_parts)]
+    texts = parallel.map_parts(lambda piece: _csv_text(*piece), pieces)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        fh.writelines(texts)
 
 
 def _first_bad_row(lines: list) -> int:

@@ -544,23 +544,6 @@ def test_earliest_failure_over_groups_is_raised(monkeypatch):
 # --- parts run in forked children ----------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs whatever the host has; the list of forks made."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the platform cannot fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    made = []
-    fork = os.fork
-
-    def counting():
-        made.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return made
-
-
 def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkeypatch):
     batches = []
     integrate = circuit._integrate

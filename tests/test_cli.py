@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import warnings
@@ -431,6 +432,28 @@ def test_tms_thermal_noise_kills_entanglement(tmp_path):
 
 
 # --- sntj-fit ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("tms", {"r_values": [0.3, 0.8], "n_rep": 3000, "seed": 5}),
+        ("sms", {"target_s_db": -3.0, "phases": [0.0, 0.7], "n_rep": 3000, "seed": 5}),
+    ],
+)
+def test_synthetic_points_write_the_same_bytes_on_any_cpu_count(tmp_path, forks, monkeypatch, command, config):
+    # each point draws from its own spawn key, so the points may run in
+    # forked children; two points make at most two parts
+    cfg = write_config(tmp_path, config)
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        before = len(forks)
+        out = tmp_path / f"{cpus} cpus"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert len(forks) - before == min(cpus, 2) - 1
+        written[cpus] = [(out / name).read_bytes() for name in ("result.json", "meta.json")]
+    assert written[2] == written[1] and written[3] == written[1]
 
 
 def test_sntj_fit_command(tmp_path):

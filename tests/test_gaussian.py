@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from snailtwpa import gaussian
 from snailtwpa.errors import (
     ComplexEigenvalue,
     DegenerateBatch,
@@ -14,6 +17,7 @@ from snailtwpa.errors import (
     NonPositiveVariance,
     NotNormalized,
     NotPSD,
+    SnailTwpaError,
 )
 from snailtwpa.gaussian import (
     CovMatrix,
@@ -423,6 +427,70 @@ def test_quadrature_csv_round_trip_is_bit_exact(tmp_path_factory, on, off):
     back = read_quadrature_csv(path)
     assert back["ON"].records.tobytes() == on.tobytes()
     assert back["OFF"].records.tobytes() == off.tobytes()
+
+
+# --- the writer's parts run in forked children -----------------------------
+
+
+def _layouts(n_rep):
+    one = sample_gaussian(np.diag([0.5, 2.0]), n_rep=n_rep, seed=4, pump_state="OFF")
+    two = sample_gaussian(tmsv(0.3), n_rep=n_rep, seed=5, pump_state="ON")
+    return {"one-mode": [one], "two-mode": [two], "mixed": [two, one]}
+
+
+@pytest.mark.parametrize("n_rep", [7, 2], ids=["7 reps", "2 reps"])
+@pytest.mark.parametrize("layout", ["one-mode", "two-mode", "mixed"])
+def test_quadrature_csv_parts_write_one_cpu_bytes(tmp_path, forks, monkeypatch, layout, n_rep):
+    # 7 repetitions do not divide into 2 or 3 parts; 2 repetitions are
+    # fewer than 3 CPUs, and no part may be empty, so a batch of them is
+    # cut in 2 and all the batches' ranges make at most 3 parts
+    batches = _layouts(n_rep)[layout]
+    written = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        before = len(forks)
+        write_quadrature_csv(tmp_path / f"{cpus}.csv", batches)
+        written[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
+        assert len(forks) - before == min(cpus, len(batches) * min(cpus, n_rep)) - 1
+    reference_write(tmp_path / "ref.csv", batches)
+    assert written[1] == (tmp_path / "ref.csv").read_bytes()
+    assert written[2] == written[1] and written[3] == written[1]
+
+
+@pytest.mark.parametrize("fate", ["exit", "raise"])
+def test_quadrature_csv_part_that_fails_leaves_no_file(tmp_path, forks, monkeypatch, fate):
+    parent = os.getpid()
+    csv_text = gaussian._csv_text
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            if fate == "exit":
+                os._exit(3)
+            raise RuntimeError("lost in the child")
+        return csv_text(*args)
+
+    monkeypatch.setattr(gaussian, "_csv_text", failing_in_child)
+    expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
+    with pytest.raises(expected[0], match=expected[1]):
+        write_quadrature_csv(tmp_path / "quad.csv", _layouts(4)["two-mode"])
+    assert len(forks) == 1
+    assert not (tmp_path / "quad.csv").exists()
+
+
+def test_quadrature_csv_write_stays_in_process_while_another_thread_runs(tmp_path, forks):
+    batches = _layouts(7)["mixed"]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60.0,))
+    thread.start()
+    try:
+        write_quadrature_csv(tmp_path / "quad.csv", batches)
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert not forks
+    reference_write(tmp_path / "ref.csv", batches)
+    assert (tmp_path / "quad.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_covariance_json_round_trip():

@@ -30,11 +30,16 @@ def run_python(code: str, cwd) -> None:
 def test_analysis_commands_load_no_scipy(tmp_path):
     run_python(
         """
-        import json, sys, warnings
+        import json, os, sys, warnings
         import numpy as np
         import snailtwpa, snailtwpa.cli
-        from snailtwpa import calibration
+        from snailtwpa import calibration, gaussian
         from snailtwpa.cli import main
+
+        # two usable CPUs, so that tms, sms and the CSV writer fork their parts
+        os.sched_getaffinity = lambda pid: {0, 1}
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -46,8 +51,8 @@ def test_analysis_commands_load_no_scipy(tmp_path):
         np.savetxt("sntj.csv", np.column_stack([v, calibration.sntj_noise_power(model, v)]), delimiter=",")
         configs = {
             "coeffs": {"n_points": 11},
-            "sms": {"target_s_db": -3.0, "n_rep": 1000, "seed": 1},
-            "tms": {"r_values": [0.5], "n_rep": 1000, "seed": 1},
+            "sms": {"target_s_db": -3.0, "phases": [0.0, 0.5], "n_rep": 1000, "seed": 1},
+            "tms": {"r_values": [0.5, 1.0], "n_rep": 20000, "seed": 1},
             "sntj-fit": {"csv": "sntj.csv", "frequency": model.frequency, "bandwidth": 3e3},
             "normalize": {"g_sys_db": 61.7, "f_acq": model.frequency},
             "attenuation": {"s21_off_db": -10.0, "eta_db": -1.0, "g_sys_db": 61.0},
@@ -56,6 +61,8 @@ def test_analysis_commands_load_no_scipy(tmp_path):
             with open(command + ".json", "w") as f:
                 json.dump(config, f)
             assert main([command, "--config", command + ".json", "--out", command]) == 0, command
+        gaussian.write_quadrature_csv("quad.csv", gaussian.sample_gaussian(np.eye(2), n_rep=10, seed=1))
+        assert len(forks) == 3, forks
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """,
