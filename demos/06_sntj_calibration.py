@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from snailtwpa.calibration import (
-    NormalizationParams,
     SntjModel,
     fit_sntj,
     input_attenuation,
@@ -50,8 +49,8 @@ inductance = coefficients(SnailParams.from_flux(0.07, 2.19e-6, 0.0)).inductance
 eta = insertion_loss_from_tan_delta(2.1e-3, 700, F_ACQ, inductance, 250e-15, 50e-15)
 print(f"\ninsertion loss eta   : {eta:.4f} ({10 * np.log10(eta):+.2f} dB over 700 cells)")
 
-params = NormalizationParams(eta=eta, g_sys=fit.g_sys, f_acq=F_ACQ)
-print(f"normalization factor : {normalization_factor(params):.6g} per FS unit")
+upsilon = normalization_factor(eta=eta, g_sys=fit.g_sys, f_acq=F_ACQ)
+print(f"normalization factor : {upsilon:.6g} per FS unit")
 print("(gain raised by the 1 dB loss allowance first, so squeezing levels "
       "inferred with it are conservative lower bounds)")
 

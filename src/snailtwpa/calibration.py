@@ -40,7 +40,7 @@ class SntjModel:
     bandwidth  : measurement bandwidth in Hz
     t_electron : SNTJ electron temperature in K
     t_sys      : system noise temperature in K
-    g_sys      : system power gain, linear (use g_sys_db for display)
+    g_sys      : system power gain, linear
     """
 
     frequency: float
@@ -60,10 +60,6 @@ class SntjModel:
                 "assumption of the SNTJ model is marginal",
                 stacklevel=2,
             )
-
-    @property
-    def g_sys_db(self) -> float:
-        return 10.0 * math.log10(self.g_sys)
 
 
 def _thermal_knee(x, t_electron):
@@ -252,47 +248,38 @@ def fit_sntj(
     )
 
 
-@dataclass
-class NormalizationParams:
-    """Inputs to the full-scale-to-photon-units normalization factor.
+def normalization_factor(
+    eta: float,
+    g_sys: float,
+    f_acq: float,
+    z0: float = 50.0,
+    t_int: float = 10e-6,
+    epsilon: float = 0.98,
+    loss_correction_db: float = 1.0,
+) -> float:
+    """upsilon = epsilon * sqrt(eta * t_int / (G_up * Z0 * h * f_acq)),
+    the full-scale-to-photon-units normalization factor.
 
     eta     : device insertion loss, linear in (0, 1]
     g_sys   : fitted system gain, linear
-    z0      : line impedance in ohm
     f_acq   : acquisition frequency in Hz
+    z0      : line impedance in ohm
     t_int   : integration time per acquisition in s
     epsilon : digitizer full-scale-to-volt conversion coefficient
-    loss_correction_db : allowance for the SNTJ-side insertion loss; the
-        fitted gain is raised by this amount (upper-bound gain) before
-        use, making the inferred squeezing a conservative lower bound
+    loss_correction_db : allowance for the SNTJ-side insertion loss; G_up
+        is the fitted gain raised by this amount (upper-bound gain), making
+        the inferred squeezing a conservative lower bound
+
+    Raises ValueError, naming the input, for an eta outside (0, 1] or a
+    non-positive g_sys, f_acq, z0, t_int or epsilon.
     """
-
-    eta: float
-    g_sys: float
-    f_acq: float
-    z0: float = 50.0
-    t_int: float = 10e-6
-    epsilon: float = 0.98
-    loss_correction_db: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        for name in ("g_sys", "f_acq", "z0", "t_int", "epsilon"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-def normalization_factor(params: NormalizationParams) -> float:
-    """upsilon = epsilon * sqrt(eta * t_int / (G_up * Z0 * h * f_acq)).
-
-    G_up is the fitted system gain corrected to its upper bound by
-    ``loss_correction_db``.
-    """
-    g_up = params.g_sys * 10.0 ** (params.loss_correction_db / 10.0)
-    return params.epsilon * math.sqrt(
-        params.eta * params.t_int / (g_up * params.z0 * PLANCK * params.f_acq)
-    )
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    for name, value in (("g_sys", g_sys), ("f_acq", f_acq), ("z0", z0), ("t_int", t_int), ("epsilon", epsilon)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+    g_up = g_sys * 10.0 ** (loss_correction_db / 10.0)
+    return epsilon * math.sqrt(eta * t_int / (g_up * z0 * PLANCK * f_acq))
 
 
 def input_attenuation(s21_off: float, eta_db: float, g_sys_db: float) -> float:

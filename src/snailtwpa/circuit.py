@@ -44,11 +44,11 @@ or time grid) form separate lockstep groups, which run one after another.
 Each group is cut into parts that run at once, in this process and in
 forked children (:mod:`snailtwpa.parallel`); a member's arithmetic does
 not depend on the part it runs in, so the traces do not depend on the
-number of usable CPUs.  scipy's LAPACK is loaded before forking, so that
-the children share this process's copy.  Every part runs to its end or
-to its first failure; NewtonDivergence is then raised for the earliest
-failing step over all groups and parts, ties going to the lowest member
-index, with the message a serial run of that member gives.
+number of usable CPUs.  scipy's LAPACK is loaded before the first group,
+so that the children share this process's copy.  Every part runs to its
+end or to its first failure; NewtonDivergence is then raised for the
+earliest failing step over all groups and parts, ties going to the lowest
+member index, with the message a serial run of that member gives.
 
 A drive has one type, :class:`Drive`, made by :func:`snap_drive` or the
 mixing-drive builders: its tones are snapped onto the FFT bin grid of the
@@ -228,8 +228,8 @@ class Drive:
         return 1.0 / self.window
 
     def resolve(self) -> Drive:
-        """Itself.  Only the benchmark's workloads (perfbench/workloads.py)
-        call it, on a drive builder's result."""
+        """Itself.  Only the benchmark (perfbench/workloads.py and
+        perfbench/tracing.py) calls it, on a drive builder's result."""
         return self
 
     def tone_bin(self, frequency: float) -> int:
@@ -307,14 +307,12 @@ class RealizedChain:
     a lossy chain built without ``f_ref``, which no solver accepts)."""
 
     config: ChainConfig
-    flux: float  # external flux in Phi0 units (magnitude; sign per cell)
     esr: float | None  # ohm
     junction_factors: np.ndarray  # (n_cells, 4) uniform draws
     r_eff: np.ndarray
     i_c_eff: np.ndarray
     phi_ext: np.ndarray  # signed, radians
     phi_star: np.ndarray
-    alpha_tilde: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
     inductance: np.ndarray
@@ -365,7 +363,6 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
 
     n = config.n_cells
     phi_star = np.empty(n)
-    alpha = np.empty(n)
     beta = np.empty(n)
     gamma = np.empty(n)
     inductance = np.empty(n)
@@ -374,20 +371,17 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
         root = find_phi_star(params)
         c = coefficients(params, phi_star=root)
         phi_star[k] = root
-        alpha[k] = c.alpha_tilde
         beta[k] = c.beta
         gamma[k] = c.gamma
         inductance[k] = c.inductance
     return RealizedChain(
         config=config,
-        flux=flux,
         esr=esr,
         junction_factors=factors,
         r_eff=r_eff,
         i_c_eff=i_c_eff,
         phi_ext=phi_ext,
         phi_star=phi_star,
-        alpha_tilde=alpha,
         beta=beta,
         gamma=gamma,
         inductance=inductance,
@@ -473,14 +467,13 @@ def _integrate(members) -> list:
         except NewtonDivergence as err:  # an outcome: the other parts run on
             return err
 
-    n_parts = parallel.usable_cpus(len(members))
-    if n_parts > 1:
-        _lapack()  # load scipy's LAPACK once, before the children copy this process
+    _lapack()  # load scipy's LAPACK once, before any child copies this process
+    n_parts = parallel.usable_cpus()
     records = [None] * len(members)
     failures = []
     for idx in groups.values():
         parts = parallel.cut(idx, n_parts)
-        for part, outcome in zip(parts, parallel.run_parts(run, parts)):
+        for part, outcome in zip(parts, parallel.map_parts(run, parts)):
             if isinstance(outcome, NewtonDivergence):
                 outcome.member_index = part[outcome.member_index]
                 failures.append(outcome)

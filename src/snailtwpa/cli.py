@@ -58,9 +58,9 @@ DRIVE = {
     for name, param in inspect.signature(circuit.three_wave_drive).parameters.items()
 } | {"f_pump": 7.705e9}
 NORMALIZATION = {
-    f.name: f.default
-    for f in dataclasses.fields(calibration.NormalizationParams)
-    if f.default is not dataclasses.MISSING
+    name: param.default
+    for name, param in inspect.signature(calibration.normalization_factor).parameters.items()
+    if param.default is not param.empty
 }
 SYNTHETIC = {  # the keys sms and tms share
     "added_noise_photons": 1.5,
@@ -87,7 +87,7 @@ TABLES = {
         "n_phases": 9,
         **{key: DRIVE[key] for key in ("pump_current", "signal_current", "window", "settle_time")},
     },
-    "sms": {**SYNTHETIC, "target_s_db": 0.0, "target_theta": 0.0, "phases": [0.0], "input_csv": ""},
+    "sms": {**SYNTHETIC, "target_s_db": 0.0, "phases": [0.0], "input_csv": ""},
     "tms": {**SYNTHETIC, "r_values": [0.0, 0.25, 0.5, 0.75, 1.0], "thermal_photons": 0.0},
     "sntj-fit": {
         "csv": str,
@@ -239,8 +239,8 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     TABLES, checked, and built into the library's objects: the chain block
     into a ChainConfig, the drive block into the (3WM, 4WM) drive pair,
     gain-phase's drive keys into its degenerate 3WM drive, input files
-    into their contents and the normalization keys into
-    NormalizationParams and its factor ``upsilon``.  ``seed`` (--seed),
+    into their contents and the normalization keys into the factor
+    ``upsilon`` of :func:`calibration.normalization_factor`.  ``seed`` (--seed),
     when given, replaces the chain's ``rng_seed`` and the ``seed`` of sms
     and tms.
 
@@ -305,8 +305,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
             p.eta = _build("cannot compute 'eta' from the chain", _insertion_loss, p.chain, p.flux, p.f_acq)
         g_sys = _gain_from_db(p.g_sys_db, "'g_sys_db'")
         fields = {key: getattr(p, key) for key in NORMALIZATION}
-        params = _build("invalid normalization", calibration.NormalizationParams, p.eta, g_sys, p.f_acq, **fields)
-        p.upsilon = _build("invalid normalization", calibration.normalization_factor, params)
+        p.upsilon = _build("invalid normalization", calibration.normalization_factor, p.eta, g_sys, p.f_acq, **fields)
     return p
 
 
@@ -385,12 +384,13 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
         s_x, s_p = gaussian.squeezing_db(psi)
         return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": psi.to_dict()}, {}
 
+    print(f"sms: {len(p.phases)} phases, n_rep={p.n_rep}", file=sys.stderr)
     targets = []
     for phase in p.phases:
-        rot = _rotation(p.target_theta + phase)
+        rot = _rotation(phase)
         targets.append(rot @ np.diag([p.squeeze, 1.0 / p.squeeze]) @ rot.T)
     results = []
-    for idx, (phase, psi) in enumerate(zip(p.phases, _synthetic_psis(p, targets))):
+    for phase, psi in zip(p.phases, _synthetic_psis(p, targets)):
         s_x, s_p = gaussian.squeezing_db(psi)
         err_x = 10.0 / math.log(10.0) * psi.uncertainty[0, 0] / psi.entries[0, 0]
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
@@ -404,7 +404,6 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
                 "covariance": psi.to_dict(),
             }
         )
-        print(f"sms phase {idx + 1}/{len(p.phases)}", file=sys.stderr)
     payload = {
         "mode": "synthetic",
         "target_s_db": p.target_s_db,
@@ -417,13 +416,14 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
 
 
 def cmd_tms(p: SimpleNamespace) -> tuple:
+    print(f"tms: {len(p.r_values)} points, n_rep={p.n_rep}", file=sys.stderr)
     targets = []
     for r in p.r_values:
         a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
         c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
         targets.append(np.block([[a_block, c_block], [c_block.T, a_block]]))
     results = []
-    for idx, (r, psi_true, psi) in enumerate(zip(p.r_values, targets, _synthetic_psis(p, targets))):
+    for r, psi_true, psi in zip(p.r_values, targets, _synthetic_psis(p, targets)):
         e_n, nu = gaussian.logarithmic_negativity(psi)
         nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {
@@ -437,7 +437,6 @@ def cmd_tms(p: SimpleNamespace) -> tuple:
             lo, hi = psi.systematic
             entry["e_n_sys_range"] = [_safe_en(lo), _safe_en(hi)]
         results.append(entry)
-        print(f"tms point {idx + 1}/{len(p.r_values)}", file=sys.stderr)
     payload = {
         "mode": "synthetic",
         "n_rep": p.n_rep,

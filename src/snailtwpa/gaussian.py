@@ -264,13 +264,13 @@ def sample_gaussian(
 ) -> QuadratureBatch:
     """Draw a synthetic quadrature batch with covariance ``target``.
 
-    ``target`` is a CovMatrix or array in the factor-4 convention; raw
+    ``target`` is an array in the factor-4 convention; raw
     quadrature records are drawn from N(0, target/4) so that
     :func:`estimate_covariance` recovers ``target``.  Cholesky
     factorization with a symmetric-eigendecomposition fallback for
     semidefinite targets; deterministic for a given seed.
     """
-    matrix = target.entries if isinstance(target, CovMatrix) else np.asarray(target, float)
+    matrix = np.asarray(target, float)
     matrix = 0.5 * (matrix + matrix.T)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim) or dim not in (2, 4):
@@ -316,7 +316,7 @@ def _csv_text(batch: QuadratureBatch, reps: range) -> str:
 
 
 def write_quadrature_csv(path, batches) -> None:
-    """Write quadrature batches to the interchange CSV format.
+    """Write a list of quadrature batches to the interchange CSV format.
 
     One row per (repetition, mode): ``rep_index,mode,x,p,pump_state``, with
     x and p written as ``repr`` (the shortest decimal that reads back to the
@@ -332,8 +332,6 @@ def write_quadrature_csv(path, batches) -> None:
     depend on the number of parts; a part that fails raises before the
     file is created or truncated.
     """
-    if isinstance(batches, QuadratureBatch):
-        batches = [batches]
     normalized = {b.normalized for b in batches}
     if len(normalized) != 1:
         raise ValueError("cannot mix normalized and raw batches in one file")
@@ -344,7 +342,7 @@ def write_quadrature_csv(path, batches) -> None:
         f"# modes={','.join(labels)}\n"
         "rep_index,mode,x,p,pump_state\n"
     )
-    n_parts = parallel.usable_cpus(sum(b.n_rep for b in batches))
+    n_parts = parallel.usable_cpus()
     pieces = [(b, reps) for b in batches for reps in parallel.cut(range(b.n_rep), n_parts)]
     texts = parallel.map_parts(lambda piece: _csv_text(*piece), pieces)
     with open(path, "w") as fh:

@@ -1,21 +1,22 @@
 """Independent parts of a job, run at once on every usable CPU.
 
-A caller cuts its independent items (the members of a lockstep transient
-batch, the points of a synthetic squeezing sweep, the row ranges of a
-quadrature CSV) into at most P contiguous parts of near-equal size with
-:func:`cut`, where P is the number of CPUs this process may run on
-(``os.sched_getaffinity``, read by :func:`usable_cpus`).  :func:`run_parts`
-runs the first part in this process; a child made by ``os.fork`` runs each
-other part at the same time, sends back only what its part returned,
-pickled over a pipe, and leaves by ``os._exit``.  An item's arithmetic does
-not depend on the part it runs in, so the results do not depend on P.  The
-work stays in this process when P is 1, when there is one item, when the
-platform has no ``fork`` or ``sched_getaffinity``, or when another thread
-is alive (the child would inherit any lock that thread holds, held for
-ever).  A child that raises sends the exception back, to be raised here; a
-child that ends without a reply raises SnailTwpaError naming its exit
-status.  Nothing is loaded before forking: a caller that wants a module in
-every child (the transient solver's LAPACK) loads it first.
+The one runner is :func:`map_parts`: it computes ``fn(item)`` for
+independent items (the point indices of a synthetic squeezing sweep, the
+row ranges of a quadrature CSV, the member chunks of a lockstep transient
+batch) by cutting them with :func:`cut` into at most P contiguous parts,
+where P is the number of CPUs this process may run on
+(``os.sched_getaffinity``, read by :func:`usable_cpus`).  It runs the first
+part in this process; a child made by ``os.fork`` runs each other part at
+the same time, sends back only what its part returned, pickled over a pipe,
+and leaves by ``os._exit``.  An item's arithmetic does not depend on the
+part it runs in, so the results do not depend on P.  The work stays in this
+process when P is 1, when there is one item, when the platform has no
+``fork`` or ``sched_getaffinity``, or when another thread is alive (the
+child would inherit any lock that thread holds, held for ever).  A child
+that raises sends the exception back, to be raised here; a child that ends
+without a reply raises SnailTwpaError naming its exit status.  Nothing is
+loaded before forking: a caller that wants a module in every child (the
+transient solver's LAPACK) loads it first.
 """
 
 from __future__ import annotations
@@ -28,20 +29,20 @@ import threading
 from .errors import SnailTwpaError
 
 
-def usable_cpus(n_items: int) -> int:
-    """How many parts ``n_items`` independent items may be cut into: the
-    usable CPUs, or 1 where a child cannot or should not be forked."""
-    if n_items < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1  # one item, or no fork or CPU affinity on this platform (Windows, macOS)
+def usable_cpus() -> int:
+    """How many parts independent items may be cut into: the usable CPUs,
+    or 1 where a child cannot or should not be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1  # no fork or CPU affinity on this platform (Windows, macOS)
     if threading.active_count() > 1:
         return 1  # a child would inherit any lock another thread holds, held for ever
     return len(os.sched_getaffinity(0))
 
 
 def cut(items, n_parts: int) -> list:
-    """``items`` (a list or range) in at most ``n_parts`` contiguous parts
-    of near-equal size, the first parts taking the remainder; no part is
-    empty unless ``items`` is, which gives one empty part."""
+    """``items`` (a list or range) in at most ``n_parts`` contiguous parts,
+    in order, whose sizes differ by at most one; no part is empty unless
+    ``items`` is, which gives one empty part."""
     k = max(1, min(n_parts, len(items)))
     cuts = [-(-j * len(items) // k) for j in range(k + 1)]
     return [items[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -50,11 +51,11 @@ def cut(items, n_parts: int) -> list:
 def map_parts(fn, items) -> list:
     """``[fn(item) for item in items]``, the items cut into parts that run
     at once (see the module docstring)."""
-    parts = cut(items, usable_cpus(len(items)))
-    return [out for outcome in run_parts(lambda part: [fn(item) for item in part], parts) for out in outcome]
+    parts = cut(items, usable_cpus())
+    return [out for outcome in _run_parts(lambda part: [fn(item) for item in part], parts) for out in outcome]
 
 
-def run_parts(run, parts) -> list:
+def _run_parts(run, parts) -> list:
     """``run(part)`` for every part, all at once: the first in this process,
     each other in a child forked for it.  An exception, here or in a child,
     is raised, and so is SnailTwpaError for a child that ends without a

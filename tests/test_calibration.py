@@ -7,7 +7,6 @@ import pytest
 from snailtwpa.constants import BOLTZMANN, E_CHARGE, PLANCK
 from snailtwpa.errors import FitDivergence, IllConditioned
 from snailtwpa.calibration import (
-    NormalizationParams,
     SntjModel,
     fit_sntj,
     input_attenuation,
@@ -181,9 +180,16 @@ def test_fit_rejects_the_inputs_the_model_rejects(bad):
 
 
 def default_norm(**kw):
-    args = dict(eta=0.7, g_sys=10**6.17, f_acq=F_HALF)
-    args.update(kw)
-    return NormalizationParams(**args)
+    return dict(eta=0.7, g_sys=10**6.17, f_acq=F_HALF) | kw
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("eta", 0.0), ("eta", 1.5), ("g_sys", 0.0), ("f_acq", 0.0), ("z0", 0.0), ("t_int", 0.0), ("epsilon", 0.0)],
+)
+def test_normalization_factor_rejects_each_input(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        normalization_factor(**default_norm(**{name: value}))
 
 
 def test_upsilon_golden_value():
@@ -192,7 +198,7 @@ def test_upsilon_golden_value():
     eta = insertion_loss_from_tan_delta(
         2.1e-3, 700, F_HALF, 3.725868657029925e-10, 250e-15, 50e-15
     )
-    ups = normalization_factor(default_norm(eta=eta))
+    ups = normalization_factor(**default_norm(eta=eta))
     g_up = 10 ** (62.7 / 10.0)
     by_hand = 0.98 * math.sqrt(
         eta * 10e-6 / (g_up * 50.0 * 6.62607015e-34 * 3.8525e9)
@@ -202,14 +208,14 @@ def test_upsilon_golden_value():
 
 
 def test_upsilon_sqrt_scaling_in_t_int():
-    a = normalization_factor(default_norm(t_int=10e-6))
-    b = normalization_factor(default_norm(t_int=20e-6))
+    a = normalization_factor(**default_norm(t_int=10e-6))
+    b = normalization_factor(**default_norm(t_int=20e-6))
     assert b / a == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_upsilon_gain_scaling():
-    a = normalization_factor(default_norm())
-    b = normalization_factor(default_norm(g_sys=10**7.17))  # +10 dB
+    a = normalization_factor(**default_norm())
+    b = normalization_factor(**default_norm(g_sys=10**7.17))  # +10 dB
     assert b / a == pytest.approx(10 ** -0.5, rel=1e-12)
 
 
@@ -220,7 +226,7 @@ def test_upsilon_conservatism_monotonicity():
     diff_fs = -0.04  # measured (ON - OFF) variance in FS^2 units
     previous_mag = None
     for extra_db in (0.0, 0.5, 1.0, 2.0):
-        ups = normalization_factor(default_norm(loss_correction_db=1.0 + extra_db))
+        ups = normalization_factor(**default_norm(loss_correction_db=1.0 + extra_db))
         sigma11 = 1.0 + 4.0 * ups**2 * diff_fs * 1e-10
         mag = abs(10.0 * math.log10(sigma11))
         if previous_mag is not None:

@@ -129,6 +129,9 @@ def test_unknown_key_rejected(tmp_path):
         ("gain-phase", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
         ("flux-sweep", {"chain": {"r": 0.3, "disorder_amplitude": 0.2}}, "'r'"),
         ("flux-sweep", {"chain": {"i_c_nominal": 1e-310}}, "'i_c_nominal'"),
+        ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "eta": 1.5}, "eta"),
+        ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "t_int": 0.0}, "t_int"),
+        ("sms", {"target_theta": 0.1}, "target_theta"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -454,6 +457,28 @@ def test_synthetic_points_write_the_same_bytes_on_any_cpu_count(tmp_path, forks,
         assert len(forks) - before == min(cpus, 2) - 1
         written[cpus] = [(out / name).read_bytes() for name in ("result.json", "meta.json")]
     assert written[2] == written[1] and written[3] == written[1]
+
+
+@pytest.mark.parametrize(
+    "command, config, line",
+    [
+        ("tms", {"r_values": [0.3, 0.8], "n_rep": 3000}, "tms: 2 points, n_rep=3000\n"),
+        ("sms", {"phases": [0.0, 0.7, 1.4], "n_rep": 3000}, "sms: 3 phases, n_rep=3000\n"),
+    ],
+)
+def test_synthetic_commands_print_progress_before_the_work(tmp_path, capsys, monkeypatch, command, config, line):
+    # every point comes back at once, so the one progress line is printed
+    # before the points run and nothing is printed after them
+    printed = []
+    synthetic_psis = cli._synthetic_psis
+
+    def recording(p, targets):
+        printed.append(capsys.readouterr().err)
+        return synthetic_psis(p, targets)
+
+    monkeypatch.setattr(cli, "_synthetic_psis", recording)
+    assert main([command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "run")]) == 0
+    assert printed == [line] and capsys.readouterr().err == ""
 
 
 def test_sntj_fit_command(tmp_path):

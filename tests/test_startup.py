@@ -61,7 +61,7 @@ def test_analysis_commands_load_no_scipy(tmp_path):
             with open(command + ".json", "w") as f:
                 json.dump(config, f)
             assert main([command, "--config", command + ".json", "--out", command]) == 0, command
-        gaussian.write_quadrature_csv("quad.csv", gaussian.sample_gaussian(np.eye(2), n_rep=10, seed=1))
+        gaussian.write_quadrature_csv("quad.csv", [gaussian.sample_gaussian(np.eye(2), n_rep=10, seed=1)])
         assert len(forks) == 3, forks
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded

@@ -78,6 +78,26 @@ def test_demo_calls_bind_to_signatures():
     assert n_calls
 
 
+def test_readme_example_configs_parse(tmp_path, monkeypatch):
+    # README's example block holds one JSON object after each "// <command>"
+    # line; each must still parse, so a key dropped from a command's table
+    # cannot stay in the README
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Example configs.", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    examples = {}
+    for line in block.splitlines():
+        if line.startswith("//"):
+            command = line[2:].split()[0]
+            examples[command] = ""
+        else:
+            examples[command] += line + "\n"
+    assert set(examples) <= set(cli.TABLES) and len(examples) >= 4, sorted(examples)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sntj.csv").write_text("".join(f"{v * 1e-5!r},{1e-12 + v * 1e-13!r}\n" for v in range(-5, 6)))
+    for command, text in examples.items():
+        cli.parse(command, json.loads(text))
+
+
 @pytest.mark.parametrize(
     "demo, writes",
     [("01_snail_flux_tunability.py", "snail_coefficients.csv"), ("06_sntj_calibration.py", None)],
