@@ -25,9 +25,10 @@ are the module constants ``NEWTON_TOL`` and ``MAX_NEWTON_ITER``, which the
 solver reads from the module as it runs.
 
 One private core, ``_integrate``, advances B independent runs (chain and
-drive) in lockstep (``_lockstep``); ``simulate_transient`` is its
-B = 1 case, and the phase and flux sweeps pass all their runs at once.  The B chains are
-laid end to end as one ladder of B*(N+1) nodes, joined by inert branches,
+drive) in lockstep (``_lockstep``).  ``simulate_transients`` is the public
+batch entry to it, which the phase and flux sweeps call with all their runs
+at once; ``simulate_transient`` is the B = 1 case.  The B chains are laid
+end to end as one ladder of B*(N+1) nodes, joined by inert branches,
 so each Newton iteration is one pass of elementwise operations and one
 ``dgtsv`` call over the whole batch.  The couplings across the inert
 branches are exactly zero, so the elimination multiplier there is zero and
@@ -40,15 +41,15 @@ others iterate; each member's output is therefore bit-identical to running
 it alone.
 
 Members that cannot share a batch (another cell count, circuit constant
-or time grid) form separate lockstep groups, which run one after another.
-Each group is cut into parts that run at once, in this process and in
+or time grid) form separate lockstep groups.  Each group is cut into parts,
+and the parts of all groups run in one round, in this process and in
 forked children (:mod:`snailtwpa.parallel`); a member's arithmetic does
 not depend on the part it runs in, so the traces do not depend on the
-number of usable CPUs.  scipy's LAPACK is loaded before the first group,
-so that the children share this process's copy.  Every part runs to its
-end or to its first failure; NewtonDivergence is then raised for the
-earliest failing step over all groups and parts, ties going to the lowest
-member index, with the message a serial run of that member gives.
+number of usable CPUs.  scipy's LAPACK is loaded before the fork, so that
+the children share this process's copy.  Every part runs to its end or to
+its first failure; NewtonDivergence is then raised for the earliest
+failing step over all groups and parts, ties going to the lowest member
+index, with the message a serial run of that member gives.
 
 A drive has one type, :class:`Drive`, made by :func:`snap_drive` or the
 mixing-drive builders: its tones are snapped onto the FFT bin grid of the
@@ -438,6 +439,20 @@ def simulate_transient(chain: RealizedChain, drive: Drive) -> TimeTrace:
     return _integrate([(chain, drive)])[0]
 
 
+def simulate_transients(runs) -> list[TimeTrace]:
+    """Integrate independent (RealizedChain, Drive) runs; one TimeTrace each,
+    bit-identical to ``simulate_transient`` of that run.
+
+    Runs that share the cell count, the circuit constants and the time grid
+    form a lockstep group; the groups are cut into parts that all run at
+    once, in this process and in forked children (see the module
+    docstring).  If a Newton solve fails, NewtonDivergence is raised for
+    the earliest failing step over all runs, ties going to the lowest run
+    index, which it carries as ``member_index``.
+    """
+    return _integrate(runs)
+
+
 def _check_shunt(chains) -> None:
     """Raise ValueError for a lossy chain built without f_ref (it has no ESR)."""
     if any(chain.esr is None for chain in chains):
@@ -445,15 +460,10 @@ def _check_shunt(chains) -> None:
 
 
 def _integrate(members) -> list:
-    """Integrate (RealizedChain, Drive) members; one TimeTrace each.
-
-    Members that share the cell count, the circuit constants and the time
-    grid form a lockstep group; each group is cut into parts that run at
-    once, in this process and in forked children (see the module
-    docstring).  If a Newton solve fails, NewtonDivergence is raised for
-    the earliest failing step over all members, ties going to the lowest
-    member index, which it carries as ``member_index``.
-    """
+    """``simulate_transients(members)``.  ``simulate_transient`` calls this
+    core, not the public batch entry, so that a single run is one call of
+    one public function (the benchmark's tracer counts the solves inside
+    it)."""
     _check_shunt(chain for chain, _ in members)
     groups = {}
     for i, (chain, drive) in enumerate(members):
@@ -469,17 +479,16 @@ def _integrate(members) -> list:
 
     _lapack()  # load scipy's LAPACK once, before any child copies this process
     n_parts = parallel.usable_cpus()
+    parts = [part for idx in groups.values() for part in parallel.cut(idx, n_parts)]
     records = [None] * len(members)
     failures = []
-    for idx in groups.values():
-        parts = parallel.cut(idx, n_parts)
-        for part, outcome in zip(parts, parallel.map_parts(run, parts)):
-            if isinstance(outcome, NewtonDivergence):
-                outcome.member_index = part[outcome.member_index]
-                failures.append(outcome)
-            else:
-                for i, record in zip(part, outcome):
-                    records[i] = record
+    for part, outcome in zip(parts, parallel.map_parts(run, parts)):
+        if isinstance(outcome, NewtonDivergence):
+            outcome.member_index = part[outcome.member_index]
+            failures.append(outcome)
+        else:
+            for i, record in zip(part, outcome):
+                records[i] = record
     if failures:
         raise min(failures, key=lambda err: (err.step_index, err.member_index))
 
@@ -779,7 +788,7 @@ def flux_sweep_idler(config: ChainConfig, drive_3wm: Drive, drive_4wm: Drive, fl
     f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
     f_ref = drive_3wm.tones[0].frequency
     chains = [build_chain(config, float(flux), f_ref=f_ref) for flux in flux_grid]
-    traces = _integrate([(chain, drive_3wm) for chain in chains] + [(chain, drive_4wm) for chain in chains])
+    traces = simulate_transients([(chain, drive_3wm) for chain in chains] + [(chain, drive_4wm) for chain in chains])
     psd3 = np.array([extract_spectrum(t, drive_3wm).power_dbm_at(f_idler3) for t in traces[: len(chains)]])
     psd4 = np.array([extract_spectrum(t, drive_4wm).power_dbm_at(f_idler4) for t in traces[len(chains) :]])
     return {
@@ -814,7 +823,7 @@ def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive: Drive, pha
         replace(drive, tones=(replace(pump_on, phase=float(phase)), signal))
         for phase in phase_grid
     ]
-    traces = _integrate([(chain, member) for member in drives])
+    traces = simulate_transients([(chain, member) for member in drives])
     p_off = extract_spectrum(traces[0], drive_off).power_dbm_at(f_signal)
     gains = np.array(
         [extract_spectrum(t, d).power_dbm_at(f_signal) - p_off for t, d in zip(traces[1:], drives[1:])]

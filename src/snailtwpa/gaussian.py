@@ -364,16 +364,36 @@ def _first_bad_row(lines: list) -> int:
     return lo
 
 
+def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str) -> None:
+    """Raise ValueError unless rows ``where`` (of repetitions ``reps``, read
+    from lines ``at``) hold each repetition 0..n_rep-1 exactly once.  The
+    counts cover at most len(where) + 1 repetitions, which len(where) rows
+    cannot fill, so a huge repetition index allocates nothing."""
+    mine = reps[where]
+    size = min(n_rep, len(mine) + 1)
+    counts = np.bincount(mine[mine < size], minlength=size)
+    if np.any(counts > 1):
+        rep = int(np.argmax(counts > 1))
+        n = at[where[np.flatnonzero(mine == rep)[1]]]  # the repeat's line
+        raise ValueError(f"line {n + 1}: repeats repetition {rep} of the {label} mode of pump state {state}")
+    if np.any(counts == 0):
+        rep = int(np.argmin(counts))
+        raise ValueError(f"pump state {state}: the {label} mode has no row for repetition {rep} of 0..{n_rep - 1}")
+
+
 def read_quadrature_csv(path) -> dict:
     """Read the interchange CSV; returns {pump_state: QuadratureBatch}.
 
     Lines are stripped of surrounding whitespace; blank lines, ``#``
     comments and ``rep_index`` header lines are skipped, and the last
     ``normalized=`` comment sets the normalization state (default true).
-    A pump state's modes are the labels its rows use, and a repetition
-    without a row for a mode stays zero.  A row that does not parse, or
+    A pump state's modes are the labels its rows use, and each of them
+    must have exactly one row for every repetition 0..n-1, n - 1 being the
+    largest repetition index of the state.  A row that does not parse, or
     that has an unknown mode or pump state, a negative repetition or a
-    non-finite value, raises ValueError naming its line number.
+    non-finite value, raises ValueError naming its line number; so does a
+    row that repeats a (pump state, mode, repetition), and a missing one
+    raises ValueError naming the pump state, the mode and the repetition.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh.read().split("\n")]
@@ -403,10 +423,14 @@ def read_quadrature_csv(path) -> dict:
     for state, in_state in pump.items():
         if not in_state.any():
             continue
-        labels = tuple(label for label in TWO_MODE if np.any(in_state & mode[label]))
-        records = np.zeros((int(rows["rep"][in_state].max()) + 1, 2 * len(labels)))
+        where = {label: np.flatnonzero(in_state & mode[label]) for label in TWO_MODE}
+        labels = tuple(label for label in TWO_MODE if where[label].size)
+        n_rep = int(rows["rep"][in_state].max()) + 1
+        for label in labels:
+            _check_repetitions(rows["rep"], where[label], n_rep, at, state, label)
+        records = np.zeros((n_rep, 2 * len(labels)))
         for m, label in enumerate(labels):
-            part = rows[in_state & mode[label]]
+            part = rows[where[label]]
             records[part["rep"], 2 * m : 2 * m + 2] = np.column_stack((part["x"], part["p"]))
         out[state] = QuadratureBatch(
             records=records, mode_labels=labels, pump_state=state, normalized=normalized

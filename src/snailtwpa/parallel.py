@@ -2,14 +2,16 @@
 
 The one runner is :func:`map_parts`: it computes ``fn(item)`` for
 independent items (the point indices of a synthetic squeezing sweep, the
-row ranges of a quadrature CSV, the member chunks of a lockstep transient
-batch) by cutting them with :func:`cut` into at most P contiguous parts,
-where P is the number of CPUs this process may run on
+row ranges of a quadrature CSV, the member chunks of every lockstep group
+of a transient batch) by cutting them with :func:`cut` into at most P
+contiguous parts, where P is the number of CPUs this process may run on
 (``os.sched_getaffinity``, read by :func:`usable_cpus`).  It runs the first
 part in this process; a child made by ``os.fork`` runs each other part at
 the same time, sends back only what its part returned, pickled over a pipe,
-and leaves by ``os._exit``.  An item's arithmetic does not depend on the
-part it runs in, so the results do not depend on P.  The work stays in this
+and leaves by ``os._exit``.  A fork that fails raises SnailTwpaError naming
+its errno, after the children already made are stopped.  An item's
+arithmetic does not depend on the part it runs in, so the results do not
+depend on P.  The work stays in this
 process when P is 1, when there is one item, when the platform has no
 ``fork`` or ``sched_getaffinity``, or when another thread is alive (the
 child would inherit any lock that thread holds, held for ever).  A child
@@ -21,6 +23,7 @@ transient solver's LAPACK) loads it first.
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import signal
@@ -69,6 +72,10 @@ def _run_parts(run, parts) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _reply(run, part, write_end)
+            except OSError as err:  # no child was made (no process ids or memory left)
+                pipe.close()
+                name = errno.errorcode.get(err.errno, err.errno)
+                raise SnailTwpaError(f"cannot fork a worker process ({name}): {err.strerror}") from err
             finally:
                 os.close(write_end)
             children.append((pid, pipe))

@@ -284,7 +284,7 @@ def test_insertion_loss_against_transient():
         Tone,
         build_chain,
         extract_spectrum,
-        simulate_transient,
+        simulate_transients,
         snap_drive,
     )
 
@@ -292,12 +292,15 @@ def test_insertion_loss_against_transient():
     drive = snap_drive(tones=(Tone(probe, 0.0011e-6, 0.0),), window=15e-9, settle_time=12e-9)
     f_snap = drive.tones[0].frequency
 
-    powers = {}
-    for tan_delta in (2.1e-3, 0.0):
-        cfg = ChainConfig(n_cells=700, tan_delta=tan_delta, disorder_amplitude=0.0)
-        chain = build_chain(cfg, 0.0, f_ref=f_snap)
-        spec = extract_spectrum(simulate_transient(chain, drive), drive)
-        powers[tan_delta] = spec.power_dbm_at(f_snap)
+    tan_deltas = (2.1e-3, 0.0)
+    chains = [
+        build_chain(ChainConfig(n_cells=700, tan_delta=tan_delta, disorder_amplitude=0.0), 0.0, f_ref=f_snap)
+        for tan_delta in tan_deltas
+    ]
+    traces = simulate_transients([(chain, drive) for chain in chains])
+    powers = {
+        tan_delta: extract_spectrum(trace, drive).power_dbm_at(f_snap) for tan_delta, trace in zip(tan_deltas, traces)
+    }
     deficit_db = powers[0.0] - powers[2.1e-3]
 
     chain = build_chain(ChainConfig(n_cells=700, disorder_amplitude=0.0), 0.0)

@@ -25,6 +25,7 @@ from snailtwpa.circuit import (
     idler_frequencies,
     linear_transfer,
     simulate_transient,
+    simulate_transients,
     snap_drive,
     three_wave_drive,
 )
@@ -131,7 +132,7 @@ def test_lossy_chain_without_f_ref_cannot_be_solved():
     with pytest.raises(ValueError, match="f_ref"):
         simulate_transient(chain, drive)
     with pytest.raises(ValueError, match="f_ref"):
-        circuit._integrate([(build_chain(ChainConfig(n_cells=4), 0.59, f_ref=F_PUMP), drive), (chain, drive)])
+        simulate_transients([(build_chain(ChainConfig(n_cells=4), 0.59, f_ref=F_PUMP), drive), (chain, drive)])
     with pytest.raises(ValueError, match="f_ref"):
         linear_transfer(chain, [4e9])
 
@@ -287,13 +288,15 @@ def test_linearity_of_signal_bin():
     # pump off: doubling the drive amplitude moves the signal bin by
     # exactly 6.02 dB in the linear regime
     chain = build_chain(small_config(n=10), 0.4)
-    gains = {}
-    for scale in (1.0, 2.0):
-        drive = snap_drive(
-            tones=(Tone(3.85e9, scale * 0.0011e-6),), window=8e-9, settle_time=6e-9
-        )
-        spec = extract_spectrum(simulate_transient(chain, drive), drive)
-        gains[scale] = spec.power_dbm_at(drive.tones[0].frequency)
+    drives = {
+        scale: snap_drive(tones=(Tone(3.85e9, scale * 0.0011e-6),), window=8e-9, settle_time=6e-9)
+        for scale in (1.0, 2.0)
+    }
+    traces = simulate_transients([(chain, drive) for drive in drives.values()])
+    gains = {
+        scale: extract_spectrum(trace, drive).power_dbm_at(drive.tones[0].frequency)
+        for (scale, drive), trace in zip(drives.items(), traces)
+    }
     assert gains[2.0] - gains[1.0] == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
 
 
@@ -317,14 +320,16 @@ def test_energy_balance_lossless():
 def test_dt_convergence_of_idler_bin():
     # halving dt from the default moves the reported idler power by < 0.1 dB
     cfg = ChainConfig(n_cells=40, disorder_amplitude=0.05, rng_seed=5)
-    levels = {}
-    for div in (256, 512):
-        drive = three_wave_drive(
-            F_PUMP, window=8e-9, settle_time=5e-9, dt=1.0 / (div * F_PUMP)
-        )
-        chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
-        spec = extract_spectrum(simulate_transient(chain, drive), drive)
-        levels[div] = spec.power_dbm_at(idler_frequencies(drive)["three_wave"])
+    drives = {
+        div: three_wave_drive(F_PUMP, window=8e-9, settle_time=5e-9, dt=1.0 / (div * F_PUMP)) for div in (256, 512)
+    }
+    traces = simulate_transients(
+        [(build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency), drive) for drive in drives.values()]
+    )
+    levels = {
+        div: extract_spectrum(trace, drive).power_dbm_at(idler_frequencies(drive)["three_wave"])
+        for (div, drive), trace in zip(drives.items(), traces)
+    }
     assert abs(levels[512] - levels[256]) < 0.1
 
 
@@ -447,33 +452,41 @@ def test_polarity_cancellation_relative_to_uniform():
     # coherent level (full criterion lives in the acceptance suite)
     drive = three_wave_drive(F_PUMP, window=15e-9, settle_time=10e-9)
     f_i = idler_frequencies(drive)["three_wave"]
-    levels = {}
-    for name, polarity in (("alt", None), ("uniform", tuple([1] * 40))):
-        cfg = ChainConfig(n_cells=40, disorder_amplitude=0.0, flux_polarity=polarity)
-        chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
-        spec = extract_spectrum(simulate_transient(chain, drive), drive)
-        levels[name] = spec.power_dbm_at(f_i)
+    polarities = {"alt": None, "uniform": tuple([1] * 40)}
+    chains = [
+        build_chain(
+            ChainConfig(n_cells=40, disorder_amplitude=0.0, flux_polarity=polarity), 0.59, f_ref=drive.tones[0].frequency
+        )
+        for polarity in polarities.values()
+    ]
+    traces = simulate_transients([(chain, drive) for chain in chains])
+    levels = {name: extract_spectrum(trace, drive).power_dbm_at(f_i) for name, trace in zip(polarities, traces)}
     assert levels["uniform"] - levels["alt"] > 25.0
 
 
 # --- batched integration -----------------------------------------------------
 
 
+@pytest.fixture
+def batches(monkeypatch):
+    """The (runs, traces) of every call the sweeps make to simulate_transients."""
+    made = []
+
+    def recording(runs):
+        traces = simulate_transients(runs)
+        made.append((runs, traces))
+        return traces
+
+    monkeypatch.setattr(circuit, "simulate_transients", recording)
+    return made
+
+
 @pytest.mark.parametrize("signal_current", [0.0011e-6, 0.0], ids=["signal", "zero-drive-reference"])
-def test_batched_gain_phase_members_match_serial_bitwise(monkeypatch, signal_current):
+def test_batched_gain_phase_members_match_serial_bitwise(batches, signal_current):
     # every member of the sweep's batch (pump-off reference + one run per
     # phase) equals its own serial run bit for bit; with no signal the
     # pump-off member is undriven, converges first and is held fixed while
     # the pumped members iterate
-    batches = []
-    integrate = circuit._integrate
-
-    def recording(members, *args, **kwargs):
-        traces = integrate(members, *args, **kwargs)
-        batches.append((members, traces))
-        return traces
-
-    monkeypatch.setattr(circuit, "_integrate", recording)
     cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
     drive = three_wave_drive(F_PUMP, 0.8e-6, signal_current, delta_bins=0, window=2e-9, settle_time=1e-9)
     degenerate_gain_vs_phase(cfg, 0.59, drive, [0.0, 1.3, 2.9])
@@ -516,14 +529,17 @@ def test_batch_newton_divergence_reports_first_failing_step(monkeypatch):
     with pytest.raises(NewtonDivergence) as serial:
         simulate_transient(chain, driven)
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, rest), (chain, driven)])
+        simulate_transients([(chain, rest), (chain, driven)])
     assert batch.value.step_index == serial.value.step_index
     assert str(batch.value) == str(serial.value)
 
 
-def test_earliest_failure_over_groups_is_raised(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_earliest_failure_over_groups_is_raised(forks, monkeypatch, cpus):
     # two lockstep groups (different dt): the first fails at step 1, the
-    # second at step 0, so the second member's failure is the one reported
+    # second at step 0, so the second member's failure is the one reported,
+    # whether it ran in this process (1 CPU) or in the child (2 CPUs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     chain = build_chain(small_config(), 0.3)
     late = snap_drive(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12)
     early = snap_drive(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12)
@@ -535,7 +551,8 @@ def test_earliest_failure_over_groups_is_raised(monkeypatch):
         serial[name] = err.value
     assert serial["early"].step_index < serial["late"].step_index
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, late), (chain, early)])
+        simulate_transients([(chain, late), (chain, early)])
+    assert len(forks) == cpus - 1
     assert batch.value.step_index == serial["early"].step_index
     assert batch.value.member_index == 1
     assert str(batch.value) == str(serial["early"])
@@ -544,16 +561,7 @@ def test_earliest_failure_over_groups_is_raised(monkeypatch):
 # --- parts run in forked children ----------------------------------------------
 
 
-def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkeypatch):
-    batches = []
-    integrate = circuit._integrate
-
-    def recording(members, *args, **kwargs):
-        traces = integrate(members, *args, **kwargs)
-        batches.append((members, traces))
-        return traces
-
-    monkeypatch.setattr(circuit, "_integrate", recording)
+def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, batches):
     cfg = ChainConfig(n_cells=8, disorder_amplitude=0.05, rng_seed=4)
     drive = three_wave_drive(F_PUMP, 0.8e-6, 0.0011e-6, delta_bins=0, window=2e-9, settle_time=1e-9)
     degenerate_gain_vs_phase(cfg, 0.59, drive, [0.0, 1.3, 2.9, 4.4])
@@ -565,6 +573,24 @@ def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, monkey
         assert trace.samples.tobytes() == serial.samples.tobytes()
         assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
         assert (trace.dt, trace.z0) == (serial.dt, serial.z0)
+    assert len(forks) == 1
+
+
+def test_lockstep_groups_run_in_one_fork_round(forks):
+    # two single-member groups (different dt) on two CPUs: one part each,
+    # so one child runs the second group while this process runs the first
+    chain = build_chain(small_config(), 0.3)
+    runs = [
+        (chain, snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=dt))
+        for dt in (1e-12, 2e-12)
+    ]
+    traces = simulate_transients(runs)
+    assert len(forks) == 1
+    for (chain, drive), trace in zip(runs, traces):
+        serial = simulate_transient(chain, drive)  # B = 1: never forks
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+        assert trace.dt == drive.dt
     assert len(forks) == 1
 
 
@@ -581,7 +607,7 @@ def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpu
     with pytest.raises(NewtonDivergence) as serial:
         simulate_transient(chain, driven)
     with pytest.raises(NewtonDivergence) as batch:
-        circuit._integrate([(chain, rest), (chain, driven)])
+        simulate_transients([(chain, rest), (chain, driven)])
     assert len(forks) == cpus - 1
     assert batch.value.step_index == serial.value.step_index
     assert batch.value.member_index == 1
@@ -605,7 +631,7 @@ def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
     drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
     with pytest.raises(expected[0], match=expected[1]):
-        circuit._integrate([(chain, drive), (chain, drive)])
+        simulate_transients([(chain, drive), (chain, drive)])
     assert len(forks) == 1
 
 
@@ -616,7 +642,7 @@ def test_batch_stays_in_process_while_another_thread_runs(forks):
     thread = threading.Thread(target=release.wait, args=(60.0,))
     thread.start()
     try:
-        traces = circuit._integrate([(chain, drive), (chain, drive)])
+        traces = simulate_transients([(chain, drive), (chain, drive)])
     finally:
         release.set()
         thread.join(timeout=60.0)
@@ -630,6 +656,6 @@ def test_batch_stays_in_process_without_fork_or_affinity(forks, monkeypatch, mis
     monkeypatch.delattr(os, missing)
     chain = build_chain(small_config(), 0.3)
     drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
-    traces = circuit._integrate([(chain, drive), (chain, drive)])
+    traces = simulate_transients([(chain, drive), (chain, drive)])
     assert not forks
     assert traces[0].samples.tobytes() == traces[1].samples.tobytes()

@@ -343,21 +343,34 @@ def test_sms_identical_on_off_file_gives_exact_vacuum(tmp_path):
     np.testing.assert_array_equal(entries, np.eye(2))
 
 
-@pytest.mark.parametrize("defect", ["missing file", "bad value", "short row"])
+# line 30 of the file, repetition 25 of the ON batch, becomes each of these
+# (None deletes it), and the error names what is wrong
+NO_REP_25 = "pump state ON: the signal mode has no row for repetition 25"
+BAD_LINE_30 = {
+    "bad value": ("25,signal,abc,0.5,ON", "line 30"),
+    "short row": ("25,signal,0.5,ON", "line 30"),
+    "repeated rep": ("24,signal,0.5,0.5,ON", "line 30"),
+    "missing rep": (None, NO_REP_25),
+    "huge rep index": ("1000000000000000,signal,0.5,0.5,ON", NO_REP_25),
+}
+
+
+@pytest.mark.parametrize("defect", ["missing file", *BAD_LINE_30])
 def test_sms_bad_input_csv_is_config_error(tmp_path, capsys, defect):
     path = tmp_path / "quad.csv"
     if defect != "missing file":
         batches = [sample_gaussian(np.eye(2), n_rep=50, seed=s, pump_state=p) for s, p in ((1, "ON"), (2, "OFF"))]
         write_quadrature_csv(path, batches)
         lines = path.read_text().splitlines()
-        lines[29] = "25,signal,abc,0.5,ON" if defect == "bad value" else "25,signal,0.5,ON"
+        row = BAD_LINE_30[defect][0]
+        lines[29:30] = [row] if row is not None else []
         path.write_text("\n".join(lines) + "\n")
     cfg = write_config(tmp_path, {"input_csv": str(path)})
     assert main(["sms", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(path) in err
     if defect != "missing file":
-        assert "line 30" in err
+        assert BAD_LINE_30[defect][1] in err
 
 
 def test_tms_zero_r_and_monotone(tmp_path):

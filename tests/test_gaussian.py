@@ -348,7 +348,7 @@ EDGE_VALUES = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -2.22507385850
 def test_quadrature_csv_writer_matches_row_formula(tmp_path, layout):
     one = QuadratureBatch(np.reshape(EDGE_VALUES, (4, 2)), pump_state="OFF")
     two = QuadratureBatch(np.reshape(EDGE_VALUES[::-1], (2, 4)), mode_labels=("signal", "idler"), pump_state="ON")
-    batches = {"one-mode": [one], "two-mode": [two], "mixed": [two, one, two]}[layout]
+    batches = {"one-mode": [one], "two-mode": [two], "mixed": [two, one]}[layout]
     write_quadrature_csv(tmp_path / "new.csv", batches)
     reference_write(tmp_path / "ref.csv", batches)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -361,7 +361,6 @@ READER_CASES = {
     "surrounding whitespace": HEAD + "  0,signal,1.5,-2.0,ON \t\n\t1,signal,0.25,3e-10,ON   \n",
     "crlf": HEAD.replace("\n", "\r\n") + "0,signal,1.5,-2.0,OFF\r\n1,signal,-0.0,5e-324,OFF\r\n",
     "out of order": HEAD + "2,signal,3.0,3.5,ON\n0,signal,1.0,1.5,ON\n1,signal,2.0,2.5,ON\n",
-    "missing reps": HEAD + "4,signal,1.0,2.0,OFF\n1,signal,-1.0,-2.0,OFF\n",
     "not normalized": HEAD.replace("normalized=true", "normalized=false") + "0,signal,1.0,2.0,ON\n1,signal,2.0,1.0,ON\n",
     "no data": HEAD + "\n# nothing recorded\n",
     "two-mode ON and one-mode OFF": HEAD
@@ -379,9 +378,6 @@ def test_quadrature_csv_reader_edge_cases(tmp_path, case):
 
 def test_quadrature_csv_reader_edge_case_values(tmp_path):
     path = tmp_path / "quad.csv"
-    path.write_bytes(READER_CASES["missing reps"].encode())
-    off = read_quadrature_csv(path)["OFF"]
-    assert np.array_equal(off.records, [[0, 0], [-1, -2], [0, 0], [0, 0], [1, 2]])
     path.write_bytes(READER_CASES["two-mode ON and one-mode OFF"].encode())
     back = read_quadrature_csv(path)
     assert back["ON"].mode_labels == ("signal", "idler") and back["OFF"].mode_labels == ("signal",)
@@ -404,6 +400,36 @@ def test_quadrature_csv_reader_names_bad_line(tmp_path, bad_row):
     path = tmp_path / "quad.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^line 41: "):
+        read_quadrature_csv(path)
+
+
+# each mode of a pump state needs exactly one row per repetition 0..n-1
+REP_DEFECTS = {
+    "missing reps": (
+        HEAD + "4,signal,1.0,2.0,OFF\n1,signal,-1.0,-2.0,OFF\n",
+        "^pump state OFF: the signal mode has no row for repetition 0 of 0..4$",
+    ),
+    "mode missing a rep": (
+        HEAD + "0,signal,1.0,2.0,ON\n0,idler,3.0,4.0,ON\n1,signal,-1.0,-2.0,ON\n",
+        "^pump state ON: the idler mode has no row for repetition 1 of 0..1$",
+    ),
+    "repeated rep": (
+        HEAD + "0,signal,1.0,2.0,ON\n1,signal,2.0,1.0,ON\n\n0,signal,5.0,6.0,ON\n",
+        "^line 8: repeats repetition 0 of the signal mode of pump state ON$",
+    ),
+    "huge rep index": (
+        HEAD + "0,signal,1.0,2.0,ON\n1000000000000000,signal,2.0,1.0,ON\n",
+        "^pump state ON: the signal mode has no row for repetition 1 of 0..1000000000000000$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REP_DEFECTS))
+def test_quadrature_csv_reader_rejects_missing_and_repeated_reps(tmp_path, case):
+    text, message = REP_DEFECTS[case]
+    path = tmp_path / "quad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=message):
         read_quadrature_csv(path)
 
 

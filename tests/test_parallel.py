@@ -2,12 +2,15 @@
 results come back in order from forked children, how a child's failure
 reaches the parent, and when nothing is forked."""
 
+import errno
+import json
 import os
 import threading
 
 import pytest
 
 from snailtwpa import parallel
+from snailtwpa.cli import main
 from snailtwpa.errors import SnailTwpaError
 
 
@@ -79,3 +82,29 @@ def test_no_fork_without_fork_or_affinity(forks, monkeypatch, missing):
     out = parallel.map_parts(lambda item: (item, os.getpid()), [0, 1, 2])
     assert out == [(0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
     assert not forks
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")), reason="needs fork and /proc/self/fd")
+def test_failed_fork_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    # on 3 CPUs the second of two forks fails: the first child is stopped,
+    # no pipe is left open, and the CLI reports a runtime error
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    fork = os.fork
+    made = []
+
+    def failing_after_one():
+        if made:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        made.append(fork())
+        return made[-1]
+
+    monkeypatch.setattr(os, "fork", failing_after_one)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(SnailTwpaError, match=r"cannot fork a worker process \(EAGAIN\)"):
+        parallel.map_parts(lambda item: item, [0, 1, 2])
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    made.clear()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"r_values": [0.1, 0.2, 0.3], "n_rep": 1000}))
+    assert main(["tms", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert "\nruntime error: cannot fork a worker process (EAGAIN): " in capsys.readouterr().err
