@@ -66,21 +66,28 @@ def _thermal_knee(x, t_electron):
     """(x / 2k_B) * coth(x / (2 k_B T)), elementwise, even in x.
 
     Written as T * z/tanh(z) with z = x/(2 k_B T); the removable
-    singularity at z = 0 is evaluated by the series 1 + z^2/3.
+    singularity at z = 0 is evaluated by the series 1 + z^2/3, only where
+    |z| < 1e-6.
     """
     z = np.asarray(x, dtype=float) / (2.0 * BOLTZMANN * t_electron)
     small = np.abs(z) < 1e-6
-    z_safe = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 + z * z / 3.0, z_safe / np.tanh(z_safe))
+    out = np.divide(z, np.tanh(z), out=np.ones_like(z), where=~small)
+    out[small] = 1.0 + z[small] * z[small] / 3.0
     return t_electron * out
 
 
-def _noise_power(v, frequency, bandwidth, t_electron, t_sys, g_sys):
-    # |v| makes the evenness of the two-coth expression exact in floating point
+def _bias_terms(v, frequency):
+    """(eV + hf, eV - hf) at the bias voltage(s) v, with V taken as |v|,
+    which makes the evenness of the two-coth expression exact in floating
+    point."""
     ev = E_CHARGE * np.abs(np.asarray(v, dtype=float))
     hf = PLANCK * frequency
-    up = _thermal_knee(ev + hf, t_electron)
-    dn = _thermal_knee(ev - hf, t_electron)
+    return ev + hf, ev - hf
+
+
+def _noise_power(terms, bandwidth, t_electron, t_sys, g_sys):
+    up = _thermal_knee(terms[0], t_electron)
+    dn = _thermal_knee(terms[1], t_electron)
     kelvin = 0.5 * (up + dn) + t_sys
     return kelvin * bandwidth * g_sys * BOLTZMANN
 
@@ -92,7 +99,7 @@ def sntj_noise_power(model: SntjModel, v_bias) -> np.ndarray:
     and handled by series expansion.
     """
     return _noise_power(
-        v_bias, model.frequency, model.bandwidth, model.t_electron, model.t_sys, model.g_sys
+        _bias_terms(v_bias, model.frequency), model.bandwidth, model.t_electron, model.t_sys, model.g_sys
     )
 
 
@@ -169,10 +176,12 @@ def fit_sntj(
     if np.any(guess <= 0.0):
         raise ValueError("initial guess must be positive (g_sys, t_sys, t_electron)")
 
+    terms = _bias_terms(v, frequency)
+
     def residual(p_log):
         with np.errstate(over="ignore", invalid="ignore"):
             g, t_sys, t_el = np.exp(p_log)
-            return _noise_power(v, frequency, bandwidth, t_el, t_sys, g) - y
+            return _noise_power(terms, bandwidth, t_el, t_sys, g) - y
 
     def jacobian(p_log):
         cols = []

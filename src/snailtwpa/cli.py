@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import calibration, circuit, gaussian, parallel, snail
-from .errors import ConfigError, SnailTwpaError
+from .errors import ConfigError, DegenerateBatch, SnailTwpaError
 
 SCHEMA_VERSION = "snailtwpa/v1"
 
@@ -282,7 +282,11 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     elif command == "sms":
         p.squeeze = _gain_from_db(p.target_s_db, "'target_s_db'")
         if p.input_csv is not None:
-            p.input_csv = _build(f"cannot read input CSV {p.input_csv}", gaussian.read_quadrature_csv, p.input_csv)
+            try:
+                batches = gaussian.read_quadrature_csv(p.input_csv)
+            except (OSError, ValueError, DegenerateBatch) as err:  # a worker process that fails is no config error
+                raise ConfigError(f"cannot read input CSV {p.input_csv}: {err}") from err
+            p.input_csv = batches
             if set(p.input_csv) != {"ON", "OFF"}:
                 raise ConfigError("input_csv must contain ON and OFF pump states")
     elif command == "tms":

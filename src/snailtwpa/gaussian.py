@@ -298,6 +298,10 @@ def sample_gaussian(
 # wider than the longest valid value, so a longer value cannot be cut down
 # to a valid one.
 _CSV_ROW = np.dtype([("rep", "i8"), ("mode", "U7"), ("x", "f8"), ("p", "f8"), ("pump", "U4")])
+# A parsed data row as the reader's parts hand it back: the mode and the pump
+# state as their index in TWO_MODE and _PUMP_STATES, -1 for an unknown one.
+_ROW = np.dtype([("rep", "i8"), ("mode", "i1"), ("pump", "i1"), ("x", "f8"), ("p", "f8")])
+_PUMP_STATES = ("OFF", "ON")  # sorted, so the reader's keys come out sorted
 
 
 def _csv_text(batch: QuadratureBatch, reps: range) -> str:
@@ -322,7 +326,8 @@ def write_quadrature_csv(path, batches) -> None:
     x and p written as ``repr`` (the shortest decimal that reads back to the
     same float).  Header comments record the format version, normalization
     state and mode labels.  All batches must share the same normalization
-    state.
+    state, and no two may share a pump state (the reader takes all the rows
+    of a pump state as one batch).
 
     The rows are formatted in parts: each batch is cut into contiguous
     repetition ranges, at most one per usable CPU, and the ranges run at
@@ -335,6 +340,10 @@ def write_quadrature_csv(path, batches) -> None:
     normalized = {b.normalized for b in batches}
     if len(normalized) != 1:
         raise ValueError("cannot mix normalized and raw batches in one file")
+    states = [b.pump_state for b in batches]
+    for state in states:
+        if states.count(state) > 1:
+            raise ValueError(f"more than one batch has pump state {state}; a file holds one batch per pump state")
     labels = max((b.mode_labels for b in batches), key=len)
     header = (
         "# snailtwpa quadrature records v1\n"
@@ -350,8 +359,10 @@ def write_quadrature_csv(path, batches) -> None:
         fh.writelines(texts)
 
 
-def _first_bad_row(lines: list) -> int:
-    """Index of the first line ``np.loadtxt`` rejects, found by halving."""
+def _first_bad_row(lines: list) -> tuple:
+    """Index of the first line ``np.loadtxt`` rejects, found by halving, and
+    the error that line gives parsed alone (so the row number in it does
+    not depend on the lines before); ``lines`` must hold such a line."""
     lo, hi = 0, len(lines)  # the first bad line is in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -361,7 +372,10 @@ def _first_bad_row(lines: list) -> int:
             hi = mid
         else:
             lo = mid
-    return lo
+    try:
+        np.loadtxt(lines[lo:hi], dtype=_CSV_ROW, delimiter=",", ndmin=1)
+    except ValueError as err:
+        return lo, err
 
 
 def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str) -> None:
@@ -381,6 +395,58 @@ def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str
         raise ValueError(f"pump state {state}: the {label} mode has no row for repetition {rep} of 0..{n_rep - 1}")
 
 
+def _line_spans(text: str, n_parts: int) -> list:
+    """``text`` cut at newlines into at most ``n_parts`` (start, stop)
+    ranges of about equal length, in order; each range starts a line."""
+    cuts = {text.find("\n", j * len(text) // n_parts) + 1 for j in range(1, n_parts)}
+    starts = [0] + sorted(cuts - {0, len(text)})
+    return list(zip(starts, starts[1:] + [len(text)]))
+
+
+def _parse_lines(text: str, start: int, stop: int) -> tuple:
+    """Parse the lines of ``text[start:stop]``, which starts a line.
+
+    Returns (rows, at, normalized, error): the data rows as ``_ROW``, their
+    0-based line numbers in ``text``, the state the range's last
+    ``normalized=`` comment sets (None without one), and None or the
+    range's first bad row as (0, line, message) for a row ``np.loadtxt``
+    rejects or else (1, line, message) for an invalid row.
+    """
+    first = text.count("\n", 0, start)
+    lines = list(map(str.strip, text[start:stop].split("\n")))
+    notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
+    normalized = notes[-1].split("normalized=")[1].strip() == "true" if notes else None
+    data = [n for n, line in enumerate(lines) if line and not line.startswith(("#", "rep_index"))]
+    body = [lines[n] for n in data]
+    at = first + np.array(data, dtype=np.int64)
+    rows = np.zeros(len(body), dtype=_ROW)
+    if not body:
+        return rows, at, normalized, None
+    try:
+        text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", ndmin=1)
+    except ValueError:
+        n, err = _first_bad_row(body)
+        return rows, at, normalized, (0, at[n], f"line {at[n] + 1}: {err}")
+    rows["mode"] = rows["pump"] = -1
+    for code, label in enumerate(TWO_MODE):
+        rows["mode"][text_rows["mode"] == label] = code
+    for code, state in enumerate(_PUMP_STATES):
+        rows["pump"][text_rows["pump"] == state] = code
+    for field in ("rep", "x", "p"):
+        rows[field] = text_rows[field]
+    valid = (
+        (rows["mode"] >= 0)
+        & (rows["pump"] >= 0)
+        & (rows["rep"] >= 0)
+        & np.isfinite(rows["x"])
+        & np.isfinite(rows["p"])
+    )
+    if not valid.all():
+        n = int(np.argmin(valid))
+        return rows, at, normalized, (1, at[n], f"line {at[n] + 1}: invalid row {body[n]!r}")
+    return rows, at, normalized, None
+
+
 def read_quadrature_csv(path) -> dict:
     """Read the interchange CSV; returns {pump_state: QuadratureBatch}.
 
@@ -391,36 +457,34 @@ def read_quadrature_csv(path) -> dict:
     must have exactly one row for every repetition 0..n-1, n - 1 being the
     largest repetition index of the state.  A row that does not parse, or
     that has an unknown mode or pump state, a negative repetition or a
-    non-finite value, raises ValueError naming its line number; so does a
-    row that repeats a (pump state, mode, repetition), and a missing one
-    raises ValueError naming the pump state, the mode and the repetition.
+    non-finite value, raises ValueError naming its line number (the first
+    row that does not parse if there is one, else the first invalid row);
+    so does a row that repeats a (pump state, mode, repetition), and a
+    missing one raises ValueError naming the pump state, the mode and the
+    repetition.
+
+    The file is read once and its text cut at newlines into at most one
+    range per usable CPU; the ranges are parsed and checked at once in this
+    process and in forked children (:mod:`snailtwpa.parallel`), each
+    handing back its rows and its first bad row as data.  The checks across
+    ranges then run here, so the batches and the error raised do not
+    depend on the number of ranges.
     """
     with open(path) as fh:
-        lines = [line.strip() for line in fh.read().split("\n")]
-    notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
-    normalized = notes[-1].split("normalized=")[1].strip() == "true" if notes else True
-    at = [n for n, line in enumerate(lines) if line and not line.startswith(("#", "rep_index"))]
-    if not at:
-        return {}
-    body = [lines[n] for n in at]
-    try:
-        rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", ndmin=1)
-    except ValueError as err:
-        raise ValueError(f"line {at[_first_bad_row(body)] + 1}: {err}") from None
-    mode = {label: rows["mode"] == label for label in TWO_MODE}
-    pump = {state: rows["pump"] == state for state in ("OFF", "ON")}  # the keys come out sorted
-    valid = (
-        (mode["signal"] | mode["idler"])
-        & (pump["OFF"] | pump["ON"])
-        & (rows["rep"] >= 0)
-        & np.isfinite(rows["x"])
-        & np.isfinite(rows["p"])
-    )
-    if not valid.all():
-        n = at[int(np.argmin(valid))]
-        raise ValueError(f"line {n + 1}: invalid row {lines[n]!r}")
+        text = fh.read()
+    spans = _line_spans(text, parallel.usable_cpus())
+    parts = parallel.map_parts(lambda span: _parse_lines(text, *span), spans)
+    errors = [error for *_, error in parts if error is not None]
+    if errors:
+        raise ValueError(min(errors)[2])
+    notes = [normalized for _, _, normalized, _ in parts if normalized is not None]
+    normalized = notes[-1] if notes else True
+    rows = np.concatenate([part[0] for part in parts])
+    at = np.concatenate([part[1] for part in parts])
+    mode = {label: rows["mode"] == code for code, label in enumerate(TWO_MODE)}
     out = {}
-    for state, in_state in pump.items():
+    for code, state in enumerate(_PUMP_STATES):
+        in_state = rows["pump"] == code
         if not in_state.any():
             continue
         where = {label: np.flatnonzero(in_state & mode[label]) for label in TWO_MODE}

@@ -2,8 +2,9 @@
 
 The one runner is :func:`map_parts`: it computes ``fn(item)`` for
 independent items (the point indices of a synthetic squeezing sweep, the
-row ranges of a quadrature CSV, the member chunks of every lockstep group
-of a transient batch) by cutting them with :func:`cut` into at most P
+repetition ranges of a quadrature CSV being written and the line ranges
+of one being read, the member chunks of every lockstep group of a
+transient batch) by cutting them with :func:`cut` into at most P
 contiguous parts, where P is the number of CPUs this process may run on
 (``os.sched_getaffinity``, read by :func:`usable_cpus`).  It runs the first
 part in this process; a child made by ``os.fork`` runs each other part at

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snailtwpa import circuit, cli
+from snailtwpa import circuit, cli, gaussian
 from snailtwpa.cli import main
 from snailtwpa.errors import ConfigError
 from snailtwpa.calibration import SntjModel, sntj_noise_power
@@ -371,6 +371,26 @@ def test_sms_bad_input_csv_is_config_error(tmp_path, capsys, defect):
     assert err.startswith("config error:") and str(path) in err
     if defect != "missing file":
         assert BAD_LINE_30[defect][1] in err
+
+
+def test_sms_input_csv_reader_child_that_dies_is_runtime_error(tmp_path, capsys, forks, monkeypatch):
+    parent = os.getpid()
+    parse_lines = gaussian._parse_lines
+
+    def dying_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return parse_lines(*args)
+
+    path = tmp_path / "quad.csv"
+    batches = [sample_gaussian(np.eye(2), n_rep=50, seed=s, pump_state=p) for s, p in ((1, "ON"), (2, "OFF"))]
+    write_quadrature_csv(path, batches)
+    monkeypatch.setattr(gaussian, "_parse_lines", dying_in_child)
+    cfg = write_config(tmp_path, {"input_csv": str(path)})
+    assert main(["sms", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "exited with status 3" in err
+    assert len(forks) == 2  # one for the write, one for the read
 
 
 def test_tms_zero_r_and_monotone(tmp_path):

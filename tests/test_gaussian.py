@@ -519,6 +519,125 @@ def test_quadrature_csv_write_stays_in_process_while_another_thread_runs(tmp_pat
     assert (tmp_path / "quad.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_quadrature_csv_writer_refuses_a_repeated_pump_state(tmp_path, forks):
+    two, one = _layouts(4)["mixed"]
+    path = tmp_path / "quad.csv"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="pump state ON"):
+        write_quadrature_csv(path, [two, one, two])
+    assert not forks
+    assert path.read_text() == "kept"
+
+
+# --- the reader's parts run in forked children -----------------------------
+
+
+def read_on_cpus(path, forks, monkeypatch, cpus):
+    """The reader's result with ``cpus`` usable CPUs, checked to fork once
+    per line range beyond the first, and the text of those ranges."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with open(path) as fh:
+        text = fh.read()
+    parts = [text[a:b] for a, b in gaussian._line_spans(text, cpus)]
+    assert "".join(parts) == text and all(part.endswith("\n") for part in parts[:-1])
+    before = len(forks)
+    back = read_quadrature_csv(path)
+    assert len(forks) - before == len(parts) - 1
+    return back, parts
+
+
+def assert_reads_alike(path, forks, monkeypatch):
+    """The batches on 1, 2 and 3 CPUs each equal the reference (so each
+    other); returns the line ranges of each read."""
+    expected = reference_read(path)
+    ranges = {}
+    for cpus in (1, 2, 3):
+        back, ranges[cpus] = read_on_cpus(path, forks, monkeypatch, cpus)
+        assert_same_batches(back, expected)
+    return ranges
+
+
+@pytest.mark.parametrize("case", list(READER_CASES))
+def test_quadrature_csv_reader_parts_read_the_reference(tmp_path, forks, monkeypatch, case):
+    path = tmp_path / "quad.csv"
+    path.write_bytes(READER_CASES[case].encode())
+    assert_reads_alike(path, forks, monkeypatch)
+
+
+CUT_ROWS = [f"{i},{m},{i}.5,-{i}.25,ON" for i in range(4) for m in ("signal", "idler")] + [
+    f"{i},signal,{i}.125,{i}e-3,OFF" for i in range(4)
+]
+CUT_LINES = {  # a line the reader skips, and the line end of the file it goes in
+    "blank": ("  \t", "\n"),
+    "comment": ("# normalized=false", "\n"),
+    "header": ("rep_index,mode,x,p,pump_state", "\n"),
+    "crlf": ("", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(CUT_LINES))
+def test_quadrature_csv_reader_lines_on_a_cut(tmp_path, forks, monkeypatch, kind):
+    # the skipped line goes before each data row in turn; some of these
+    # files put it last or first in a range of 2 or 3 parts
+    special, end = CUT_LINES[kind]
+    on_cut = set()
+    for k in range(len(CUT_ROWS) + 1):
+        lines = HEAD.splitlines() + CUT_ROWS[:k] + [special] + CUT_ROWS[k:]
+        path = tmp_path / f"{k}.csv"
+        path.write_bytes((end.join(lines) + end).encode())
+        for cpus, parts in assert_reads_alike(path, forks, monkeypatch).items():
+            for a, b in zip(parts, parts[1:]):
+                if a.endswith(f"\n{special}\n") or b.startswith(f"{special}\n"):
+                    on_cut.add(cpus)
+    assert on_cut == {2, 3}
+
+
+def test_quadrature_csv_reader_part_without_data(tmp_path, forks, monkeypatch):
+    # two data rows and three CPUs: the header lines make a range of their own
+    path = tmp_path / "quad.csv"
+    path.write_text(HEAD + "0,signal,1.5,-2.0,ON\n1,signal,0.25,3e-10,ON\n")
+    ranges = assert_reads_alike(path, forks, monkeypatch)
+    assert len(ranges[3]) == 3 and not any(line[:1].isdigit() for line in ranges[3][0].splitlines())
+
+
+def _numbered_rows(n):
+    return HEAD.splitlines() + [f"{i},signal,{i}.5,-{i}.25,ON" for i in range(n)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_quadrature_csv_reader_parse_error_outranks_earlier_invalid_row(tmp_path, forks, monkeypatch, cpus):
+    lines = _numbered_rows(60)
+    lines[10] = "6,pump,1.0,2.0,ON"  # line 11, invalid, in the first range
+    lines[55] = "51,signal,abc,1.0,ON"  # line 56, does not parse, in the last
+    path = tmp_path / "quad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError) as one_cpu:
+        read_quadrature_csv(path)
+    assert str(one_cpu.value).startswith("line 56: could not convert string 'abc'")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(ValueError) as err:
+        read_quadrature_csv(path)
+    assert str(err.value) == str(one_cpu.value)
+    lines[55] = "51,signal,1.0,1.0,ON"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^line 11: invalid row '6,pump,1.0,2.0,ON'$"):
+        read_quadrature_csv(path)
+    assert len(forks) == 2 * (cpus - 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_quadrature_csv_reader_repeat_across_ranges_names_the_later_line(tmp_path, forks, monkeypatch, cpus):
+    lines = _numbered_rows(60)
+    lines[60] = "3,signal,0.5,0.5,ON"  # line 61 repeats line 8's repetition
+    path = tmp_path / "quad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(ValueError, match="^line 61: repeats repetition 3 of the signal mode of pump state ON$"):
+        read_quadrature_csv(path)
+    assert len(forks) == cpus - 1
+
+
 def test_covariance_json_round_trip():
     sigma = estimate_covariance(sample_gaussian(tmsv(0.4), n_rep=5000, seed=3))
     payload = sigma.to_dict()

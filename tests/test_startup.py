@@ -36,7 +36,7 @@ def test_analysis_commands_load_no_scipy(tmp_path):
         from snailtwpa import calibration, gaussian
         from snailtwpa.cli import main
 
-        # two usable CPUs, so that tms, sms and the CSV writer fork their parts
+        # two usable CPUs, so that tms, sms and the CSV writer and reader fork their parts
         os.sched_getaffinity = lambda pid: {0, 1}
         forks, fork = [], os.fork
         os.fork = lambda: forks.append(None) or fork()
@@ -61,8 +61,12 @@ def test_analysis_commands_load_no_scipy(tmp_path):
             with open(command + ".json", "w") as f:
                 json.dump(config, f)
             assert main([command, "--config", command + ".json", "--out", command]) == 0, command
-        gaussian.write_quadrature_csv("quad.csv", [gaussian.sample_gaussian(np.eye(2), n_rep=10, seed=1)])
-        assert len(forks) == 3, forks
+        batches = [gaussian.sample_gaussian(np.eye(2), n_rep=10, seed=1, pump_state=state) for state in ("ON", "OFF")]
+        gaussian.write_quadrature_csv("quad.csv", batches)
+        with open("sms_file.json", "w") as f:
+            json.dump({"input_csv": "quad.csv"}, f)
+        assert main(["sms", "--config", "sms_file.json", "--out", "sms_file"]) == 0
+        assert len(forks) == 4, forks
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """,
