@@ -41,15 +41,16 @@ others iterate; each member's output is therefore bit-identical to running
 it alone.
 
 Members that cannot share a batch (another cell count, circuit constant
-or time grid) form separate lockstep groups.  Each group is cut into parts,
-and the parts of all groups run in one round, in this process and in
-forked children (:mod:`snailtwpa.parallel`); a member's arithmetic does
-not depend on the part it runs in, so the traces do not depend on the
-number of usable CPUs.  scipy's LAPACK is loaded before the fork, so that
-the children share this process's copy.  Every part runs to its end or to
-its first failure; NewtonDivergence is then raised for the earliest
-failing step over all groups and parts, ties going to the lowest member
-index, with the message a serial run of that member gives.
+or time grid) form separate lockstep groups.  :mod:`snailtwpa.parallel`
+cuts the members, in group order, once into parts that run in one round,
+in this process and in forked children; a part runs one lockstep batch
+for each group it holds.  A member's arithmetic does not depend on the
+batch it runs in, so the traces do not depend on the number of usable
+CPUs.  scipy's LAPACK is loaded before the fork, so that the children
+share this process's copy.  Every batch runs to its end or to its first
+failure, whatever the other batches do; NewtonDivergence is then raised
+for the earliest failing step over all batches, ties going to the lowest
+member index, with the message a serial run of that member gives.
 
 A drive has one type, :class:`Drive`, made by :func:`snap_drive` or the
 mixing-drive builders: its tones are snapped onto the FFT bin grid of the
@@ -73,6 +74,7 @@ so a stand-in assigned to ``circuit.lapack`` sees every call.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -444,11 +446,11 @@ def simulate_transients(runs) -> list[TimeTrace]:
     bit-identical to ``simulate_transient`` of that run.
 
     Runs that share the cell count, the circuit constants and the time grid
-    form a lockstep group; the groups are cut into parts that all run at
-    once, in this process and in forked children (see the module
-    docstring).  If a Newton solve fails, NewtonDivergence is raised for
-    the earliest failing step over all runs, ties going to the lowest run
-    index, which it carries as ``member_index``.
+    form a lockstep group; the runs, in group order, are cut into parts
+    that all run at once, in this process and in forked children (see the
+    module docstring).  If a Newton solve fails, NewtonDivergence is raised
+    for the earliest failing step over all runs, ties going to the lowest
+    run index, which it carries as ``member_index``.
     """
     return _integrate(runs)
 
@@ -465,36 +467,36 @@ def _integrate(members) -> list:
     one public function (the benchmark's tracer counts the solves inside
     it)."""
     _check_shunt(chain for chain, _ in members)
-    groups = {}
-    for i, (chain, drive) in enumerate(members):
+    keys = []  # a member's lockstep group
+    for chain, drive in members:
         cfg = chain.config
-        key = (cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, chain.esr, drive.dt, drive.n_total)
-        groups.setdefault(key, []).append(i)
+        keys.append((cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, chain.esr, drive.dt, drive.n_total))
 
     def run(part):
-        try:
-            return _lockstep([members[i] for i in part])
-        except NewtonDivergence as err:  # an outcome: the other parts run on
-            return err
+        """One lockstep batch per run of equal keys in ``part``: the records
+        by member index, and the failures, each run to its end."""
+        records, failures = {}, []
+        for _, same in itertools.groupby(part, key=keys.__getitem__):
+            idx = list(same)
+            try:
+                records.update(zip(idx, _lockstep([members[i] for i in idx])))
+            except NewtonDivergence as err:  # an outcome: the part's other groups run on
+                err.member_index = idx[err.member_index]
+                failures.append(err)
+        return records, failures
 
     _lapack()  # load scipy's LAPACK once, before any child copies this process
-    n_parts = parallel.usable_cpus()
-    parts = [part for idx in groups.values() for part in parallel.cut(idx, n_parts)]
-    records = [None] * len(members)
-    failures = []
-    for part, outcome in zip(parts, parallel.map_parts(run, parts)):
-        if isinstance(outcome, NewtonDivergence):
-            outcome.member_index = part[outcome.member_index]
-            failures.append(outcome)
-        else:
-            for i, record in zip(part, outcome):
-                records[i] = record
+    records, failures = {}, []
+    in_group_order = sorted(range(len(members)), key=lambda i: keys.index(keys[i]))  # a stable sort
+    for done, failed in parallel.map_parts(run, in_group_order):
+        records.update(done)
+        failures += failed
     if failures:
         raise min(failures, key=lambda err: (err.step_index, err.member_index))
 
     return [
-        TimeTrace(dt=drive.dt, samples=record[1], input_samples=record[0], z0=chain.config.z0)
-        for (chain, drive), record in zip(members, records)
+        TimeTrace(dt=drive.dt, samples=records[i][1], input_samples=records[i][0], z0=chain.config.z0)
+        for i, (chain, drive) in enumerate(members)
     ]
 
 

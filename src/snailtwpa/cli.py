@@ -377,7 +377,8 @@ def _synthetic_psis(p: SimpleNamespace, targets) -> list:
         )
         return gaussian.subtract_background(on, off, gain_uncertainty_db=p.gain_uncertainty_db)
 
-    return parallel.map_parts(point, range(len(targets)))
+    parts = parallel.map_parts(lambda part: [point(i) for i in part], range(len(targets)))
+    return [psi for part in parts for psi in part]
 
 
 def cmd_sms(p: SimpleNamespace) -> tuple:

@@ -304,19 +304,24 @@ _ROW = np.dtype([("rep", "i8"), ("mode", "i1"), ("pump", "i1"), ("x", "f8"), ("p
 _PUMP_STATES = ("OFF", "ON")  # sorted, so the reader's keys come out sorted
 
 
-def _csv_text(batch: QuadratureBatch, reps: range) -> str:
-    """The data lines of repetitions ``reps`` of one batch, one per
-    (repetition, mode) in that order, each ending in a newline."""
-    state = batch.pump_state
-    records = batch.records[reps.start : reps.stop].tolist()
-    if batch.mode_labels == SINGLE_MODE:
-        return "".join([f"{i},signal,{x!r},{p!r},{state}\n" for i, (x, p) in zip(reps, records)])
-    return "".join(
-        [
-            f"{i},signal,{xs!r},{ps!r},{state}\n{i},idler,{xi!r},{pi!r},{state}\n"
-            for i, (xs, ps, xi, pi) in zip(reps, records)
-        ]
-    )
+def _csv_text(batches: list, reps: range) -> str:
+    """The data lines of repetitions ``reps`` of the batches counted end to
+    end, one per (repetition, mode) in that order, each ending in a
+    newline."""
+    texts = []
+    for batch in batches:
+        mine = range(batch.n_rep)[reps.start : reps.stop]
+        reps = range(max(reps.start - batch.n_rep, 0), max(reps.stop - batch.n_rep, 0))  # from the next batch on
+        state = batch.pump_state
+        records = batch.records[mine.start : mine.stop].tolist()
+        if batch.mode_labels == SINGLE_MODE:
+            texts += [f"{i},signal,{x!r},{p!r},{state}\n" for i, (x, p) in zip(mine, records)]
+        else:
+            texts += [
+                f"{i},signal,{xs!r},{ps!r},{state}\n{i},idler,{xi!r},{pi!r},{state}\n"
+                for i, (xs, ps, xi, pi) in zip(mine, records)
+            ]
+    return "".join(texts)
 
 
 def write_quadrature_csv(path, batches) -> None:
@@ -329,14 +334,16 @@ def write_quadrature_csv(path, batches) -> None:
     state, and no two may share a pump state (the reader takes all the rows
     of a pump state as one batch).
 
-    The rows are formatted in parts: each batch is cut into contiguous
-    repetition ranges, at most one per usable CPU, and the ranges run at
-    once in this process and in forked children (:mod:`snailtwpa.parallel`).
-    The file is opened only once every part's text is back, and is written
-    as the header followed by the parts in order, so its bytes do not
-    depend on the number of parts; a part that fails raises before the
-    file is created or truncated.
+    The rows are formatted in parts: :mod:`snailtwpa.parallel` cuts the
+    repetitions of all the batches, counted end to end, into contiguous
+    ranges that run at once in this process and in forked children.  The
+    file is opened only once every part's text is back, and is written as
+    the header followed by the parts in order, so its bytes do not depend
+    on the number of parts; a part that fails raises before the file is
+    created or truncated.
     """
+    if not batches:
+        raise ValueError("no batches to write: a quadrature CSV holds at least one batch")
     normalized = {b.normalized for b in batches}
     if len(normalized) != 1:
         raise ValueError("cannot mix normalized and raw batches in one file")
@@ -351,9 +358,7 @@ def write_quadrature_csv(path, batches) -> None:
         f"# modes={','.join(labels)}\n"
         "rep_index,mode,x,p,pump_state\n"
     )
-    n_parts = parallel.usable_cpus()
-    pieces = [(b, reps) for b in batches for reps in parallel.cut(range(b.n_rep), n_parts)]
-    texts = parallel.map_parts(lambda piece: _csv_text(*piece), pieces)
+    texts = parallel.map_parts(lambda reps: _csv_text(batches, reps), range(sum(b.n_rep for b in batches)))
     with open(path, "w") as fh:
         fh.write(header)
         fh.writelines(texts)
@@ -361,8 +366,8 @@ def write_quadrature_csv(path, batches) -> None:
 
 def _first_bad_row(lines: list) -> tuple:
     """Index of the first line ``np.loadtxt`` rejects, found by halving, and
-    the error that line gives parsed alone (so the row number in it does
-    not depend on the lines before); ``lines`` must hold such a line."""
+    why: its field count, or its first field that does not parse; ``lines``
+    must hold such a line."""
     lo, hi = 0, len(lines)  # the first bad line is in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -372,10 +377,15 @@ def _first_bad_row(lines: list) -> tuple:
             hi = mid
         else:
             lo = mid
-    try:
-        np.loadtxt(lines[lo:hi], dtype=_CSV_ROW, delimiter=",", ndmin=1)
-    except ValueError as err:
-        return lo, err
+    fields = lines[lo].split("#")[0].split(",")  # np.loadtxt drops a '#' comment
+    if len(fields) != len(_CSV_ROW.names):
+        return lo, f"field count {len(fields)}, not {len(_CSV_ROW.names)} (rep_index,mode,x,p,pump_state)"
+    for k, name in enumerate(_CSV_ROW.names):
+        try:
+            np.loadtxt(lines[lo : lo + 1], dtype=_CSV_ROW[name], delimiter=",", usecols=k)
+        except ValueError:
+            return lo, f"field {k + 1} ({name}) cannot be read as {_CSV_ROW[name]}: {fields[k].strip()!r}"
+    return lo, "a row np.loadtxt does not read"
 
 
 def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str) -> None:
@@ -395,23 +405,18 @@ def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str
         raise ValueError(f"pump state {state}: the {label} mode has no row for repetition {rep} of 0..{n_rep - 1}")
 
 
-def _line_spans(text: str, n_parts: int) -> list:
-    """``text`` cut at newlines into at most ``n_parts`` (start, stop)
-    ranges of about equal length, in order; each range starts a line."""
-    cuts = {text.find("\n", j * len(text) // n_parts) + 1 for j in range(1, n_parts)}
-    starts = [0] + sorted(cuts - {0, len(text)})
-    return list(zip(starts, starts[1:] + [len(text)]))
-
-
-def _parse_lines(text: str, start: int, stop: int) -> tuple:
-    """Parse the lines of ``text[start:stop]``, which starts a line.
+def _parse_lines(text: str, span: range) -> tuple:
+    """Parse the lines of ``text`` that start inside ``span``, a range of
+    positions in it.
 
     Returns (rows, at, normalized, error): the data rows as ``_ROW``, their
-    0-based line numbers in ``text``, the state the range's last
+    0-based line numbers in ``text``, the state the lines' last
     ``normalized=`` comment sets (None without one), and None or the
-    range's first bad row as (0, line, message) for a row ``np.loadtxt``
+    lines' first bad row as (0, line, message) for a row ``np.loadtxt``
     rejects or else (1, line, message) for an invalid row.
     """
+    # the first line start at or after a position: 0, or just after a newline
+    start, stop = (i and (text.find("\n", i - 1) + 1 or len(text)) for i in (span.start, span.stop))
     first = text.count("\n", 0, start)
     lines = list(map(str.strip, text[start:stop].split("\n")))
     notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
@@ -425,8 +430,8 @@ def _parse_lines(text: str, start: int, stop: int) -> tuple:
     try:
         text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", ndmin=1)
     except ValueError:
-        n, err = _first_bad_row(body)
-        return rows, at, normalized, (0, at[n], f"line {at[n] + 1}: {err}")
+        n, why = _first_bad_row(body)
+        return rows, at, normalized, (0, at[n], f"line {at[n] + 1}: {why}")
     rows["mode"] = rows["pump"] = -1
     for code, label in enumerate(TWO_MODE):
         rows["mode"][text_rows["mode"] == label] = code
@@ -463,17 +468,16 @@ def read_quadrature_csv(path) -> dict:
     missing one raises ValueError naming the pump state, the mode and the
     repetition.
 
-    The file is read once and its text cut at newlines into at most one
-    range per usable CPU; the ranges are parsed and checked at once in this
-    process and in forked children (:mod:`snailtwpa.parallel`), each
-    handing back its rows and its first bad row as data.  The checks across
-    ranges then run here, so the batches and the error raised do not
-    depend on the number of ranges.
+    The file is read once, and :mod:`snailtwpa.parallel` cuts the positions
+    of its text into ranges that run at once in this process and in forked
+    children.  Each part parses and checks the lines that start in its
+    range, handing back its rows and its first bad row as data.  The checks
+    across parts then run here, so the batches and the error raised do not
+    depend on the number of parts.
     """
     with open(path) as fh:
         text = fh.read()
-    spans = _line_spans(text, parallel.usable_cpus())
-    parts = parallel.map_parts(lambda span: _parse_lines(text, *span), spans)
+    parts = parallel.map_parts(lambda span: _parse_lines(text, span), range(len(text)))
     errors = [error for *_, error in parts if error is not None]
     if errors:
         raise ValueError(min(errors)[2])

@@ -594,6 +594,35 @@ def test_lockstep_groups_run_in_one_fork_round(forks):
     assert len(forks) == 1
 
 
+def test_a_process_runs_one_lockstep_batch_per_group_it_holds(forks, monkeypatch):
+    # two groups of two members (different dt) on two CPUs: the members are
+    # cut once, so this process runs the first group as one batch of two,
+    # not as two batches of one, and the child runs the second
+    parent = os.getpid()
+    lockstep = circuit._lockstep
+    sizes = []
+
+    def recording(members):
+        if os.getpid() == parent:
+            sizes.append(len(members))
+        return lockstep(members)
+
+    monkeypatch.setattr(circuit, "_lockstep", recording)
+    chain = build_chain(small_config(), 0.3)
+    runs = [
+        (chain, snap_drive(tones=(Tone(4.0e9, current),), window=1e-9, settle_time=0.0, dt=dt))
+        for dt in (1e-12, 2e-12)
+        for current in (1e-8, 2e-8)
+    ]
+    traces = simulate_transients(runs)
+    assert len(forks) == 1 and sizes == [2]
+    for (chain, drive), trace in zip(runs, traces):
+        serial = simulate_transient(chain, drive)  # B = 1: never forks
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+        assert trace.dt == drive.dt
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpus):
     # the undriven member converges, the driven one fails, in one lockstep

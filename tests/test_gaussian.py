@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from snailtwpa import gaussian
+from snailtwpa import gaussian, parallel
 from snailtwpa.errors import (
     ComplexEigenvalue,
     DegenerateBatch,
@@ -363,6 +363,7 @@ READER_CASES = {
     "out of order": HEAD + "2,signal,3.0,3.5,ON\n0,signal,1.0,1.5,ON\n1,signal,2.0,2.5,ON\n",
     "not normalized": HEAD.replace("normalized=true", "normalized=false") + "0,signal,1.0,2.0,ON\n1,signal,2.0,1.0,ON\n",
     "no data": HEAD + "\n# nothing recorded\n",
+    "no final newline": HEAD + "0,signal,1.5,-2.0,ON\n1,signal,0.25,3e-10,ON",
     "two-mode ON and one-mode OFF": HEAD
     + "0,signal,1.0,2.0,ON\n0,idler,3.0,4.0,ON\n1,idler,-3.0,-4.0,ON\n1,signal,-1.0,-2.0,ON\n"
     + "rep_index,mode,x,p,pump_state\n0,signal,0.5,0.25,OFF\n1,signal,0.125,1e300,OFF\n",
@@ -388,19 +389,30 @@ def test_quadrature_csv_reader_edge_case_values(tmp_path):
     assert read_quadrature_csv(path) == {}
 
 
-@pytest.mark.parametrize(
-    "bad_row",
-    ["7,signal,abc,1.0,ON", "7,signal,1.0,ON", "7,signal,1.0,2.0,ON,9", "7.5,signal,1.0,2.0,ON",
-     "7,pump,1.0,2.0,ON", "7,signals,1.0,2.0,ON", "7,signal,1.0,2.0,on", "-7,signal,1.0,2.0,ON",
-     "7,signal,nan,2.0,ON"],
-)
+BAD_ROWS = {  # a bad row, and what the reader says of it after "line N: "
+    "7,signal,abc,1.0,ON": "field 3 (x) cannot be read as float64: 'abc'",
+    "7,signal,1.0,ON": "field count 4, not 5 (rep_index,mode,x,p,pump_state)",
+    "7,signal,1.0,2.0,ON,9": "field count 6, not 5 (rep_index,mode,x,p,pump_state)",
+    "7.5,signal,1.0,2.0,ON": "field 1 (rep) cannot be read as int64: '7.5'",
+    "7,pump,1.0,2.0,ON": "invalid row '7,pump,1.0,2.0,ON'",
+    "7,signals,1.0,2.0,ON": "invalid row '7,signals,1.0,2.0,ON'",
+    "7,signal,1.0,2.0,on": "invalid row '7,signal,1.0,2.0,on'",
+    "-7,signal,1.0,2.0,ON": "invalid row '-7,signal,1.0,2.0,ON'",
+    "7,signal,nan,2.0,ON": "invalid row '7,signal,nan,2.0,ON'",
+}
+
+
+@pytest.mark.parametrize("bad_row", list(BAD_ROWS))
 def test_quadrature_csv_reader_names_bad_line(tmp_path, bad_row):
+    # the message names the line, and the field or the field count, never
+    # numpy's row and column within the lines it was given
     lines = HEAD.splitlines() + [f"{i},signal,{i}.5,-{i}.25,ON" for i in range(60)]
     lines[40] = bad_row  # line 41 of the file
     path = tmp_path / "quad.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="^line 41: "):
+    with pytest.raises(ValueError) as err:
         read_quadrature_csv(path)
+    assert str(err.value) == f"line 41: {BAD_ROWS[bad_row]}"
 
 
 # each mode of a pump state needs exactly one row per repetition 0..n-1
@@ -467,9 +479,10 @@ def _layouts(n_rep):
 @pytest.mark.parametrize("n_rep", [7, 2], ids=["7 reps", "2 reps"])
 @pytest.mark.parametrize("layout", ["one-mode", "two-mode", "mixed"])
 def test_quadrature_csv_parts_write_one_cpu_bytes(tmp_path, forks, monkeypatch, layout, n_rep):
-    # 7 repetitions do not divide into 2 or 3 parts; 2 repetitions are
-    # fewer than 3 CPUs, and no part may be empty, so a batch of them is
-    # cut in 2 and all the batches' ranges make at most 3 parts
+    # the repetitions of all the batches are cut once: 7 do not divide
+    # into 2 or 3 parts, and the mixed layout's 14 in 3 parts put one part
+    # across both batches; 2 are fewer than 3 CPUs, and no part may be
+    # empty, so one batch of them is cut in 2
     batches = _layouts(n_rep)[layout]
     written = {}
     for cpus in (1, 2, 3):
@@ -477,7 +490,7 @@ def test_quadrature_csv_parts_write_one_cpu_bytes(tmp_path, forks, monkeypatch, 
         before = len(forks)
         write_quadrature_csv(tmp_path / f"{cpus}.csv", batches)
         written[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
-        assert len(forks) - before == min(cpus, len(batches) * min(cpus, n_rep)) - 1
+        assert len(forks) - before == min(cpus, sum(b.n_rep for b in batches)) - 1
     reference_write(tmp_path / "ref.csv", batches)
     assert written[1] == (tmp_path / "ref.csv").read_bytes()
     assert written[2] == written[1] and written[3] == written[1]
@@ -519,12 +532,13 @@ def test_quadrature_csv_write_stays_in_process_while_another_thread_runs(tmp_pat
     assert (tmp_path / "quad.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_quadrature_csv_writer_refuses_a_repeated_pump_state(tmp_path, forks):
+@pytest.mark.parametrize("repeat", [True, False], ids=["repeated-pump-state", "no-batch"])
+def test_quadrature_csv_writer_refuses_a_repeated_pump_state(tmp_path, forks, repeat):
     two, one = _layouts(4)["mixed"]
     path = tmp_path / "quad.csv"
     path.write_text("kept")
-    with pytest.raises(ValueError, match="pump state ON"):
-        write_quadrature_csv(path, [two, one, two])
+    with pytest.raises(ValueError, match="pump state ON" if repeat else "^no batches to write"):
+        write_quadrature_csv(path, [two, one, two] if repeat else [])
     assert not forks
     assert path.read_text() == "kept"
 
@@ -534,11 +548,14 @@ def test_quadrature_csv_writer_refuses_a_repeated_pump_state(tmp_path, forks):
 
 def read_on_cpus(path, forks, monkeypatch, cpus):
     """The reader's result with ``cpus`` usable CPUs, checked to fork once
-    per line range beyond the first, and the text of those ranges."""
+    per part beyond the first, and the text of each part: the lines that
+    start in its range of positions of the one cut."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with open(path) as fh:
         text = fh.read()
-    parts = [text[a:b] for a, b in gaussian._line_spans(text, cpus)]
+    starts = [0] + [n + 1 for n, char in enumerate(text[:-1]) if char == "\n"]
+    lines = list(zip(starts, [text[a:b] for a, b in zip(starts, starts[1:] + [len(text)])]))
+    parts = ["".join(line for a, line in lines if a in span) for span in parallel._cut(range(len(text)), cpus)]
     assert "".join(parts) == text and all(part.endswith("\n") for part in parts[:-1])
     before = len(forks)
     back = read_quadrature_csv(path)
@@ -593,7 +610,7 @@ def test_quadrature_csv_reader_lines_on_a_cut(tmp_path, forks, monkeypatch, kind
 
 
 def test_quadrature_csv_reader_part_without_data(tmp_path, forks, monkeypatch):
-    # two data rows and three CPUs: the header lines make a range of their own
+    # two data rows and three CPUs: the header lines fill the first range
     path = tmp_path / "quad.csv"
     path.write_text(HEAD + "0,signal,1.5,-2.0,ON\n1,signal,0.25,3e-10,ON\n")
     ranges = assert_reads_alike(path, forks, monkeypatch)
@@ -614,7 +631,7 @@ def test_quadrature_csv_reader_parse_error_outranks_earlier_invalid_row(tmp_path
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(ValueError) as one_cpu:
         read_quadrature_csv(path)
-    assert str(one_cpu.value).startswith("line 56: could not convert string 'abc'")
+    assert str(one_cpu.value) == "line 56: field 3 (x) cannot be read as float64: 'abc'"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with pytest.raises(ValueError) as err:
         read_quadrature_csv(path)

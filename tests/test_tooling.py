@@ -100,7 +100,11 @@ def test_readme_example_configs_parse(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "demo, writes",
-    [("01_snail_flux_tunability.py", "snail_coefficients.csv"), ("06_sntj_calibration.py", None)],
+    [
+        ("01_snail_flux_tunability.py", "snail_coefficients.csv"),
+        ("05_two_mode_entanglement.py", None),
+        ("06_sntj_calibration.py", None),
+    ],
 )
 def test_fast_demos_run(tmp_path, demo, writes):
     # the demos that take under a second run to the end: a call that binds
