@@ -40,6 +40,19 @@ a member that meets its own convergence test is held fixed while the
 others iterate; each member's output is therefore bit-identical to running
 it alone.
 
+Below a few hundred cells a step's cost is the number of numpy calls, not
+their arithmetic, so the step loop makes few and cheap ones.  Every scalar
+operand is a 0-d float64 array made once per batch (numpy converts a Python
+float operand on every call).  The junction phase phi and the inner-loop
+angle (phi - phi_ext)/3 are the two rows of one buffer, so one sin and one
+cos call fill [sin phi; sin arg; cos phi; cos arg], one multiply weights
+the four rows by [a1; a2; a1; a2/3], and one add sums rows (0, 2) with
+rows (1, 3) into the branch current and conductance terms.  Each element
+still goes through the same IEEE operations in the same order (a 0-d
+operand has the value of the float it replaces, and sin, cos, multiply
+and add act elementwise), so the traces are the bits of the one-call-per-
+row form.
+
 Members that cannot share a batch (another cell count, circuit constant
 or time grid) form separate lockstep groups.  :mod:`snailtwpa.parallel`
 cuts the members, in group order, once into parts that run in one round,
@@ -502,7 +515,8 @@ def _integrate(members) -> list:
 
 def _lockstep(members) -> np.ndarray:
     """Advance members of one lockstep group as one batch; their (B, 2,
-    n_total) records of the input ([b, 0]) and output ([b, 1]) node.  A
+    n_total) records of the input ([b, 0]) and output ([b, 1]) node, a
+    view of the (n_total, B, 2) array that each step writes one row of.  A
     failure raises NewtonDivergence with the batch-local member_index."""
     chains = [chain for chain, _ in members]
     drives = [drive for _, drive in members]
@@ -534,7 +548,7 @@ def _lockstep(members) -> np.ndarray:
 
     a1 = stacked([chain.r_eff * chain.i_c_eff for chain in chains])
     a2 = stacked([chain.i_c_eff for chain in chains])
-    a2_3 = a2 / 3.0
+    weights = np.stack([a1, a2, a1, a2 / 3.0])  # of [sin phi; sin arg; cos phi; cos arg]
     phi_ext = stacked([chain.phi_ext for chain in chains])
     phi = stacked([chain.phi_star for chain in chains])
     g_series = np.full(size, g_cj)
@@ -556,7 +570,14 @@ def _lockstep(members) -> np.ndarray:
     # the last branch has no right-hand node: its series voltage stays 0
     v_ser, v_ser_new = np.zeros(size), np.zeros(size)
     i_cj, i_sh, i_sh_new, v_cg = np.zeros((4, size))
-    hist_cj, hist_sh, phi_new, arg, sin_phi, cos_phi, sin_arg, cos_arg, scratch = np.empty((9, size))
+    hist_cj, hist_sh, scratch = np.empty((3, size))
+    # phi_new and arg are the rows of one pair, so that one sin and one cos
+    # call fill trig = [sin phi; sin arg; cos phi; cos arg]
+    angles = np.empty((2, size))
+    phi_new, arg = angles
+    trig = np.empty((4, size))
+    trig_sin, trig_cos, trig_phi, trig_arg = trig[:2], trig[2:], trig[::2], trig[1::2]
+    sin_phi, cos_phi = trig_phi
     abs_pair = np.empty((2, nb, m))
     maxima = np.empty((2, nb))
     # i_branch[0] and g_branch[0] pad the left of node 0 of member 0
@@ -569,7 +590,7 @@ def _lockstep(members) -> np.ndarray:
     off = np.empty(size - 1)
     off_inert = off[n::m]  # coupling between neighbouring members: exactly 0
 
-    record = np.empty((nb, 2, n_total))  # [b, 0] input node, [b, 1] output node
+    record = np.empty((n_total, nb, 2))  # [step, b, 0] input node, [step, b, 1] output node
     add, subtract, multiply, divide, negative = np.add, np.subtract, np.multiply, np.divide, np.negative
     sin, cos, absolute, max_reduce = np.sin, np.cos, np.absolute, np.maximum.reduce
     dgtsv = _lapack().dgtsv
@@ -577,16 +598,21 @@ def _lockstep(members) -> np.ndarray:
     active = np.ones((nb, 1), dtype=bool)
     cur, prev = views
     errs = [math.inf] * nb
+    # every scalar operand of the loop is a 0-d float64 array, made once:
+    # numpy converts a Python float operand on every call (to the same value)
+    neg_g_cj, neg_g_sh, neg_g_port, g_cj, half_dt_cg, g_sh, g_port, c_phase, two, three = map(
+        np.array, (-g_cj, -g_sh, -g_port, g_cj, half_dt_cg, g_sh, g_port, c_phase, 2.0, 3.0)
+    )
 
     for step in range(n_total):
-        multiply(v_ser, -g_cj, hist_cj)
+        multiply(v_ser, neg_g_cj, hist_cj)
         subtract(hist_cj, i_cj, hist_cj)
         multiply(i_sh, half_dt_cg, hist_sh)
         add(v_cg, hist_sh, hist_sh)
-        multiply(hist_sh, -g_sh, hist_sh)
+        multiply(hist_sh, neg_g_sh, hist_sh)
         i_now = i_src[step]
         # linear extrapolation predictor, written over v_prev's buffer
-        multiply(cur[1], 2.0, prev[8])
+        multiply(cur[1], two, prev[8])
         subtract(prev[8], prev[1], prev[1])
         cur, prev = prev, cur
         pair, v, v_lo, v_hi, v_ports, v_in, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
@@ -598,30 +624,25 @@ def _lockstep(members) -> np.ndarray:
             multiply(phi_new, c_phase, phi_new)
             add(phi, phi_new, phi_new)
             subtract(phi_new, phi_ext, arg)
-            divide(arg, 3.0, arg)
-            sin(phi_new, sin_phi)
-            cos(phi_new, cos_phi)
-            sin(arg, sin_arg)
-            cos(arg, cos_arg)
-            multiply(a1, sin_phi, sin_phi)
-            multiply(a2, sin_arg, sin_arg)
-            add(sin_phi, sin_arg, sin_phi)
+            divide(arg, three, arg)
+            sin(angles, trig_sin)
+            cos(angles, trig_cos)
+            multiply(weights, trig, trig)
+            # a1 sin phi + a2 sin arg, a1 cos phi + a2/3 cos arg
+            add(trig_phi, trig_arg, trig_phi)
             multiply(v_ser_new, g_cj, scratch)
             add(sin_phi, scratch, sin_phi)
             add(sin_phi, hist_cj, ib)
             multiply(v_ports, g_port, ib_ports)
-            multiply(a1, cos_phi, cos_phi)
-            multiply(a2_3, cos_arg, cos_arg)
-            add(cos_phi, cos_arg, cos_phi)
             multiply(cos_phi, c_phase, cos_phi)
             add(cos_phi, g_series, gb)
 
             # right-hand side -residual, negated term by term (exact)
-            multiply(v, -g_sh, rhs)
+            multiply(v, neg_g_sh, rhs)
             subtract(rhs, hist_sh, rhs)
             subtract(ib_left, ib, scratch)
             add(rhs, scratch, rhs)
-            multiply(v_in, -g_port, rhs_in)
+            multiply(v_in, neg_g_port, rhs_in)
             subtract(rhs_in, ib_in, rhs_in)
             add(rhs_in, i_now, rhs_in)
 
@@ -630,7 +651,8 @@ def _lockstep(members) -> np.ndarray:
             negative(gb_head, off)
             off_inert.fill(0.0)
 
-            _, _, _, _, info = dgtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)
+            # overwrite_dl=0, overwrite_d=1, overwrite_du=0, overwrite_b=1, by position
+            _, _, _, _, info = dgtsv(off, diag, off, rhs, 0, 1, 0, 1)
             if info != 0:
                 raise NewtonDivergence(
                     f"tridiagonal solve failed at step {step} (info={(info - 1) % m + 1})",
@@ -684,8 +706,8 @@ def _lockstep(members) -> np.ndarray:
         add(v_cg, scratch, v_cg)
         i_sh, i_sh_new = i_sh_new, i_sh
         v_ser, v_ser_new = v_ser_new, v_ser
-        record[:, :, step] = v_ends
-    return record
+        record[step] = v_ends
+    return record.transpose(1, 2, 0)
 
 
 def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:

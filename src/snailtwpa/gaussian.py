@@ -372,17 +372,17 @@ def _first_bad_row(lines: list) -> tuple:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            np.loadtxt(lines[lo:mid], dtype=_CSV_ROW, delimiter=",", ndmin=1)
+            np.loadtxt(lines[lo:mid], dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             hi = mid
         else:
             lo = mid
-    fields = lines[lo].split("#")[0].split(",")  # np.loadtxt drops a '#' comment
+    fields = lines[lo].split(",")
     if len(fields) != len(_CSV_ROW.names):
         return lo, f"field count {len(fields)}, not {len(_CSV_ROW.names)} (rep_index,mode,x,p,pump_state)"
     for k, name in enumerate(_CSV_ROW.names):
         try:
-            np.loadtxt(lines[lo : lo + 1], dtype=_CSV_ROW[name], delimiter=",", usecols=k)
+            np.loadtxt(lines[lo : lo + 1], dtype=_CSV_ROW[name], delimiter=",", comments=None, usecols=k)
         except ValueError:
             return lo, f"field {k + 1} ({name}) cannot be read as {_CSV_ROW[name]}: {fields[k].strip()!r}"
     return lo, "a row np.loadtxt does not read"
@@ -428,7 +428,7 @@ def _parse_lines(text: str, span: range) -> tuple:
     if not body:
         return rows, at, normalized, None
     try:
-        text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", ndmin=1)
+        text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         n, why = _first_bad_row(body)
         return rows, at, normalized, (0, at[n], f"line {at[n] + 1}: {why}")
@@ -455,8 +455,9 @@ def _parse_lines(text: str, span: range) -> tuple:
 def read_quadrature_csv(path) -> dict:
     """Read the interchange CSV; returns {pump_state: QuadratureBatch}.
 
-    Lines are stripped of surrounding whitespace; blank lines, ``#``
-    comments and ``rep_index`` header lines are skipped, and the last
+    Lines are stripped of surrounding whitespace; blank lines, comment
+    lines (those that start with ``#``; a ``#`` elsewhere in a row is data)
+    and ``rep_index`` header lines are skipped, and the last
     ``normalized=`` comment sets the normalization state (default true).
     A pump state's modes are the labels its rows use, and each of them
     must have exactly one row for every repetition 0..n-1, n - 1 being the

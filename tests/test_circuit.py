@@ -643,6 +643,95 @@ def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpu
     assert str(batch.value) == str(serial.value)
 
 
+class FaultyLapack:
+    """A stand-in for scipy's LAPACK whose dgtsv is ``real`` with one fault
+    at the ``at``-th solve of the driven member: ``("info", k)`` reports a
+    zero pivot at node k, ``("nan", k)`` writes NaN into the update at node
+    k.  The chains are at zero flux and the other member is undriven, so
+    its right-hand side is exactly zero at every solve: the driven member
+    is the one nonzero block, wherever it runs, alone or in a batch."""
+
+    def __init__(self, real, fault, m, at=7):
+        self.real, self.fault, self.m, self.at = real, fault, m, at
+        self.seen = 0  # solves of the driven member
+
+    def dgtsv(self, dl, d, du, b, *args, **kwargs):
+        driven = [i for i, block in enumerate(b.reshape(-1, self.m)) if block.any()]
+        du2, d_out, du_out, x, info = self.real(dl, d, du, b, *args, **kwargs)
+        if driven:
+            self.seen += 1
+            if self.seen == self.at:
+                (block,) = driven
+                kind, node = self.fault
+                if kind == "info":
+                    info = block * self.m + node + 1
+                else:
+                    x[block * self.m + node] = math.nan
+        return du2, d_out, du_out, x, info
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (("info", 2), "tridiagonal solve failed at step 3 (info=3)"),
+        (("nan", 0), "tridiagonal solve failed at step 3 (info=0)"),
+        (("nan", 3), "Newton update diverged at step 3"),
+    ],
+    ids=["info", "nan-at-node-0", "nan-at-node-3"],
+)
+def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, message):
+    # a failed solve names the step, the node (1-based LAPACK info, counted
+    # within the member) and the member, as the serial run of that member
+    # does, whether it ran in a batch of two (1 CPU) or in the child (2 CPUs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = small_config()
+    chain = build_chain(cfg, 0.0)
+    rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
+    driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
+    real = circuit._lapack().dgtsv
+    monkeypatch.setattr(circuit, "lapack", FaultyLapack(real, fault, cfg.n_cells + 1))
+    with pytest.raises(NewtonDivergence) as serial:
+        simulate_transient(chain, driven)
+    monkeypatch.setattr(circuit, "lapack", FaultyLapack(real, fault, cfg.n_cells + 1))
+    with pytest.raises(NewtonDivergence) as batch:
+        simulate_transients([(chain, rest), (chain, driven)])
+    assert len(forks) == cpus - 1
+    for err in (serial.value, batch.value):
+        assert str(err) == message
+        assert err.step_index == 3
+    assert batch.value.member_index == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    pumps=st.lists(st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.6)), max_size=3),
+    zero_at=st.integers(0, 3),
+    zero_flux=st.floats(0.0, 0.6),
+    periods=st.integers(1, 2),
+)
+def test_batch_equals_each_member_alone(n_cells, seed, pumps, zero_at, zero_flux, periods):
+    # one lockstep batch of 1-4 members, each at its own flux (one of them
+    # undriven, the others pumped at random phases and amplitudes), gives
+    # each member the bytes of its own serial run
+    cfg = ChainConfig(n_cells=n_cells, rng_seed=seed)
+    pumps.insert(min(zero_at, len(pumps)), (0.0, 0.0, zero_flux))
+    runs = [
+        (build_chain(cfg, flux, f_ref=F_PUMP),
+         snap_drive(tones=(Tone(F_PUMP, amplitude, phase),), window=periods / F_PUMP, settle_time=0.0))
+        for amplitude, phase, flux in pumps
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one process, one batch
+        traces = simulate_transients(runs)
+    for run, trace in zip(runs, traces):
+        serial = simulate_transient(*run)
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+
+
 @pytest.mark.parametrize("fate", ["exit", "raise"])
 def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
     parent = os.getpid()

@@ -399,6 +399,10 @@ BAD_ROWS = {  # a bad row, and what the reader says of it after "line N: "
     "7,signal,1.0,2.0,on": "invalid row '7,signal,1.0,2.0,on'",
     "-7,signal,1.0,2.0,ON": "invalid row '-7,signal,1.0,2.0,ON'",
     "7,signal,nan,2.0,ON": "invalid row '7,signal,nan,2.0,ON'",
+    # only a line that starts with '#' is a comment: a '#' in a row is data
+    "7,signal,1.0,2.0,ON#note": "invalid row '7,signal,1.0,2.0,ON#note'",
+    "7,signal,1.0,2.0,ON # note": "invalid row '7,signal,1.0,2.0,ON # note'",
+    "7,signal,1.0,2.0#,ON": "field 4 (p) cannot be read as float64: '2.0#'",
 }
 
 
