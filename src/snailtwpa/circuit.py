@@ -99,7 +99,7 @@ import numpy as np
 from . import parallel
 from .constants import PHI0
 from .errors import NewtonDivergence, WindowTooShort
-from .snail import SnailParams, coefficients, find_phi_star
+from .snail import SnailParams, coefficients
 
 TWO_PI = 2.0 * math.pi
 NEWTON_TOL = 1e-15  # V: a step converges when max |dV| < NEWTON_TOL + 1e-10 * max |V|
@@ -384,9 +384,8 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
     inductance = np.empty(n)
     for k in range(n):
         params = SnailParams(r=float(r_eff[k]), i_c=float(i_c_eff[k]), phi_ext=float(phi_ext[k]))
-        root = find_phi_star(params)
-        c = coefficients(params, phi_star=root)
-        phi_star[k] = root
+        c = coefficients(params)
+        phi_star[k] = c.phi_star
         beta[k] = c.beta
         gamma[k] = c.gamma
         inductance[k] = c.inductance

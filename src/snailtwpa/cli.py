@@ -100,6 +100,13 @@ TABLES = {
     "attenuation": {"s21_off_db": float, "eta_db": float, "g_sys_db": float},
 }
 
+# Largest accepted count of grid points, pump phases, repetitions or cells:
+# numpy sizes an array only while its bytes fit in np.intp, and the widest
+# arrays a count sizes hold 4 float64 per entry (a chain's junction draws, a
+# two-mode batch's records).  A larger count is a configuration error; a
+# smaller one that memory cannot hold is a runtime error.
+MAX_COUNT = np.iinfo(np.intp).max // 32
+
 # Largest accepted two-mode squeezing parameter of ``tms``: a power gain
 # cosh(r)^2 of 28.7 dB, the top of what travelling-wave amplifiers reach;
 # beyond it float64 can no longer resolve nu_minus = exp(-2r) of the state.
@@ -252,13 +259,17 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     for key, least in (("n_points", 1), ("n_phases", 1), ("n_rep", 2), ("seed", 0), ("max_iter", 1)):
         if getattr(p, key, least) < least:
             raise ConfigError(f"'{key}' must be >= {least}, got {getattr(p, key)}")
+    counts = vars(p) | (getattr(p, "chain", None) or {})  # the chain block is still a dict here
+    for key in ("n_points", "n_phases", "n_rep", "n_cells"):
+        if counts.get(key, 0) > MAX_COUNT:
+            raise ConfigError(f"'{key}' must be <= {MAX_COUNT}, got {counts[key]}")
     for key in ("pump_frequency", "frequency", "bandwidth"):
         if not getattr(p, key, 1.0) > 0.0:
             raise ConfigError(f"'{key}' must be positive, got {getattr(p, key)}")
-    drive = getattr(p, "drive", None) or vars(p)  # the flux-sweep drive block, or gain-phase's own keys
-    for key in ("pump_current", "signal_current"):
-        if drive.get(key, 0.0) < 0.0:
-            raise ConfigError(f"'{key}' must be >= 0, got {drive[key]}")
+    amounts = getattr(p, "drive", None) or vars(p)  # the flux-sweep drive block, or the command's own keys
+    for key in ("pump_current", "signal_current", "added_noise_photons", "thermal_photons"):
+        if amounts.get(key, 0.0) < 0.0:
+            raise ConfigError(f"'{key}' must be >= 0, got {amounts[key]}")
     if getattr(p, "gain_uncertainty_db", None) is not None:  # the library takes 10^(x/10)
         _gain_from_db(p.gain_uncertainty_db, "'gain_uncertainty_db'")
     if getattr(p, "flux_min", 0.0) > getattr(p, "flux_max", 0.0):
@@ -589,6 +600,9 @@ def main(argv=None) -> int:
         return 2
     except SnailTwpaError as err:
         print(f"runtime error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's failed allocation is one, here or from a worker process
+        print(f"runtime error: out of memory: {err}", file=sys.stderr)
         return 1
     return 0
 

@@ -108,16 +108,16 @@ def _current_derivative(phi, params: SnailParams):
     )
 
 
-def find_phi_star(params: SnailParams, guess: float | None = None) -> float:
+def find_phi_star(params: SnailParams) -> float:
     """Zero-current phase on the branch continuously connected to
     phi_star = 0 at phi_ext = 0.
 
     For r < 1/3 the current relation has exactly one zero within
     (phi_ext - pi/2, phi_ext + pi/2) and it satisfies
     |phi_star - phi_ext| <= 3*arcsin(r); that root is the tracked branch,
-    for arbitrarily large flux.  Newton iteration (warm-started with
-    ``guess``, e.g. the previous point of a flux sweep) with bisection
-    fallback on the bracket; converges to |I(phi_star)| < 1e-12 * i_c.
+    for arbitrarily large flux.  Newton iteration from phi_ext with
+    bisection fallback on the bracket; converges to
+    |I(phi_star)| < 1e-12 * i_c.
 
     Raises NoConvergence if the iteration budget (100) is exhausted.
     """
@@ -125,9 +125,7 @@ def find_phi_star(params: SnailParams, guess: float | None = None) -> float:
     lo = params.phi_ext - 0.5 * math.pi
     hi = params.phi_ext + 0.5 * math.pi
     # I(lo) <= (r - 1/2) i_c < 0 < (1/2 - r) i_c <= I(hi) for r < 1/2
-    x = float(guess) if guess is not None else params.phi_ext
-    if not lo < x < hi:
-        x = params.phi_ext
+    x = params.phi_ext
     for _ in range(100):
         f = float(snail_current(x, params))
         if abs(f) < tol:
@@ -151,18 +149,15 @@ def find_phi_star(params: SnailParams, guess: float | None = None) -> float:
     )
 
 
-def coefficients(params: SnailParams, phi_star: float | None = None) -> SnailCoefficients:
-    """Linear and nonlinear Taylor coefficients at the working point.
+def coefficients(params: SnailParams) -> SnailCoefficients:
+    """Linear and nonlinear Taylor coefficients at the working point
+    phi* = :func:`find_phi_star` (params).
 
     alpha_tilde = r*cos(phi*) + cos((phi* - phi_ext)/3) / 3
     beta        = [r*sin(phi*) + sin((phi* - phi_ext)/3) / 9] / (2*alpha_tilde)
     gamma       = [r*cos(phi*) + cos((phi* - phi_ext)/3) / 27] / (6*alpha_tilde)
-
-    ``phi_star`` may be passed in (e.g. warm-started from a sweep); it is
-    recomputed otherwise.
     """
-    if phi_star is None:
-        phi_star = find_phi_star(params)
+    phi_star = find_phi_star(params)
     arg = (phi_star - params.phi_ext) / 3.0
     alpha = params.r * math.cos(phi_star) + math.cos(arg) / 3.0
     beta = 0.5 * (params.r * math.sin(phi_star) + math.sin(arg) / 9.0) / alpha
@@ -173,36 +168,17 @@ def coefficients(params: SnailParams, phi_star: float | None = None) -> SnailCoe
 
 
 def coefficients_vs_flux(r: float, flux: np.ndarray) -> dict:
-    """Sweep the coefficients over external flux (in Phi0 units).
+    """:func:`coefficients` at each external flux (in Phi0 units).
 
-    Roots are tracked along the sweep by warm-starting each Newton solve
-    with the previous flux point's phi_star.  Returns arrays keyed by
-    ``flux``, ``phi_star``, ``alpha_tilde``, ``beta``, ``gamma``.  It takes
-    no critical current: i_c scales the current relation as a whole, so
-    it cancels from every returned quantity.
+    Returns arrays keyed by ``flux``, ``phi_star``, ``alpha_tilde``,
+    ``beta``, ``gamma``.  Each point is solved on its own, so its bits do
+    not depend on the rest of the grid.  It takes no critical current:
+    i_c scales the current relation as a whole, so it cancels from every
+    returned quantity up to the last bits, which follow the i_c = 1e-6 A
+    used here (in 1 of 50 random grids a point differed in its last bits
+    between i_c = 1e-6 and 2.19e-6 A).
     """
     flux = np.asarray(flux, dtype=float)
-    n = flux.size
-    phi_star = np.empty(n)
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    gamma = np.empty(n)
-    guess = None
-    for k in range(n):
-        # i_c cancels but for the rounding residue of a root at 0 (beta ~1e-26
-        # at flux 0.0); 1e-6 A, what the coeffs command always passed, keeps it
-        params = SnailParams.from_flux(r, 1e-6, float(flux.flat[k]))
-        root = find_phi_star(params, guess=guess)
-        c = coefficients(params, phi_star=root)
-        phi_star[k] = root
-        alpha[k] = c.alpha_tilde
-        beta[k] = c.beta
-        gamma[k] = c.gamma
-        guess = root + (TWO_PI * (flux.flat[k + 1] - flux.flat[k]) if k + 1 < n else 0.0)
-    return {
-        "flux": flux,
-        "phi_star": phi_star,
-        "alpha_tilde": alpha,
-        "beta": beta,
-        "gamma": gamma,
-    }
+    points = [coefficients(SnailParams.from_flux(r, 1e-6, float(f))) for f in flux.flat]
+    keys = ("phi_star", "alpha_tilde", "beta", "gamma")
+    return {"flux": flux} | {key: np.array([getattr(c, key) for c in points]) for key in keys}

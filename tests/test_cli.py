@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snailtwpa import circuit, cli, gaussian
+from snailtwpa import circuit, cli, gaussian, snail
 from snailtwpa.cli import main
 from snailtwpa.errors import ConfigError
 from snailtwpa.calibration import SntjModel, sntj_noise_power
@@ -54,14 +54,18 @@ def test_coeffs_beta_antisymmetric(tmp_path):
 
 
 def test_coeffs_zero_flux_row_matches_module(tmp_path):
-    cfg = write_config(tmp_path, {"r": 0.07, "flux_min": 0.0, "flux_max": 0.5, "n_points": 2})
-    out = tmp_path / "run"
-    assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
-    _, _, rows = read_result_csv(out)
+    # flux 0.0 as the first point, and reached in the middle of criterion
+    # 8's sweep (row 200 of -2...2 in 401 points)
     ref = coefficients(SnailParams.from_flux(0.07, 2.19e-6, 0.0))
-    assert rows[0, 1] == pytest.approx(ref.alpha_tilde, abs=1e-12)
-    assert rows[0, 2] == 0.0
-    assert rows[0, 3] == pytest.approx(ref.gamma, abs=1e-12)
+    for flux_min, flux_max, n_points, row in ((0.0, 0.5, 2, 0), (-2.0, 2.0, 401, 200)):
+        cfg = write_config(tmp_path, {"r": 0.07, "flux_min": flux_min, "flux_max": flux_max, "n_points": n_points})
+        out = tmp_path / f"run{n_points}"
+        assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_result_csv(out)
+        assert rows[row, 0] == 0.0
+        assert rows[row, 1] == pytest.approx(ref.alpha_tilde, abs=1e-12)
+        assert rows[row, 2] == 0.0
+        assert rows[row, 3] == pytest.approx(ref.gamma, abs=1e-12)
 
 
 def test_coeffs_empty_grid_is_config_error(tmp_path):
@@ -132,6 +136,12 @@ def test_unknown_key_rejected(tmp_path):
         ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "eta": 1.5}, "eta"),
         ("normalize", {"g_sys_db": 61.7, "f_acq": 4e9, "t_int": 0.0}, "t_int"),
         ("sms", {"target_theta": 0.1}, "target_theta"),
+        ("coeffs", {"n_points": 10**20}, "'n_points'"),
+        ("gain-phase", {"n_phases": 10**20}, "'n_phases'"),
+        ("gain-phase", {"chain": {"n_cells": 10**20}}, "'n_cells'"),
+        ("tms", {"n_rep": 10**20}, "'n_rep'"),
+        ("sms", {"added_noise_photons": -1}, "'added_noise_photons'"),
+        ("tms", {"thermal_photons": -1}, "'thermal_photons'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -391,6 +401,33 @@ def test_sms_input_csv_reader_child_that_dies_is_runtime_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "exited with status 3" in err
     assert len(forks) == 2  # one for the write, one for the read
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [("coeffs", snail, "coefficients_vs_flux"), ("tms", gaussian, "sample_gaussian")],
+)
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, forks, monkeypatch, command, module, name):
+    # a failed allocation is one runtime error line, also when only a forked
+    # worker meets it (tms's last points run in one); nothing is allocated,
+    # the library call raises it
+    parent = os.getpid()
+    call = getattr(module, name)
+
+    def failing(*args, **kwargs):
+        if command == "tms" and os.getpid() == parent:
+            return call(*args, **kwargs)
+        raise MemoryError("Unable to allocate 2.84 PiB for an array")
+
+    monkeypatch.setattr(module, name, failing)
+    cfg = write_config(tmp_path, {"n_rep": 1000} if command == "tms" else {})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("runtime error:")] == [
+        "runtime error: out of memory: Unable to allocate 2.84 PiB for an array"
+    ]
+    assert "Traceback" not in err
+    assert len(forks) == (command == "tms")
 
 
 def test_tms_zero_r_and_monotone(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snailtwpa.errors import NoConvergence
 from snailtwpa.snail import (
@@ -95,13 +97,6 @@ def test_phi_star_residual_over_sweep():
         assert abs(snail_current(root, params)) < 1e-12 * I_C
 
 
-def test_phi_star_warm_start_matches_cold_start():
-    params = SnailParams(r=R, i_c=I_C, phi_ext=2.0)
-    cold = find_phi_star(params)
-    warm = find_phi_star(params, guess=cold + 0.3)
-    assert warm == pytest.approx(cold, abs=1e-10)
-
-
 def test_phi_star_rejects_large_r():
     with pytest.raises(ValueError):
         find_phi_star(SnailParams(r=0.4, i_c=I_C, phi_ext=1.0))
@@ -178,6 +173,27 @@ def test_sweep_matches_pointwise():
         c = coefficients(SnailParams.from_flux(R, I_C, float(flux[i])))
         assert sweep["beta"][i] == pytest.approx(c.beta, abs=1e-12)
         assert sweep["gamma"][i] == pytest.approx(c.gamma, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.01, 0.32),
+    flux=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_sweep_point_is_its_own_solve(r, flux, data):
+    # a point's bits depend on its flux alone, not on the grid around it,
+    # and the sweep keeps the symmetry beta odd, alpha_tilde and gamma even
+    flux = np.array(flux)
+    sweep = coefficients_vs_flux(r, flux)
+    k = data.draw(st.integers(0, flux.size - 1))
+    alone = coefficients_vs_flux(r, flux[k : k + 1])
+    for key in ("phi_star", "alpha_tilde", "beta", "gamma"):
+        assert alone[key][0] == sweep[key][k]
+    mirrored = coefficients_vs_flux(r, -flux[::-1])
+    np.testing.assert_array_equal(mirrored["beta"][::-1], -sweep["beta"])
+    np.testing.assert_array_equal(mirrored["alpha_tilde"][::-1], sweep["alpha_tilde"])
+    np.testing.assert_array_equal(mirrored["gamma"][::-1], sweep["gamma"])
 
 
 def test_params_validation():
