@@ -13,7 +13,9 @@ import numpy as np
 
 from snailtwpa.gaussian import (
     estimate_covariance,
+    pump_states,
     sample_gaussian,
+    squeezed_vacuum,
     squeezing_db,
     subtract_background,
 )
@@ -22,19 +24,14 @@ TARGET_DB = -3.0103  # variance 1/2 on the squeezed quadrature
 N_REP = 1_000_000
 ADDED_NOISE_PHOTONS = 1.5
 
-squeeze = 10.0 ** (TARGET_DB / 10.0)
-off_true = (1.0 + 2.0 * ADDED_NOISE_PHOTONS) * np.eye(2)
+angles = np.linspace(0.0, np.pi, 7)
+pairs = pump_states([squeezed_vacuum(10.0 ** (TARGET_DB / 10.0), a) for a in angles], ADDED_NOISE_PHOTONS, 0.0)
 
 print(f"target: {TARGET_DB:+.3f} dB squeezed state under "
       f"{ADDED_NOISE_PHOTONS} photons of added noise, N_rep = {N_REP:.0e}\n")
 print(f"{'angle/pi':>9} {'S_x dB':>9} {'S_p dB':>9} {'physical':>9}")
 
-for k, angle in enumerate(np.linspace(0.0, np.pi, 7)):
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, s], [-s, c]])
-    psi_true = rot @ np.diag([squeeze, 1.0 / squeeze]) @ rot.T
-    on_true = psi_true - np.eye(2) + off_true
-
+for k, (angle, (on_true, off_true)) in enumerate(zip(angles, pairs)):
     on = estimate_covariance(sample_gaussian(on_true, n_rep=N_REP, seed=2 * k, pump_state="ON"))
     off = estimate_covariance(sample_gaussian(off_true, n_rep=N_REP, seed=2 * k + 1))
     psi = subtract_background(on, off, gain_uncertainty_db=1.0)

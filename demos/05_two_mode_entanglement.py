@@ -9,31 +9,22 @@ toward separability.
 Run:  python demos/05_two_mode_entanglement.py
 """
 
-import math
-
-import numpy as np
-
 from snailtwpa.gaussian import (
     CovMatrix,
     estimate_covariance,
     logarithmic_negativity,
+    pump_states,
     sample_gaussian,
     subtract_background,
+    two_mode_squeezed,
 )
 
-
-def tmsv(r, n_thermal=0.0):
-    a = (math.cosh(2 * r) + 2 * n_thermal) * np.eye(2)
-    c = math.sinh(2 * r) * np.diag([1.0, -1.0])
-    return np.block([[a, c], [c.T, a]])
-
-
 N_REP = 400_000
-off_true = 3.0 * np.eye(4)  # 1 photon of added noise on each mode
+R_VALUES = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+pairs = pump_states([two_mode_squeezed(r, 0.0) for r in R_VALUES], 1.0, 0.0)  # 1 added photon on each mode
 
 print(f"{'r':>5} {'E_N est':>9} {'E_N ideal':>10} {'nu_minus':>9}")
-for k, r in enumerate([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]):
-    on_true = tmsv(r) - np.eye(4) + off_true
+for k, (r, (on_true, off_true)) in enumerate(zip(R_VALUES, pairs)):
     on = estimate_covariance(sample_gaussian(on_true, n_rep=N_REP, seed=2 * k, pump_state="ON"))
     off = estimate_covariance(sample_gaussian(off_true, n_rep=N_REP, seed=2 * k + 1))
     psi = subtract_background(on, off)
@@ -43,7 +34,7 @@ for k, r in enumerate([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]):
 print("\nwith 1.5 thermal photons on each mode (entanglement degraded):")
 print(f"{'r':>5} {'E_N est':>9}")
 for k, r in enumerate([0.2, 0.4, 0.6]):
-    sigma = CovMatrix(entries=tmsv(r, n_thermal=1.5))
+    sigma = CovMatrix(entries=two_mode_squeezed(r, 1.5))
     e_n, _ = logarithmic_negativity(sigma)
     print(f"{r:>5.2f} {e_n:>9.4f}")
 

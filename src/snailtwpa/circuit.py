@@ -270,9 +270,11 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
     window      : requested analysis window, s; adjusted to the nearest
                   integer number of reference-tone periods
     settle_time : discarded start-up interval, s
-    dt          : requested time step, s (default: reference period / 256,
-                  which holds the spectral readout dt-converged to better
-                  than 0.1 dB; must satisfy dt <= period/64 for every tone)
+    dt          : requested time step, s (default: reference period / 256;
+                  halving it moved the 3WM idler of a 100-cell alternating
+                  chain by 0.164 dB, see ROADMAP item 5, "The dt part of a
+                  reading's error budget"; must satisfy dt <= period/64
+                  for every tone)
 
     Raises ValueError on a non-positive or non-finite window or dt, a
     negative or non-finite settle time, or a dt too coarse for a tone.

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import calibration, circuit, gaussian, parallel, snail
+from . import calibration, circuit, gaussian, snail
 from .errors import ConfigError, DegenerateBatch, SnailTwpaError
 
 SCHEMA_VERSION = "snailtwpa/v1"
@@ -100,15 +100,16 @@ TABLES = {
     "attenuation": {"s21_off_db": float, "eta_db": float, "g_sys_db": float},
 }
 
-# Largest accepted count of grid points, pump phases, repetitions or cells:
-# numpy sizes an array only while its bytes fit in np.intp, and the widest
-# arrays a count sizes hold 4 float64 per entry (a chain's junction draws, a
-# two-mode batch's records).  A larger count is a configuration error; a
-# smaller one that memory cannot hold is a runtime error.
+# Largest accepted count of grid points, pump phases, repetitions or cells,
+# and of time steps times runs of a sweep's transients: numpy sizes an array
+# only while its bytes fit in np.intp, and the widest arrays a count sizes
+# hold 4 float64 per entry (a chain's junction draws, a two-mode batch's
+# records).  A larger count is a configuration error; a smaller one that
+# memory cannot hold is a runtime error.
 MAX_COUNT = np.iinfo(np.intp).max // 32
 
-# Largest accepted two-mode squeezing parameter of ``tms``: a power gain
-# cosh(r)^2 of 28.7 dB, the top of what travelling-wave amplifiers reach;
+# Largest accepted two-mode squeezing parameter of ``tms``: r = 4 is a power
+# gain of 28.7 dB, the top of what travelling-wave amplifiers reach;
 # beyond it float64 can no longer resolve nu_minus = exp(-2r) of the state.
 R_MAX = 4.0
 
@@ -246,10 +247,11 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     TABLES, checked, and built into the library's objects: the chain block
     into a ChainConfig, the drive block into the (3WM, 4WM) drive pair,
     gain-phase's drive keys into its degenerate 3WM drive, input files
-    into their contents and the normalization keys into the factor
-    ``upsilon`` of :func:`calibration.normalization_factor`.  ``seed`` (--seed),
-    when given, replaces the chain's ``rng_seed`` and the ``seed`` of sms
-    and tms.
+    into their contents, the synthetic states of sms and tms into their
+    (ON, OFF) pairs (:func:`gaussian.pump_states`) and the normalization
+    keys into the factor ``upsilon`` of :func:`calibration.normalization_factor`.
+    ``seed`` (--seed), when given, replaces the chain's ``rng_seed`` and the
+    ``seed`` of sms and tms.
 
     Raises ConfigError, naming the key, on any input the command cannot
     run on; it solves nothing."""
@@ -291,8 +293,10 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         p.drive = _build("invalid drive", circuit.three_wave_drive, p.pump_frequency, p.pump_current,
                          p.signal_current, delta_bins=0, window=p.window, settle_time=p.settle_time)
     elif command == "sms":
-        p.squeeze = _gain_from_db(p.target_s_db, "'target_s_db'")
-        if p.input_csv is not None:
+        variance = _gain_from_db(p.target_s_db, "'target_s_db'")
+        if p.input_csv is None:
+            p.targets = [gaussian.squeezed_vacuum(variance, phase) for phase in p.phases]
+        else:
             try:
                 batches = gaussian.read_quadrature_csv(p.input_csv)
             except (OSError, ValueError, DegenerateBatch) as err:  # a worker process that fails is no config error
@@ -304,6 +308,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         for r in p.r_values:
             if abs(r) > R_MAX:
                 raise ConfigError(f"'r_values' entry {r} is beyond the physical limit |r| <= {R_MAX}")
+        p.targets = [gaussian.two_mode_squeezed(r, p.thermal_photons) for r in p.r_values]
     elif command == "sntj-fit":
         if p.initial_guess is not None:
             guess = p.initial_guess
@@ -321,6 +326,15 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         g_sys = _gain_from_db(p.g_sys_db, "'g_sys_db'")
         fields = {key: getattr(p, key) for key in NORMALIZATION}
         p.upsilon = _build("invalid normalization", calibration.normalization_factor, p.eta, g_sys, p.f_acq, **fields)
+    if hasattr(p, "drive"):  # the transients record every time step of every run
+        drives, runs = (p.drive, 2 * p.n_points) if command == "flux-sweep" else ((p.drive,), p.n_phases + 1)
+        steps = max(drive.n_total for drive in drives)
+        if steps * runs > MAX_COUNT:
+            raise ConfigError(f"{runs} runs of {steps} time steps exceed {MAX_COUNT}: "
+                              "shorten 'window' or 'settle_time', or raise 'dt'")
+    if hasattr(p, "targets"):  # the synthetic states of sms and tms
+        p.pairs = _build("the targets, 'added_noise_photons' and 'gain_drift' give no pump state",
+                         gaussian.pump_states, p.targets, p.added_noise_photons, p.gain_drift)
     return p
 
 
@@ -362,36 +376,6 @@ def cmd_gain_phase(p: SimpleNamespace) -> tuple:
     return (("pump_phase_rad", "gain_db"), (result["phase"], result["gain_db"])), extras
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def _synthetic_psis(p: SimpleNamespace, targets) -> list:
-    """Background-subtracted covariances of synthetic ON and OFF records,
-    one per target state: the OFF state is vacuum plus
-    ``added_noise_photons`` photons, the ON state adds the target on top of
-    a background drifted by ``gain_drift``.  Point ``idx`` draws from its
-    own spawn key of ``seed``, so the points run at once on every usable
-    CPU (:mod:`snailtwpa.parallel`) with the same bits for any number."""
-
-    def point(idx):
-        eye = np.eye(len(targets[idx]))
-        off_true = (1.0 + 2.0 * p.added_noise_photons) * eye
-        on_true = targets[idx] - eye + off_true * (1.0 + p.gain_drift) ** 2
-        on_seed, off_seed = np.random.SeedSequence(entropy=p.seed, spawn_key=(idx,)).spawn(2)
-        on = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(on_true, n_rep=p.n_rep, seed=on_seed, pump_state="ON")
-        )
-        off = gaussian.estimate_covariance(
-            gaussian.sample_gaussian(off_true, n_rep=p.n_rep, seed=off_seed, pump_state="OFF")
-        )
-        return gaussian.subtract_background(on, off, gain_uncertainty_db=p.gain_uncertainty_db)
-
-    parts = parallel.map_parts(lambda part: [point(i) for i in part], range(len(targets)))
-    return [psi for part in parts for psi in part]
-
-
 def cmd_sms(p: SimpleNamespace) -> tuple:
     if p.input_csv is not None:
         sigma_on = gaussian.estimate_covariance(p.input_csv["ON"])
@@ -401,12 +385,8 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
         return {"mode": "from_file", "s_x_db": s_x, "s_p_db": s_p, "covariance": psi.to_dict()}, {}
 
     print(f"sms: {len(p.phases)} phases, n_rep={p.n_rep}", file=sys.stderr)
-    targets = []
-    for phase in p.phases:
-        rot = _rotation(phase)
-        targets.append(rot @ np.diag([p.squeeze, 1.0 / p.squeeze]) @ rot.T)
     results = []
-    for phase, psi in zip(p.phases, _synthetic_psis(p, targets)):
+    for phase, psi in zip(p.phases, gaussian.measure_states(p.pairs, p.n_rep, p.seed, p.gain_uncertainty_db)):
         s_x, s_p = gaussian.squeezing_db(psi)
         err_x = 10.0 / math.log(10.0) * psi.uncertainty[0, 0] / psi.entries[0, 0]
         err_p = 10.0 / math.log(10.0) * psi.uncertainty[1, 1] / psi.entries[1, 1]
@@ -433,13 +413,9 @@ def cmd_sms(p: SimpleNamespace) -> tuple:
 
 def cmd_tms(p: SimpleNamespace) -> tuple:
     print(f"tms: {len(p.r_values)} points, n_rep={p.n_rep}", file=sys.stderr)
-    targets = []
-    for r in p.r_values:
-        a_block = (math.cosh(2 * r) + 2.0 * p.thermal_photons) * np.eye(2)
-        c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
-        targets.append(np.block([[a_block, c_block], [c_block.T, a_block]]))
+    psis = gaussian.measure_states(p.pairs, p.n_rep, p.seed, p.gain_uncertainty_db)
     results = []
-    for r, psi_true, psi in zip(p.r_values, targets, _synthetic_psis(p, targets)):
+    for r, psi_true, psi in zip(p.r_values, p.targets, psis):
         e_n, nu = gaussian.logarithmic_negativity(psi)
         nu_true = gaussian.logarithmic_negativity(gaussian.CovMatrix(entries=psi_true))[1]
         entry = {

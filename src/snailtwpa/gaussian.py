@@ -15,10 +15,16 @@ Single-mode squeezing levels are 10*log10 of the diagonal entries
 (vacuum = 0 dB); two-mode entanglement is quantified by the logarithmic
 negativity E_N = max(-ln nu_minus, 0) with nu_minus the smallest
 symplectic eigenvalue of the partially transposed covariance matrix.
+
+The synthetic measurement model (:func:`pump_states`): the pump-OFF
+records hold n added noise photons, sigma_off = (1 + 2n) * 1, and the
+pump-ON records hold the state psi on that background, at a gain that
+drifted by the fraction d: sigma_on = psi - 1 + sigma_off * (1 + d)^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,14 +277,10 @@ def sample_gaussian(
     semidefinite targets; deterministic for a given seed.
     """
     matrix = np.asarray(target, float)
-    matrix = 0.5 * (matrix + matrix.T)
     dim = matrix.shape[0]
     if matrix.shape != (dim, dim) or dim not in (2, 4):
         raise DimensionMismatch(f"target must be 2x2 or 4x4, got {matrix.shape}")
-    w = np.linalg.eigvalsh(matrix)
-    w_floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
-    if w.min() < w_floor:
-        raise NotPSD(f"target covariance has eigenvalue {w.min():.6g} < 0")
+    matrix = _symmetric_psd(matrix, "target covariance")
     raw_cov = matrix / 4.0
     try:
         factor = np.linalg.cholesky(raw_cov)
@@ -292,6 +294,66 @@ def sample_gaussian(
     return QuadratureBatch(
         records=records, mode_labels=labels, pump_state=pump_state, normalized=True
     )
+
+
+def _symmetric_psd(matrix: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric part of ``matrix``, if it is a finite covariance; else NotPSD naming ``name``."""
+    matrix = 0.5 * (matrix + matrix.T)
+    if not np.isfinite(matrix).all():
+        raise NotPSD(f"{name} has a non-finite entry")
+    w = np.linalg.eigvalsh(matrix)
+    w_floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
+    if w.min() < w_floor:
+        raise NotPSD(f"{name} has eigenvalue {w.min():.6g} < 0")
+    return matrix
+
+
+def squeezed_vacuum(variance: float, angle: float) -> np.ndarray:
+    """Single-mode squeezed vacuum: ``variance`` on the quadrature at
+    ``angle`` (rad) from x, and 1/``variance`` on the one orthogonal to it."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, s], [-s, c]])
+    return rot @ np.diag([variance, 1.0 / variance]) @ rot.T
+
+
+def two_mode_squeezed(r: float, thermal_photons: float) -> np.ndarray:
+    """Two-mode squeezed vacuum of squeezing parameter ``r``, with
+    ``thermal_photons`` thermal photons added to each mode."""
+    a_block = (math.cosh(2 * r) + 2.0 * thermal_photons) * np.eye(2)
+    c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
+    return np.block([[a_block, c_block], [c_block.T, a_block]])
+
+
+def pump_states(targets, added_noise_photons: float, gain_drift: float) -> list:
+    """The (ON, OFF) pair of the measurement model (module docstring) of
+    each target state; NotPSD, naming the point, for a pair that is not
+    two covariances, raised before anything is sampled."""
+    pairs = []
+    for idx, target in enumerate(targets):
+        eye = np.eye(len(target))
+        off = (1.0 + 2.0 * added_noise_photons) * eye
+        on = target - eye + off * (1.0 + gain_drift) ** 2
+        for state, matrix in (("ON", on), ("OFF", off)):
+            _symmetric_psd(matrix, f"point {idx}'s pump-{state} state")
+        pairs.append((on, off))
+    return pairs
+
+
+def measure_states(pairs, n_rep: int, seed: int, gain_uncertainty_db: float | None) -> list:
+    """The background-subtracted covariance of each (ON, OFF) pair, from
+    ``n_rep`` synthetic records of each state.  Point ``idx`` draws ON, then
+    OFF, from spawn key ``(idx,)`` of ``seed``, so the points run at once
+    (:mod:`snailtwpa.parallel`) with the same bits for any number of CPUs."""
+
+    def point(idx):
+        on_true, off_true = pairs[idx]
+        on_seed, off_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).spawn(2)
+        on = estimate_covariance(sample_gaussian(on_true, n_rep=n_rep, seed=on_seed, pump_state="ON"))
+        off = estimate_covariance(sample_gaussian(off_true, n_rep=n_rep, seed=off_seed, pump_state="OFF"))
+        return subtract_background(on, off, gain_uncertainty_db=gain_uncertainty_db)
+
+    parts = parallel.map_parts(lambda part: [point(i) for i in part], range(len(pairs)))
+    return [psi for part in parts for psi in part]
 
 
 # One data row of the quadrature CSV.  The text fields are one character

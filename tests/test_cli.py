@@ -142,6 +142,11 @@ def test_unknown_key_rejected(tmp_path):
         ("tms", {"n_rep": 10**20}, "'n_rep'"),
         ("sms", {"added_noise_photons": -1}, "'added_noise_photons'"),
         ("tms", {"thermal_photons": -1}, "'thermal_photons'"),
+        ("tms", {"gain_drift": -1}, "'gain_drift'"),
+        ("tms", {"added_noise_photons": 1e308}, "'added_noise_photons'"),
+        ("sms", {"target_s_db": -3.0, "gain_drift": -1}, "'gain_drift'"),
+        ("gain-phase", {"window": 1e10}, "'window'"),
+        ("flux-sweep", {"drive": {"settle_time": 1e10}}, "'settle_time'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -353,6 +358,17 @@ def test_sms_identical_on_off_file_gives_exact_vacuum(tmp_path):
     np.testing.assert_array_equal(entries, np.eye(2))
 
 
+def test_sms_input_csv_ignores_the_synthetic_model(tmp_path):
+    # with an input CSV no pump state is built, so a gain drift that would
+    # leave none is no config error
+    batches = [sample_gaussian(np.eye(2), n_rep=50, seed=s, pump_state=p) for s, p in ((1, "ON"), (2, "OFF"))]
+    path = tmp_path / "quad.csv"
+    write_quadrature_csv(path, batches)
+    cfg = write_config(tmp_path, {"input_csv": str(path), "target_s_db": -3.0, "gain_drift": -1})
+    assert main(["sms", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "result.json").read_text())["mode"] == "from_file"
+
+
 # line 30 of the file, repetition 25 of the ON batch, becomes each of these
 # (None deletes it), and the error names what is wrong
 NO_REP_25 = "pump state ON: the signal mode has no row for repetition 25"
@@ -540,13 +556,13 @@ def test_synthetic_commands_print_progress_before_the_work(tmp_path, capsys, mon
     # every point comes back at once, so the one progress line is printed
     # before the points run and nothing is printed after them
     printed = []
-    synthetic_psis = cli._synthetic_psis
+    measure_states = gaussian.measure_states
 
-    def recording(p, targets):
+    def recording(pairs, n_rep, seed, gain_uncertainty_db):
         printed.append(capsys.readouterr().err)
-        return synthetic_psis(p, targets)
+        return measure_states(pairs, n_rep, seed, gain_uncertainty_db)
 
-    monkeypatch.setattr(cli, "_synthetic_psis", recording)
+    monkeypatch.setattr(gaussian, "measure_states", recording)
     assert main([command, "--config", write_config(tmp_path, config), "--out", str(tmp_path / "run")]) == 0
     assert printed == [line] and capsys.readouterr().err == ""
 

@@ -233,6 +233,72 @@ def test_sampler_semidefinite_fallback():
     np.testing.assert_array_equal(batch.records, np.zeros((50, 2)))
 
 
+# --- the synthetic measurement model ---------------------------------------
+
+
+@pytest.mark.parametrize("variance, angle", [(0.5, 0.0), (0.5, 0.9), (3.0, -2.2), (1e-3, math.pi / 2)])
+def test_squeezed_vacuum_closed_form(variance, angle):
+    # variance v at angle t from x: v cos^2 t + sin^2 t / v on x, and
+    # eigenvalues v and 1/v
+    c, s = math.cos(angle), math.sin(angle)
+    expected = np.array(
+        [[variance * c**2 + s**2 / variance, (1.0 / variance - variance) * c * s],
+         [(1.0 / variance - variance) * c * s, variance * s**2 + c**2 / variance]]
+    )
+    state = gaussian.squeezed_vacuum(variance, angle)
+    np.testing.assert_allclose(state, expected, rtol=1e-12, atol=1e-12 / variance)
+    np.testing.assert_allclose(np.linalg.eigvalsh(state), sorted([variance, 1.0 / variance]), rtol=1e-9)
+    assert CovMatrix(entries=state).is_physical()
+
+
+@pytest.mark.parametrize("r, n_thermal", [(0.0, 0.0), (0.7, 0.0), (-1.3, 2.5), (4.0, 0.1)])
+def test_two_mode_squeezed_is_tmsv(r, n_thermal):
+    np.testing.assert_array_equal(gaussian.two_mode_squeezed(r, n_thermal), tmsv(r, n_thermal))
+
+
+@pytest.mark.parametrize("drift", [0.0, -0.02, 0.3])
+def test_pump_states_closed_form(drift):
+    # OFF = (1 + 2n) 1 and ON = target - 1 + OFF (1 + d)^2, exactly so at d = 0
+    targets = [gaussian.squeezed_vacuum(0.5, 0.3), tmsv(0.6, 0.2)]
+    pairs = gaussian.pump_states(targets, 1.5, drift)
+    assert len(pairs) == len(targets)
+    for target, (on, off) in zip(targets, pairs):
+        eye = np.eye(len(target))
+        np.testing.assert_array_equal(off, 4.0 * eye)
+        np.testing.assert_allclose(on, target - eye + 4.0 * (1.0 + drift) ** 2 * eye, rtol=1e-15, atol=0)
+        if drift == 0.0:
+            np.testing.assert_array_equal(on, target - eye + off)
+
+
+@pytest.mark.parametrize(
+    "targets, noise, drift, message",
+    [
+        ([tmsv(0.0), tmsv(0.5)], 1.5, -1.0, "point 1's pump-ON state has eigenvalue"),
+        ([np.eye(2)], 1e308, 0.0, "point 0's pump-ON state has a non-finite entry"),
+        ([10.0 * np.eye(2)], -1.0, 0.0, "point 0's pump-OFF state has eigenvalue"),
+    ],
+)
+def test_pump_states_reject_a_pair_that_is_no_state_before_sampling(forks, targets, noise, drift, message):
+    with pytest.raises(NotPSD, match=message):
+        gaussian.pump_states(targets, noise, drift)
+    assert not forks
+
+
+def test_measure_states_draws_each_point_from_its_spawn_key(forks):
+    # ON then OFF from spawn key (idx,) of the seed, in this process or a child
+    pairs = gaussian.pump_states([tmsv(0.2), tmsv(0.4), tmsv(0.6)], 1.0, 0.01)
+    psis = gaussian.measure_states(pairs, 500, 3, 1.0)
+    assert len(forks) == 1 and len(psis) == 3
+    for idx, ((on_true, off_true), psi) in enumerate(zip(pairs, psis)):
+        on_seed, off_seed = np.random.SeedSequence(entropy=3, spawn_key=(idx,)).spawn(2)
+        on = estimate_covariance(sample_gaussian(on_true, n_rep=500, seed=on_seed, pump_state="ON"))
+        off = estimate_covariance(sample_gaussian(off_true, n_rep=500, seed=off_seed))
+        expected = subtract_background(on, off, gain_uncertainty_db=1.0)
+        np.testing.assert_array_equal(psi.entries, expected.entries)
+        np.testing.assert_array_equal(psi.uncertainty, expected.uncertainty)
+        np.testing.assert_array_equal(np.array(psi.systematic), np.array(expected.systematic))
+
+
 # --- invariants -----------------------------------------------------------
 
 
