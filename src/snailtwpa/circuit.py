@@ -13,8 +13,7 @@ currents carry a bounded random spread.
 The shunt ESR is a fixed resistance, set once when the chain is built:
 :func:`build_chain` turns tan_delta into a resistance whose loss angle is
 tan_delta at its ``f_ref`` (the pump, in both sweeps), and every solver
-reads that one value, ``RealizedChain.esr``.  A lossy chain built without
-``f_ref`` has no ESR, and solving it raises ValueError.
+reads that one value, ``RealizedChain.esr``.
 
 Integration is fixed-step trapezoidal (A-stable) with a full Newton solve
 per step.  Junction phases and the reactive branches enter through their
@@ -321,11 +320,10 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
 class RealizedChain:
     """Chain with disorder applied: per-cell SNAIL parameters, the
     linearization at the flux working point, and the shunt ESR that every
-    solver uses, fixed by :func:`build_chain` from its ``f_ref`` (None for
-    a lossy chain built without ``f_ref``, which no solver accepts)."""
+    solver uses, fixed by :func:`build_chain` from its ``f_ref``."""
 
     config: ChainConfig
-    esr: float | None  # ohm
+    esr: float  # ohm
     junction_factors: np.ndarray  # (n_cells, 4) uniform draws
     r_eff: np.ndarray
     i_c_eff: np.ndarray
@@ -344,7 +342,7 @@ def _cell_ratios(config: ChainConfig, factors: np.ndarray) -> tuple:
     return i_c_eff, i_small / i_c_eff
 
 
-def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) -> RealizedChain:
+def build_chain(config: ChainConfig, flux: float, f_ref: float) -> RealizedChain:
     """Realize the chain at an external flux (in Phi0 units).
 
     Disorder procedure (deterministic for a given ``rng_seed``): for each
@@ -360,19 +358,12 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
 
     The shunt loss is fixed here too: the ESR of c_g is
     tan_delta/(2*pi*f_ref*c_g), so its loss angle is tan_delta exactly at
-    ``f_ref`` (the sweeps pass the pump frequency).  A lossless chain has
-    ESR 0.0 with or without ``f_ref``; a lossy chain built without it has
-    none, and solving it raises ValueError.  An ``f_ref`` that is neither
-    None nor positive and finite raises ValueError.
+    ``f_ref`` (the sweeps pass the pump frequency), and a lossless chain
+    has ESR 0.0.  An ``f_ref`` that is not positive and finite raises
+    ValueError.
     """
-    if f_ref is not None and not 0.0 < f_ref < math.inf:
-        raise ValueError(f"f_ref must be None or positive and finite, got {f_ref}")
-    if config.tan_delta == 0.0:
-        esr = 0.0
-    elif f_ref is not None:
-        esr = config.tan_delta / (TWO_PI * f_ref * config.c_g)
-    else:
-        esr = None
+    if not 0.0 < f_ref < math.inf:
+        raise ValueError(f"f_ref must be positive and finite, got {f_ref}")
     rng = np.random.default_rng(config.rng_seed)
     a = config.disorder_amplitude
     factors = rng.uniform(1.0 - a, 1.0 + a, size=(config.n_cells, 4))
@@ -393,7 +384,7 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float | None = None) ->
         inductance[k] = c.inductance
     return RealizedChain(
         config=config,
-        esr=esr,
+        esr=config.tan_delta / (TWO_PI * f_ref * config.c_g),
         junction_factors=factors,
         r_eff=r_eff,
         i_c_eff=i_c_eff,
@@ -447,9 +438,8 @@ def simulate_transient(chain: RealizedChain, drive: Drive) -> TimeTrace:
     Initial condition is the zero-current equilibrium (all node voltages
     zero, junction phases at their working points), so an undriven chain
     stays identically at rest.  The shunt loss is the chain's own ESR,
-    fixed at build; a lossy chain built without ``f_ref`` raises
-    ValueError.  Raises NewtonDivergence (with the failing step index) if
-    a per-step Newton solve does not reach ``NEWTON_TOL`` volts within
+    fixed at build.  Raises NewtonDivergence (with the failing step index)
+    if a per-step Newton solve does not reach ``NEWTON_TOL`` volts within
     ``MAX_NEWTON_ITER`` iterations (module constants).
     """
     return _integrate([(chain, drive)])[0]
@@ -469,18 +459,11 @@ def simulate_transients(runs) -> list[TimeTrace]:
     return _integrate(runs)
 
 
-def _check_shunt(chains) -> None:
-    """Raise ValueError for a lossy chain built without f_ref (it has no ESR)."""
-    if any(chain.esr is None for chain in chains):
-        raise ValueError("a lossy chain (tan_delta > 0) has no shunt ESR; pass f_ref to build_chain to set it")
-
-
 def _integrate(members) -> list:
     """``simulate_transients(members)``.  ``simulate_transient`` calls this
     core, not the public batch entry, so that a single run is one call of
     one public function (the benchmark's tracer counts the solves inside
     it)."""
-    _check_shunt(chain for chain, _ in members)
     keys = []  # a member's lockstep group
     for chain, drive in members:
         cfg = chain.config
@@ -864,10 +847,8 @@ def linear_transfer(chain: RealizedChain, frequencies) -> np.ndarray:
     Independent of the transient integrator; used as an oracle for the
     linear regime and for insertion-loss cross-checks.  The shunt ESR is
     the chain's own, the fixed resistance the transient uses (set by
-    build_chain at its f_ref); a lossy chain built without f_ref raises
-    ValueError.
+    build_chain at its f_ref).
     """
-    _check_shunt([chain])
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     cfg = chain.config
     n = cfg.n_cells

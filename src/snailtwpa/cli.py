@@ -276,7 +276,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         _gain_from_db(p.gain_uncertainty_db, "'gain_uncertainty_db'")
     if getattr(p, "flux_min", 0.0) > getattr(p, "flux_max", 0.0):
         raise ConfigError(f"empty flux grid: 'flux_min' {p.flux_min} > 'flux_max' {p.flux_max}")
-    for key in ("flux", "flux_min", "flux_max"):  # the reduced flux 2*pi*flux must be finite
+    for key in ("flux", "flux_min", "flux_max"):  # the reduced flux 2*pi*flux must be finite and in SnailParams' bound
         if hasattr(p, key):
             _build(f"invalid '{key}'", snail.SnailParams.from_flux, CHAIN["r"], CHAIN["i_c_nominal"], getattr(p, key))
     if hasattr(p, "r"):
@@ -301,9 +301,16 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
                 batches = gaussian.read_quadrature_csv(p.input_csv)
             except (OSError, ValueError, DegenerateBatch) as err:  # a worker process that fails is no config error
                 raise ConfigError(f"cannot read input CSV {p.input_csv}: {err}") from err
+            if set(batches) != {"ON", "OFF"}:
+                raise ConfigError(f"input_csv {p.input_csv} must contain ON and OFF pump states")
+            for state in ("ON", "OFF"):  # the squeezing of one mode, from records in vacuum units
+                if not batches[state].normalized:
+                    raise ConfigError(f"input_csv {p.input_csv}: its {state} records are raw (normalized=false); "
+                                      "sms needs normalized records")
+                if batches[state].mode_labels != gaussian.SINGLE_MODE:
+                    raise ConfigError(f"input_csv {p.input_csv}: its {state} records are two-mode; "
+                                      "sms needs single-mode records")
             p.input_csv = batches
-            if set(p.input_csv) != {"ON", "OFF"}:
-                raise ConfigError("input_csv must contain ON and OFF pump states")
     elif command == "tms":
         for r in p.r_values:
             if abs(r) > R_MAX:

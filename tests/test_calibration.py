@@ -119,6 +119,21 @@ def test_fit_reproduces_reference_gains(frequency, gain_db):
     assert abs(res.g_sys_db - gain_db) < 0.05
 
 
+@pytest.mark.parametrize("gain_db", [30.0, 61.7, 80.0])
+def test_fit_default_start_recovers_gain(gain_db):
+    # without initial_guess the fit starts from the high-bias tail's slope
+    # and the curve's minimum, at any system gain
+    model = make_model(g_db=gain_db)
+    v = bias_grid(n=801)
+    clean = sntj_noise_power(model, v)
+    res = fit_sntj(v, clean, F_HALF, BW)
+    assert res.g_sys == pytest.approx(model.g_sys, rel=1e-8)
+    assert res.t_sys == pytest.approx(4.0, rel=1e-8)
+    assert res.t_electron == pytest.approx(0.05, rel=1e-7)
+    noisy = clean * (1.0 + 0.005 * np.random.default_rng(11).standard_normal(v.size))
+    assert fit_sntj(v, noisy, F_HALF, BW).g_sys_db == pytest.approx(gain_db, abs=0.05)
+
+
 def test_fit_unbiased_over_ensemble():
     model = make_model()
     v = bias_grid(n=501)
@@ -303,7 +318,7 @@ def test_insertion_loss_against_transient():
     }
     deficit_db = powers[0.0] - powers[2.1e-3]
 
-    chain = build_chain(ChainConfig(n_cells=700, disorder_amplitude=0.0), 0.0)
+    chain = build_chain(ChainConfig(n_cells=700, disorder_amplitude=0.0), 0.0, f_ref=F_HALF)
     eta = insertion_loss_from_tan_delta(
         2.1e-3, 700, f_snap, float(chain.inductance[0]), 250e-15, 50e-15
     )

@@ -43,7 +43,7 @@ def small_config(n=8, **kw):
 
 
 def test_zero_disorder_cells_identical_up_to_flux_sign():
-    chain = build_chain(ChainConfig(n_cells=6, disorder_amplitude=0.0), 0.3)
+    chain = build_chain(ChainConfig(n_cells=6, disorder_amplitude=0.0), 0.3, f_ref=F_PUMP)
     assert np.all(chain.r_eff == chain.r_eff[0])
     assert np.all(chain.i_c_eff == chain.i_c_eff[0])
     np.testing.assert_array_equal(
@@ -57,8 +57,8 @@ def test_zero_disorder_cells_identical_up_to_flux_sign():
 
 def test_same_seed_identical_chain():
     cfg = ChainConfig(n_cells=12, disorder_amplitude=0.05, rng_seed=17)
-    a = build_chain(cfg, 0.45)
-    b = build_chain(cfg, 0.45)
+    a = build_chain(cfg, 0.45, f_ref=F_PUMP)
+    b = build_chain(cfg, 0.45, f_ref=F_PUMP)
     np.testing.assert_array_equal(a.i_c_eff, b.i_c_eff)
     np.testing.assert_array_equal(a.r_eff, b.r_eff)
     np.testing.assert_array_equal(a.junction_factors, b.junction_factors)
@@ -69,7 +69,7 @@ def test_disorder_draw_matches_documented_procedure():
     # uniform on [1-a, 1+a], shape (n_cells, 4), three large draws reduced
     # by the series harmonic mean, the fourth scaling the small junction
     cfg = ChainConfig(n_cells=9, disorder_amplitude=0.05, rng_seed=1)
-    chain = build_chain(cfg, 0.2)
+    chain = build_chain(cfg, 0.2, f_ref=F_PUMP)
     rng = np.random.default_rng(1)
     factors = rng.uniform(0.95, 1.05, size=(9, 4))
     i_large = factors[:, :3] * cfg.i_c_nominal
@@ -108,9 +108,7 @@ def test_subnormal_critical_current_is_rejected_by_name():
 def test_build_chain_fixes_the_shunt_resistance():
     cfg = ChainConfig(n_cells=4)
     assert build_chain(cfg, 0.59, f_ref=F_PUMP).esr == cfg.tan_delta / (2 * math.pi * F_PUMP * cfg.c_g)
-    assert build_chain(cfg, 0.59).esr is None
     lossless = ChainConfig(n_cells=4, tan_delta=0.0)
-    assert build_chain(lossless, 0.59).esr == 0.0
     assert build_chain(lossless, 0.59, f_ref=F_PUMP).esr == 0.0
 
 
@@ -121,20 +119,6 @@ def test_build_chain_rejects_a_reference_frequency_that_sets_no_loss(f_ref, tan_
     # ZeroDivisionError, nan a nan ESR and inf a silently lossless chain
     with pytest.raises(ValueError, match="f_ref"):
         build_chain(ChainConfig(n_cells=2, tan_delta=tan_delta), 0.5, f_ref=f_ref)
-
-
-def test_lossy_chain_without_f_ref_cannot_be_solved():
-    # a chain is one circuit whatever it is driven with: its ESR never
-    # falls back to the drive's first tone, so a lossy chain built without
-    # f_ref is refused by every solver
-    chain = build_chain(ChainConfig(n_cells=4), 0.59)
-    drive = three_wave_drive(F_PUMP, 0.0, 0.0011e-6, delta_bins=0, window=6e-10, settle_time=0.0)
-    with pytest.raises(ValueError, match="f_ref"):
-        simulate_transient(chain, drive)
-    with pytest.raises(ValueError, match="f_ref"):
-        simulate_transients([(build_chain(ChainConfig(n_cells=4), 0.59, f_ref=F_PUMP), drive), (chain, drive)])
-    with pytest.raises(ValueError, match="f_ref"):
-        linear_transfer(chain, [4e9])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -156,7 +140,7 @@ def test_accepted_chain_config_builds_at_any_seed(n_cells, r, a, seed, flux):
         i_small_min = r * ChainConfig.i_c_nominal * (1.0 - a)
         assert r * (1.0 + a) / (1.0 - a) >= (1.0 - 1e-9) / 3.0 or i_small_min < sys.float_info.min
         return
-    chain = build_chain(cfg, flux)
+    chain = build_chain(cfg, flux, f_ref=F_PUMP)
     assert np.all(chain.r_eff < 1.0 / 3.0)
 
 
@@ -240,7 +224,7 @@ def test_drive_builders_reject_off_grid_inputs(builder, bad):
 
 
 def test_zero_drive_stays_at_rest():
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(), window=4e-9, settle_time=1e-9, dt=1e-12)
     trace = simulate_transient(chain, drive)
     assert np.max(np.abs(trace.samples)) < 1e-15
@@ -250,7 +234,7 @@ def test_zero_drive_stays_at_rest():
 def test_linear_regime_against_frequency_domain_oracle():
     # weak on-grid tone far below the band edge: the transient bin
     # amplitude must match the independent nodal frequency-domain solve
-    chain = build_chain(small_config(n=12), 0.25)
+    chain = build_chain(small_config(n=12), 0.25, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 0.0011e-6),), window=10e-9, settle_time=8e-9)
     f0 = drive.tones[0].frequency
     trace = simulate_transient(chain, drive)
@@ -267,7 +251,7 @@ def test_linear_regime_against_frequency_domain_oracle():
 def test_newton_divergence_reports_step(monkeypatch):
     # the validated dt keeps Newton robust even far beyond the physical
     # drive range, so the budget-exhaustion path is exercised directly
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0)
     monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NewtonDivergence) as err:
@@ -287,7 +271,7 @@ def test_determinism_bitwise():
 def test_linearity_of_signal_bin():
     # pump off: doubling the drive amplitude moves the signal bin by
     # exactly 6.02 dB in the linear regime
-    chain = build_chain(small_config(n=10), 0.4)
+    chain = build_chain(small_config(n=10), 0.4, f_ref=F_PUMP)
     drives = {
         scale: snap_drive(tones=(Tone(3.85e9, scale * 0.0011e-6),), window=8e-9, settle_time=6e-9)
         for scale in (1.0, 2.0)
@@ -304,7 +288,7 @@ def test_energy_balance_lossless():
     # passivity: power into the load never exceeds power delivered by the
     # source (lossless ladder, resistive ports only)
     cfg = small_config(n=10, tan_delta=0.0)
-    chain = build_chain(cfg, 0.3)
+    chain = build_chain(cfg, 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 0.05e-6),), window=20e-9, settle_time=15e-9)
     trace = simulate_transient(chain, drive)
     sl = slice(drive.n_settle, drive.n_settle + drive.n_window)
@@ -409,8 +393,8 @@ def test_flux_sweep_structure_and_fixed_realization():
     assert out["idler_3wm_dbm"].shape == (2,)
     assert np.all(np.isfinite(out["idler_4wm_dbm"]))
     # the disorder realization is flux-independent
-    a = build_chain(cfg, 0.45)
-    b = build_chain(cfg, 0.59)
+    a = build_chain(cfg, 0.45, f_ref=F_PUMP)
+    b = build_chain(cfg, 0.59, f_ref=F_PUMP)
     np.testing.assert_array_equal(a.junction_factors, b.junction_factors)
 
 
@@ -520,7 +504,7 @@ def test_batch_newton_divergence_reports_first_failing_step(monkeypatch):
     # one Newton iteration per step: the undriven member converges at every
     # step, the driven one cannot, and the batch reports the driven
     # member's own failing step
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
     driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     assert rest.n_total == driven.n_total and rest.dt == driven.dt
@@ -540,7 +524,7 @@ def test_earliest_failure_over_groups_is_raised(forks, monkeypatch, cpus):
     # second at step 0, so the second member's failure is the one reported,
     # whether it ran in this process (1 CPU) or in the child (2 CPUs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     late = snap_drive(tones=(Tone(4.0e9, 1.2e-7),), window=5e-9, settle_time=0.0, dt=1e-12)
     early = snap_drive(tones=(Tone(4.0e9, 2e-8),), window=5e-9, settle_time=0.0, dt=2e-12)
     monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 2)
@@ -579,7 +563,7 @@ def test_parallel_gain_phase_forks_once_and_matches_serial_bitwise(forks, batche
 def test_lockstep_groups_run_in_one_fork_round(forks):
     # two single-member groups (different dt) on two CPUs: one part each,
     # so one child runs the second group while this process runs the first
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     runs = [
         (chain, snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=dt))
         for dt in (1e-12, 2e-12)
@@ -608,7 +592,7 @@ def test_a_process_runs_one_lockstep_batch_per_group_it_holds(forks, monkeypatch
         return lockstep(members)
 
     monkeypatch.setattr(circuit, "_lockstep", recording)
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     runs = [
         (chain, snap_drive(tones=(Tone(4.0e9, current),), window=1e-9, settle_time=0.0, dt=dt))
         for dt in (1e-12, 2e-12)
@@ -629,7 +613,7 @@ def test_batch_newton_divergence_in_process_and_in_child(forks, monkeypatch, cpu
     # batch (1 CPU) or in the child's part (2 CPUs); either way the caller
     # gets the driven member's serial step index and message
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
     driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     monkeypatch.setattr(circuit, "MAX_NEWTON_ITER", 1)  # forked children inherit it
@@ -686,7 +670,7 @@ def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, mes
     # does, whether it ran in a batch of two (1 CPU) or in the child (2 CPUs)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = small_config()
-    chain = build_chain(cfg, 0.0)
+    chain = build_chain(cfg, 0.0, f_ref=F_PUMP)
     rest = snap_drive(tones=(), window=5e-9, settle_time=0.0, dt=1e-12)
     driven = snap_drive(tones=(Tone(4.0e9, 0.5e-6),), window=5e-9, settle_time=0.0, dt=1e-12)
     real = circuit._lapack().dgtsv
@@ -745,7 +729,7 @@ def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
         return lockstep(*args)
 
     monkeypatch.setattr(circuit, "_lockstep", failing_in_child)
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
     with pytest.raises(expected[0], match=expected[1]):
@@ -754,7 +738,7 @@ def test_child_that_fails_otherwise_is_an_error(forks, monkeypatch, fate):
 
 
 def test_batch_stays_in_process_while_another_thread_runs(forks):
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60.0,))
@@ -772,7 +756,7 @@ def test_batch_stays_in_process_while_another_thread_runs(forks):
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_batch_stays_in_process_without_fork_or_affinity(forks, monkeypatch, missing):
     monkeypatch.delattr(os, missing)
-    chain = build_chain(small_config(), 0.3)
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
     drive = snap_drive(tones=(Tone(4.0e9, 1e-8),), window=1e-9, settle_time=0.0, dt=1e-12)
     traces = simulate_transients([(chain, drive), (chain, drive)])
     assert not forks

@@ -147,6 +147,10 @@ def test_unknown_key_rejected(tmp_path):
         ("sms", {"target_s_db": -3.0, "gain_drift": -1}, "'gain_drift'"),
         ("gain-phase", {"window": 1e10}, "'window'"),
         ("flux-sweep", {"drive": {"settle_time": 1e10}}, "'settle_time'"),
+        ("coeffs", {"flux_min": 1e12, "flux_max": 1e12, "n_points": 1}, "'flux_min'"),
+        ("coeffs", {"flux_min": -1001.0}, "'flux_min'"),
+        ("gain-phase", {"flux": 1e15}, "'flux'"),
+        ("flux-sweep", {"flux_max": 2000.0}, "'flux_max'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -296,6 +300,12 @@ def test_gain_phase_zero_pump_flat(tmp_path):
     np.testing.assert_array_equal(rows[:, 1], np.zeros(4))
 
 
+def test_seed_replaces_the_chain_rng_seed():
+    assert cli.parse("gain-phase", {}, "ci", 5).chain.rng_seed == 5
+    assert cli.parse("flux-sweep", {"chain": {"rng_seed": 3}}, "ci", 7).chain.rng_seed == 7
+    assert cli.parse("flux-sweep", {"chain": {"rng_seed": 3}}, "ci").chain.rng_seed == 3
+
+
 def test_gain_phase_builds_its_drive_once(tmp_path, monkeypatch):
     calls = []
     make = circuit.three_wave_drive
@@ -397,6 +407,28 @@ def test_sms_bad_input_csv_is_config_error(tmp_path, capsys, defect):
     assert err.startswith("config error:") and str(path) in err
     if defect != "missing file":
         assert BAD_LINE_30[defect][1] in err
+
+
+@pytest.mark.parametrize(
+    "modes, normalized, why",
+    [((1, 1), False, "ON records are raw"), ((2, 2), True, "ON records are two-mode"),
+     ((2, 1), True, "ON records are two-mode")],
+    ids=["raw", "two-mode", "two-mode ON, single-mode OFF"],
+)
+def test_sms_input_csv_it_cannot_use_is_config_error(tmp_path, capsys, modes, normalized, why):
+    # sms estimates one mode's covariance from records in vacuum units, in
+    # both pump states; any other file is refused before --out
+    batches = [sample_gaussian(np.eye(2 * m), n_rep=50, seed=s, pump_state=p)
+               for m, s, p in zip(modes, (1, 2), ("ON", "OFF"))]
+    for batch in batches:
+        batch.normalized = normalized
+    path, out = tmp_path / "quad.csv", tmp_path / "x"
+    write_quadrature_csv(path, batches)
+    cfg = write_config(tmp_path, {"input_csv": str(path)})
+    assert main(["sms", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: input_csv " + str(path)) and why in err
+    assert not out.exists()
 
 
 def test_sms_input_csv_reader_child_that_dies_is_runtime_error(tmp_path, capsys, forks, monkeypatch):
@@ -594,6 +626,15 @@ def test_sntj_fit_command(tmp_path):
     assert payload["g_sys_db"] == pytest.approx(61.7, abs=0.05)
     assert payload["n_iterations"] > 0
     assert payload["errors"]["t_sys_kelvin"] > 0
+
+
+def test_sntj_fit_without_initial_guess(tmp_path):
+    # the fit then builds its own start from the sweep
+    _write_json_golden_inputs(tmp_path)
+    cfg = write_config(tmp_path, {"csv": str(tmp_path / "sntj.csv"), "frequency": 3.8525e9, "bandwidth": 3e3})
+    out = tmp_path / "run"
+    assert main(["sntj-fit", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["g_sys_db"] == pytest.approx(61.7, abs=0.1)
 
 
 def test_sntj_fit_missing_csv_is_config_error(tmp_path):

@@ -205,3 +205,8 @@ def test_params_validation():
         SnailParams(r=R, i_c=-1e-6, phi_ext=0.0)
     with pytest.raises(ValueError):
         SnailParams(r=R, i_c=I_C, phi_ext=math.inf)
+    # beyond 1000 flux quanta float64 cannot always place the working point
+    SnailParams.from_flux(R, I_C, -1000.0)
+    for flux in (1000.001, -1e12):
+        with pytest.raises(ValueError, match="phi_ext"):
+            SnailParams.from_flux(R, I_C, flux)
