@@ -303,10 +303,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
                 raise ConfigError(f"cannot read input CSV {p.input_csv}: {err}") from err
             if set(batches) != {"ON", "OFF"}:
                 raise ConfigError(f"input_csv {p.input_csv} must contain ON and OFF pump states")
-            for state in ("ON", "OFF"):  # the squeezing of one mode, from records in vacuum units
-                if not batches[state].normalized:
-                    raise ConfigError(f"input_csv {p.input_csv}: its {state} records are raw (normalized=false); "
-                                      "sms needs normalized records")
+            for state in ("ON", "OFF"):  # sms takes the squeezing of one mode
                 if batches[state].mode_labels != gaussian.SINGLE_MODE:
                     raise ConfigError(f"input_csv {p.input_csv}: its {state} records are two-mode; "
                                       "sms needs single-mode records")
@@ -315,7 +312,8 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         for r in p.r_values:
             if abs(r) > R_MAX:
                 raise ConfigError(f"'r_values' entry {r} is beyond the physical limit |r| <= {R_MAX}")
-        p.targets = [gaussian.two_mode_squeezed(r, p.thermal_photons) for r in p.r_values]
+        p.targets = [_build("invalid 'thermal_photons'", gaussian.two_mode_squeezed, r, p.thermal_photons)
+                     for r in p.r_values]
     elif command == "sntj-fit":
         if p.initial_guess is not None:
             guess = p.initial_guess

@@ -27,10 +27,6 @@ class WindowTooShort(SnailTwpaError):
     """Time trace is shorter than settle time plus analysis window."""
 
 
-class NotNormalized(SnailTwpaError):
-    """Quadrature batch has not been normalized to vacuum units."""
-
-
 class DegenerateBatch(SnailTwpaError):
     """Quadrature batch has fewer than two repetitions."""
 

@@ -1,8 +1,8 @@
 """Gaussian-state analysis of quadrature records.
 
-Conventions: quadratures are dimensionless with vacuum variance 1/4 per
-quadrature, and covariance matrices carry an overall factor of 4 so that
-the vacuum state maps to the identity matrix,
+Conventions: quadrature records are in vacuum units, dimensionless with
+vacuum variance 1/4 per quadrature, and covariance matrices carry an
+overall factor of 4 so that the vacuum state maps to the identity matrix,
 
     sigma_mn = 4 * [ <R_m R_n>_sym - <R_m><R_n> ],
 
@@ -35,7 +35,6 @@ from .errors import (
     DegenerateBatch,
     DimensionMismatch,
     NonPositiveVariance,
-    NotNormalized,
     NotPSD,
 )
 
@@ -54,35 +53,23 @@ def symplectic_form(n: int) -> np.ndarray:
 
 @dataclass
 class QuadratureBatch:
-    """Repeated (x, p) quadrature records for one or two modes.
+    """Repeated (x, p) quadrature records, in vacuum units (module docstring),
+    of the modes ``mode_labels``: SINGLE_MODE for 2 columns, TWO_MODE for 4.
 
-    records     : array of shape (n_rep, 2*len(mode_labels)), columns ordered as
-                  (x_signal, p_signal[, x_idler, p_idler])
-    mode_labels : ("signal",) or ("signal", "idler")
-    pump_state  : "ON" or "OFF"
-    normalized  : True once the records are in vacuum units (covariance
-                  estimation refuses raw full-scale data)
+    records    : array of shape (n_rep, 2) or (n_rep, 4), columns ordered as
+                 (x_signal, p_signal[, x_idler, p_idler])
+    pump_state : "ON" or "OFF"
     """
 
     records: np.ndarray
-    mode_labels: tuple = SINGLE_MODE
     pump_state: str = "OFF"
-    normalized: bool = True
 
     def __post_init__(self):
         self.records = np.atleast_2d(np.asarray(self.records, dtype=float))
         if self.records.shape[0] < 2:
-            raise DegenerateBatch(
-                f"need at least 2 repetitions, got {self.records.shape[0]}"
-            )
-        self.mode_labels = tuple(self.mode_labels)
-        if self.mode_labels not in (SINGLE_MODE, TWO_MODE):
-            raise ValueError(f"mode_labels must be {SINGLE_MODE} or {TWO_MODE}")
-        columns = 2 * len(self.mode_labels)
-        if self.records.shape[1] != columns:
-            raise DimensionMismatch(
-                f"records have {self.records.shape[1]} columns, expected {columns}"
-            )
+            raise DegenerateBatch(f"need at least 2 repetitions, got {self.records.shape[0]}")
+        if self.records.ndim != 2 or self.records.shape[1] not in (2, 4):
+            raise DimensionMismatch(f"records have shape {self.records.shape}, not (n_rep, 2) or (n_rep, 4)")
         if self.pump_state not in ("ON", "OFF"):
             raise ValueError("pump_state must be 'ON' or 'OFF'")
         if not np.all(np.isfinite(self.records)):
@@ -91,6 +78,10 @@ class QuadratureBatch:
     @property
     def n_rep(self) -> int:
         return self.records.shape[0]
+
+    @property
+    def mode_labels(self) -> tuple:
+        return SINGLE_MODE if self.records.shape[1] == 2 else TWO_MODE
 
 
 @dataclass
@@ -146,19 +137,14 @@ class CovMatrix:
 
 
 def estimate_covariance(batch: QuadratureBatch) -> CovMatrix:
-    """Sample covariance of a normalized batch, scaled by the factor 4.
+    """Sample covariance of a batch, scaled by the factor 4.
 
     Classical samples commute, so the symmetrized operator product reduces
     to the ordinary (unbiased, ddof=1) sample covariance.  The per-entry
     standard error uses the Gaussian-moments formula
     Var(sigma_ij) = (sigma_ii*sigma_jj + sigma_ij^2) / (n_rep - 1).
     """
-    if not batch.normalized:
-        raise NotNormalized("covariance estimation requires normalized quadratures")
-    if batch.n_rep < 2:
-        raise DegenerateBatch("need at least 2 repetitions")
     sigma = 4.0 * np.cov(batch.records, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
     diag = np.diag(sigma)
     var_entries = (np.outer(diag, diag) + sigma**2) / (batch.n_rep - 1)
     return CovMatrix(entries=sigma, uncertainty=np.sqrt(var_entries))
@@ -290,10 +276,7 @@ def sample_gaussian(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(size=(n_rep, dim))
     records = z @ factor.T
-    labels = SINGLE_MODE if dim == 2 else TWO_MODE
-    return QuadratureBatch(
-        records=records, mode_labels=labels, pump_state=pump_state, normalized=True
-    )
+    return QuadratureBatch(records=records, pump_state=pump_state)
 
 
 def _symmetric_psd(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -317,9 +300,12 @@ def squeezed_vacuum(variance: float, angle: float) -> np.ndarray:
 
 
 def two_mode_squeezed(r: float, thermal_photons: float) -> np.ndarray:
-    """Two-mode squeezed vacuum of squeezing parameter ``r``, with
-    ``thermal_photons`` thermal photons added to each mode."""
-    a_block = (math.cosh(2 * r) + 2.0 * thermal_photons) * np.eye(2)
+    """Two-mode squeezed vacuum of squeezing parameter ``r``, with ``thermal_photons``
+    thermal photons added to each mode (ValueError if their variance is not finite)."""
+    variance = math.cosh(2 * r) + 2.0 * thermal_photons
+    if not math.isfinite(variance):
+        raise ValueError(f"{thermal_photons} thermal photons give each mode a non-finite variance")
+    a_block = variance * np.eye(2)
     c_block = math.sinh(2 * r) * np.diag([1.0, -1.0])
     return np.block([[a_block, c_block], [c_block.T, a_block]])
 
@@ -328,11 +314,15 @@ def pump_states(targets, added_noise_photons: float, gain_drift: float) -> list:
     """The (ON, OFF) pair of the measurement model (module docstring) of
     each target state; NotPSD, naming the point, for a pair that is not
     two covariances, raised before anything is sampled."""
+    level = 1.0 + 2.0 * added_noise_photons
+    try:
+        gain = (1.0 + gain_drift) ** 2
+    except OverflowError:  # an infinite gain, which the ON state's check names
+        gain = math.inf
     pairs = []
     for idx, target in enumerate(targets):
-        eye = np.eye(len(target))
-        off = (1.0 + 2.0 * added_noise_photons) * eye
-        on = target - eye + off * (1.0 + gain_drift) ** 2
+        off = np.diag([level] * len(target))  # not level * eye: an infinite level times its zeros is nan
+        on = target - np.eye(len(target)) + np.diag([level * gain] * len(target))
         for state, matrix in (("ON", on), ("OFF", off)):
             _symmetric_psd(matrix, f"point {idx}'s pump-{state} state")
         pairs.append((on, off))
@@ -391,10 +381,10 @@ def write_quadrature_csv(path, batches) -> None:
 
     One row per (repetition, mode): ``rep_index,mode,x,p,pump_state``, with
     x and p written as ``repr`` (the shortest decimal that reads back to the
-    same float).  Header comments record the format version, normalization
-    state and mode labels.  All batches must share the same normalization
-    state, and no two may share a pump state (the reader takes all the rows
-    of a pump state as one batch).
+    same float).  Header comments record the format version, that the
+    records are in vacuum units (``normalized=true``) and the mode labels.
+    No two batches may share a pump state (the reader takes all the rows of
+    a pump state as one batch).
 
     The rows are formatted in parts: :mod:`snailtwpa.parallel` cuts the
     repetitions of all the batches, counted end to end, into contiguous
@@ -406,9 +396,6 @@ def write_quadrature_csv(path, batches) -> None:
     """
     if not batches:
         raise ValueError("no batches to write: a quadrature CSV holds at least one batch")
-    normalized = {b.normalized for b in batches}
-    if len(normalized) != 1:
-        raise ValueError("cannot mix normalized and raw batches in one file")
     states = [b.pump_state for b in batches]
     for state in states:
         if states.count(state) > 1:
@@ -416,7 +403,7 @@ def write_quadrature_csv(path, batches) -> None:
     labels = max((b.mode_labels for b in batches), key=len)
     header = (
         "# snailtwpa quadrature records v1\n"
-        f"# normalized={'true' if normalized.pop() else 'false'}\n"
+        "# normalized=true\n"
         f"# modes={','.join(labels)}\n"
         "rep_index,mode,x,p,pump_state\n"
     )
@@ -519,17 +506,17 @@ def read_quadrature_csv(path) -> dict:
 
     Lines are stripped of surrounding whitespace; blank lines, comment
     lines (those that start with ``#``; a ``#`` elsewhere in a row is data)
-    and ``rep_index`` header lines are skipped, and the last
-    ``normalized=`` comment sets the normalization state (default true).
-    A pump state's modes are the labels its rows use, and each of them
-    must have exactly one row for every repetition 0..n-1, n - 1 being the
-    largest repetition index of the state.  A row that does not parse, or
-    that has an unknown mode or pump state, a negative repetition or a
-    non-finite value, raises ValueError naming its line number (the first
-    row that does not parse if there is one, else the first invalid row);
-    so does a row that repeats a (pump state, mode, repetition), and a
-    missing one raises ValueError naming the pump state, the mode and the
-    repetition.
+    and ``rep_index`` header lines are skipped; raw records (the last
+    ``normalized=`` comment says false) raise ValueError.  A pump state
+    holds both modes if it has an idler row, else the signal mode alone,
+    and each must have exactly one row for every repetition 0..n-1,
+    n - 1 being the largest repetition index of the state.  A row that
+    does not parse, or that has an unknown mode or pump state, a negative
+    repetition or a non-finite value, raises ValueError naming its line
+    number (the first row that does not parse if there is one, else the
+    first invalid row); so does a row that repeats a (pump state, mode,
+    repetition), and a missing one raises ValueError naming the pump
+    state, the mode and the repetition.
 
     The file is read once, and :mod:`snailtwpa.parallel` cuts the positions
     of its text into ranges that run at once in this process and in forked
@@ -545,7 +532,8 @@ def read_quadrature_csv(path) -> dict:
     if errors:
         raise ValueError(min(errors)[2])
     notes = [normalized for _, _, normalized, _ in parts if normalized is not None]
-    normalized = notes[-1] if notes else True
+    if notes and not notes[-1]:
+        raise ValueError("the records are raw (normalized=false); they must be in vacuum units")
     rows = np.concatenate([part[0] for part in parts])
     at = np.concatenate([part[1] for part in parts])
     mode = {label: rows["mode"] == code for code, label in enumerate(TWO_MODE)}
@@ -555,7 +543,7 @@ def read_quadrature_csv(path) -> dict:
         if not in_state.any():
             continue
         where = {label: np.flatnonzero(in_state & mode[label]) for label in TWO_MODE}
-        labels = tuple(label for label in TWO_MODE if where[label].size)
+        labels = TWO_MODE if where["idler"].size else SINGLE_MODE
         n_rep = int(rows["rep"][in_state].max()) + 1
         for label in labels:
             _check_repetitions(rows["rep"], where[label], n_rep, at, state, label)
@@ -563,7 +551,5 @@ def read_quadrature_csv(path) -> dict:
         for m, label in enumerate(labels):
             part = rows[where[label]]
             records[part["rep"], 2 * m : 2 * m + 2] = np.column_stack((part["x"], part["p"]))
-        out[state] = QuadratureBatch(
-            records=records, mode_labels=labels, pump_state=state, normalized=normalized
-        )
+        out[state] = QuadratureBatch(records=records, pump_state=state)
     return out

@@ -151,6 +151,10 @@ def test_unknown_key_rejected(tmp_path):
         ("coeffs", {"flux_min": -1001.0}, "'flux_min'"),
         ("gain-phase", {"flux": 1e15}, "'flux'"),
         ("flux-sweep", {"flux_max": 2000.0}, "'flux_max'"),
+        ("sms", {"added_noise_photons": 1e308}, "'added_noise_photons'"),
+        ("tms", {"thermal_photons": 1e308}, "'thermal_photons'"),
+        ("tms", {"gain_drift": 1e200}, "'gain_drift'"),
+        ("tms", {"gain_drift": -1e200}, "'gain_drift'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -158,7 +162,7 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, ke
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err
+    assert err.startswith("config error:") and key in err and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
 
 
@@ -409,25 +413,36 @@ def test_sms_bad_input_csv_is_config_error(tmp_path, capsys, defect):
         assert BAD_LINE_30[defect][1] in err
 
 
-@pytest.mark.parametrize(
-    "modes, normalized, why",
-    [((1, 1), False, "ON records are raw"), ((2, 2), True, "ON records are two-mode"),
-     ((2, 1), True, "ON records are two-mode")],
-    ids=["raw", "two-mode", "two-mode ON, single-mode OFF"],
-)
-def test_sms_input_csv_it_cannot_use_is_config_error(tmp_path, capsys, modes, normalized, why):
+def _quad_rows(state, modes):
+    return "".join(f"{i},{mode},0.5,-0.5,{state}\n" for i in range(50) for mode in modes)
+
+
+QUAD_HEAD = "# snailtwpa quadrature records v1\n# normalized=true\n# modes=signal\nrep_index,mode,x,p,pump_state\n"
+UNREADABLE_CSV = {  # the text of a file the writer cannot write, and the reader's error
+    "raw": (QUAD_HEAD.replace("true", "false") + _quad_rows("ON", ["signal"]) + _quad_rows("OFF", ["signal"]),
+            "the records are raw (normalized=false)"),
+    "idler-only ON": (QUAD_HEAD + _quad_rows("ON", ["idler"]) + _quad_rows("OFF", ["signal"]),
+                      "pump state ON: the signal mode has no row for repetition 0 of 0..49"),
+}
+
+
+@pytest.mark.parametrize("case", [*UNREADABLE_CSV, "two-mode", "two-mode ON, single-mode OFF"])
+def test_sms_input_csv_it_cannot_use_is_config_error(tmp_path, capsys, case):
     # sms estimates one mode's covariance from records in vacuum units, in
     # both pump states; any other file is refused before --out
-    batches = [sample_gaussian(np.eye(2 * m), n_rep=50, seed=s, pump_state=p)
-               for m, s, p in zip(modes, (1, 2), ("ON", "OFF"))]
-    for batch in batches:
-        batch.normalized = normalized
     path, out = tmp_path / "quad.csv", tmp_path / "x"
-    write_quadrature_csv(path, batches)
+    if case in UNREADABLE_CSV:
+        text, why = UNREADABLE_CSV[case]
+        path.write_text(text)
+        start = f"config error: cannot read input CSV {path}: {why}"
+    else:
+        modes = (2, 2) if case == "two-mode" else (2, 1)
+        write_quadrature_csv(path, [sample_gaussian(np.eye(2 * m), n_rep=50, seed=s, pump_state=p)
+                                    for m, s, p in zip(modes, (1, 2), ("ON", "OFF"))])
+        start = f"config error: input_csv {path}: its ON records are two-mode"
     cfg = write_config(tmp_path, {"input_csv": str(path)})
     assert main(["sms", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: input_csv " + str(path)) and why in err
+    assert capsys.readouterr().err.startswith(start)
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from snailtwpa.errors import (
     DegenerateBatch,
     DimensionMismatch,
     NonPositiveVariance,
-    NotNormalized,
     NotPSD,
     SnailTwpaError,
 )
@@ -85,12 +84,11 @@ def test_round_trip_known_4x4():
     assert np.all(np.abs(sigma.entries - target) < 4.0 * sigma.uncertainty + 1e-12)
 
 
-def test_rejects_unnormalized_and_degenerate():
-    batch = QuadratureBatch(records=np.zeros((10, 2)), normalized=False)
-    with pytest.raises(NotNormalized):
-        estimate_covariance(batch)
+def test_rejects_degenerate_and_misshapen_batches():
     with pytest.raises(DegenerateBatch):
         QuadratureBatch(records=np.zeros((1, 2)))
+    with pytest.raises(DimensionMismatch, match=r"shape \(10, 3\)"):
+        QuadratureBatch(records=np.zeros((10, 3)))
 
 
 # --- subtract_background -------------------------------------------------
@@ -276,6 +274,7 @@ def test_pump_states_closed_form(drift):
         ([tmsv(0.0), tmsv(0.5)], 1.5, -1.0, "point 1's pump-ON state has eigenvalue"),
         ([np.eye(2)], 1e308, 0.0, "point 0's pump-ON state has a non-finite entry"),
         ([10.0 * np.eye(2)], -1.0, 0.0, "point 0's pump-OFF state has eigenvalue"),
+        ([np.eye(2)], 0.0, 1e200, "point 0's pump-ON state has a non-finite entry"),
     ],
 )
 def test_pump_states_reject_a_pair_that_is_no_state_before_sampling(forks, targets, noise, drift, message):
@@ -355,14 +354,13 @@ def test_quadrature_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back["ON"].records, on.records, rtol=0, atol=0)
     np.testing.assert_allclose(back["OFF"].records, off.records, rtol=0, atol=0)
     assert back["ON"].mode_labels == ("signal", "idler")
-    assert back["ON"].normalized is True
 
 
 def reference_write(path, batches):
     """The quadrature CSV written one row at a time: the format's definition."""
     lines = [
         "# snailtwpa quadrature records v1",
-        f"# normalized={'true' if batches[0].normalized else 'false'}",
+        "# normalized=true",
         f"# modes={','.join(max((b.mode_labels for b in batches), key=len))}",
         "rep_index,mode,x,p,pump_state",
     ]
@@ -376,7 +374,9 @@ def reference_write(path, batches):
 
 
 def reference_read(path):
-    """The quadrature CSV parsed one line at a time: the reader's reference."""
+    """The quadrature CSV parsed one line at a time: the reader's reference.
+    The records of a file whose last ``normalized=`` comment is false are
+    raw, and raise ValueError."""
     normalized, rows = True, []
     with open(path) as fh:
         for line in fh:
@@ -387,24 +387,25 @@ def reference_read(path):
             elif line and not line.startswith("rep_index"):
                 rep, mode, x, p, pump = line.split(",")
                 rows.append((int(rep), mode, float(x), float(p), pump))
+    if not normalized:
+        raise ValueError("the records are raw")
     out = {}
     for pump in sorted({r[4] for r in rows}):
         sel = [r for r in rows if r[4] == pump]
-        labels = tuple(lbl for lbl in ("signal", "idler") if any(r[1] == lbl for r in sel))
+        labels = ("signal", "idler") if any(r[1] == "idler" for r in sel) else ("signal",)
         records = np.zeros((max(r[0] for r in sel) + 1, 2 * len(labels)))
         for rep, mode, x, p, _ in sel:
             records[rep, 2 * labels.index(mode)] = x
             records[rep, 2 * labels.index(mode) + 1] = p
-        out[pump] = (records, labels, normalized)
+        out[pump] = (records, labels)
     return out
 
 
 def assert_same_batches(back, expected):
     assert list(back) == list(expected)
-    for pump, (records, labels, normalized) in expected.items():
+    for pump, (records, labels) in expected.items():
         assert back[pump].records.tobytes() == records.tobytes()
         assert back[pump].mode_labels == labels
-        assert back[pump].normalized is normalized
 
 
 EDGE_VALUES = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 0.1, 123456.789]
@@ -413,7 +414,7 @@ EDGE_VALUES = [1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -2.22507385850
 @pytest.mark.parametrize("layout", ["one-mode", "two-mode", "mixed"])
 def test_quadrature_csv_writer_matches_row_formula(tmp_path, layout):
     one = QuadratureBatch(np.reshape(EDGE_VALUES, (4, 2)), pump_state="OFF")
-    two = QuadratureBatch(np.reshape(EDGE_VALUES[::-1], (2, 4)), mode_labels=("signal", "idler"), pump_state="ON")
+    two = QuadratureBatch(np.reshape(EDGE_VALUES[::-1], (2, 4)), pump_state="ON")
     batches = {"one-mode": [one], "two-mode": [two], "mixed": [two, one]}[layout]
     write_quadrature_csv(tmp_path / "new.csv", batches)
     reference_write(tmp_path / "ref.csv", batches)
@@ -427,7 +428,8 @@ READER_CASES = {
     "surrounding whitespace": HEAD + "  0,signal,1.5,-2.0,ON \t\n\t1,signal,0.25,3e-10,ON   \n",
     "crlf": HEAD.replace("\n", "\r\n") + "0,signal,1.5,-2.0,OFF\r\n1,signal,-0.0,5e-324,OFF\r\n",
     "out of order": HEAD + "2,signal,3.0,3.5,ON\n0,signal,1.0,1.5,ON\n1,signal,2.0,2.5,ON\n",
-    "not normalized": HEAD.replace("normalized=true", "normalized=false") + "0,signal,1.0,2.0,ON\n1,signal,2.0,1.0,ON\n",
+    "raw, then normalized": HEAD.replace("normalized=true", "normalized=false")
+    + "0,signal,1.0,2.0,ON\n# normalized=true\n1,signal,2.0,1.0,ON\n",
     "no data": HEAD + "\n# nothing recorded\n",
     "no final newline": HEAD + "0,signal,1.5,-2.0,ON\n1,signal,0.25,3e-10,ON",
     "two-mode ON and one-mode OFF": HEAD
@@ -449,8 +451,6 @@ def test_quadrature_csv_reader_edge_case_values(tmp_path):
     back = read_quadrature_csv(path)
     assert back["ON"].mode_labels == ("signal", "idler") and back["OFF"].mode_labels == ("signal",)
     assert np.array_equal(back["ON"].records, [[1, 2, 3, 4], [-1, -2, -3, -4]])
-    path.write_bytes(READER_CASES["not normalized"].encode())
-    assert read_quadrature_csv(path)["ON"].normalized is False
     path.write_bytes(READER_CASES["no data"].encode())
     assert read_quadrature_csv(path) == {}
 
@@ -525,11 +525,7 @@ finite_records = st.integers(2, 12).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(on=finite_records, off=finite_records)
 def test_quadrature_csv_round_trip_is_bit_exact(tmp_path_factory, on, off):
-    labels = {2: ("signal",), 4: ("signal", "idler")}
-    batches = [
-        QuadratureBatch(on, mode_labels=labels[on.shape[1]], pump_state="ON"),
-        QuadratureBatch(off, mode_labels=labels[off.shape[1]], pump_state="OFF"),
-    ]
+    batches = [QuadratureBatch(on, pump_state="ON"), QuadratureBatch(off, pump_state="OFF")]
     path = tmp_path_factory.mktemp("quad") / "quad.csv"
     write_quadrature_csv(path, batches)
     back = read_quadrature_csv(path)
@@ -616,10 +612,9 @@ def test_quadrature_csv_writer_refuses_a_repeated_pump_state(tmp_path, forks, re
 # --- the reader's parts run in forked children -----------------------------
 
 
-def read_on_cpus(path, forks, monkeypatch, cpus):
-    """The reader's result with ``cpus`` usable CPUs, checked to fork once
-    per part beyond the first, and the text of each part: the lines that
-    start in its range of positions of the one cut."""
+def parts_on_cpus(path, monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable; the text of each part the reader then
+    makes: the lines that start in its range of positions of the one cut."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with open(path) as fh:
         text = fh.read()
@@ -627,6 +622,18 @@ def read_on_cpus(path, forks, monkeypatch, cpus):
     lines = list(zip(starts, [text[a:b] for a, b in zip(starts, starts[1:] + [len(text)])]))
     parts = ["".join(line for a, line in lines if a in span) for span in parallel._cut(range(len(text)), cpus)]
     assert "".join(parts) == text and all(part.endswith("\n") for part in parts[:-1])
+    return parts
+
+
+def on_a_cut(parts, line):
+    """Whether ``line`` ends one part or starts the next."""
+    return any(a.endswith(f"\n{line}\n") or b.startswith(f"{line}\n") for a, b in zip(parts, parts[1:]))
+
+
+def read_on_cpus(path, forks, monkeypatch, cpus):
+    """The reader's result with ``cpus`` usable CPUs, checked to fork once
+    per part beyond the first, and the text of each part."""
+    parts = parts_on_cpus(path, monkeypatch, cpus)
     before = len(forks)
     back = read_quadrature_csv(path)
     assert len(forks) - before == len(parts) - 1
@@ -656,7 +663,7 @@ CUT_ROWS = [f"{i},{m},{i}.5,-{i}.25,ON" for i in range(4) for m in ("signal", "i
 ]
 CUT_LINES = {  # a line the reader skips, and the line end of the file it goes in
     "blank": ("  \t", "\n"),
-    "comment": ("# normalized=false", "\n"),
+    "comment": ("# normalized=true", "\n"),
     "header": ("rep_index,mode,x,p,pump_state", "\n"),
     "crlf": ("", "\r\n"),
 }
@@ -673,10 +680,40 @@ def test_quadrature_csv_reader_lines_on_a_cut(tmp_path, forks, monkeypatch, kind
         path = tmp_path / f"{k}.csv"
         path.write_bytes((end.join(lines) + end).encode())
         for cpus, parts in assert_reads_alike(path, forks, monkeypatch).items():
-            for a, b in zip(parts, parts[1:]):
-                if a.endswith(f"\n{special}\n") or b.startswith(f"{special}\n"):
-                    on_cut.add(cpus)
+            if on_a_cut(parts, special):
+                on_cut.add(cpus)
     assert on_cut == {2, 3}
+
+
+def test_quadrature_csv_reader_refuses_raw_records(tmp_path, forks, monkeypatch):
+    # a "normalized=false" comment before each data row in turn makes the
+    # records raw on 1, 2 or 3 CPUs, whether or not it lands on a cut; a
+    # later "normalized=true", in any part, makes them usable again
+    raw = "# normalized=false"
+    on_cut = set()
+    for k in range(len(CUT_ROWS) + 1):
+        lines = HEAD.splitlines() + CUT_ROWS[:k] + [raw] + CUT_ROWS[k:]
+        path = tmp_path / f"{k}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for cpus in (1, 2, 3):
+            if on_a_cut(parts_on_cpus(path, monkeypatch, cpus), raw):
+                on_cut.add(cpus)
+            with pytest.raises(ValueError, match=r"^the records are raw \(normalized=false\)"):
+                read_quadrature_csv(path)
+        path.write_text("\n".join(lines + ["# normalized=true"]) + "\n")
+        assert_reads_alike(path, forks, monkeypatch)
+    assert on_cut == {2, 3}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_quadrature_csv_reader_state_with_idler_rows_needs_signal_rows(tmp_path, forks, monkeypatch, cpus):
+    # a state with an idler row holds both modes, so its signal rows are missing
+    path = tmp_path / "quad.csv"
+    path.write_text(HEAD + "".join(f"{i},idler,{i}.5,-{i}.25,ON\n{i},signal,{i}.125,1.0,OFF\n" for i in range(2)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(ValueError, match=r"^pump state ON: the signal mode has no row for repetition 0 of 0\.\.1$"):
+        read_quadrature_csv(path)
+    assert len(forks) == cpus - 1
 
 
 def test_quadrature_csv_reader_part_without_data(tmp_path, forks, monkeypatch):
