@@ -17,12 +17,12 @@ from snailtwpa.calibration import (
     SntjModel,
     fit_sntj,
     input_attenuation,
-    insertion_loss_from_tan_delta,
+    insertion_loss,
     normalization_factor,
     sntj_noise_power,
 )
+from snailtwpa.circuit import ChainConfig
 from snailtwpa.constants import E_CHARGE, PLANCK
-from snailtwpa.snail import SnailParams, coefficients
 
 F_ACQ = 7.705e9 / 2.0
 TRUE_GAIN_DB = 61.7
@@ -44,9 +44,8 @@ print(f"fitted T_sys         : {fit.t_sys:7.3f} K    (true 4.0)")
 print(f"fitted T_electron    : {fit.t_electron * 1e3:7.1f} mK   (true 50.0)")
 print(f"residual norm        : {fit.residual_norm:.3e} W, {fit.n_iter} iterations")
 
-# device insertion loss from the loss tangent at the working point
-inductance = coefficients(SnailParams.from_flux(0.07, 2.19e-6, 0.0)).inductance
-eta = insertion_loss_from_tan_delta(2.1e-3, 700, F_ACQ, inductance, 250e-15, 50e-15)
+# device insertion loss of the default 700-cell chain from its loss tangent at zero flux
+eta = insertion_loss(ChainConfig(), 0.0, F_ACQ)
 print(f"\ninsertion loss eta   : {eta:.4f} ({10 * np.log10(eta):+.2f} dB over 700 cells)")
 
 upsilon = normalization_factor(eta=eta, g_sys=fit.g_sys, f_acq=F_ACQ)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import snail
 from .constants import BOLTZMANN, E_CHARGE, PLANCK
 from .errors import FitDivergence, IllConditioned
 
@@ -297,26 +298,21 @@ def input_attenuation(s21_off: float, eta_db: float, g_sys_db: float) -> float:
     return s21_off - eta_db - g_sys_db
 
 
-def insertion_loss_from_tan_delta(
-    tan_delta: float,
-    n_cells: int,
-    frequency: float,
-    inductance: float,
-    c_g: float,
-    c_j: float = 0.0,
-) -> float:
-    """Linear power insertion loss of the chain from the loss tangent.
+def insertion_loss(chain, flux: float, frequency: float) -> float:
+    """Linear power insertion loss of ``chain`` (a circuit.ChainConfig)
+    at ``frequency`` from its loss tangent, at ``flux`` in Phi0.
 
-    Small-signal Bloch analysis of one unit cell: series impedance of the
-    junction inductance in parallel with c_j, shunt admittance of c_g with
-    loss angle tan_delta; the propagation constant gamma per cell follows
-    from cosh(gamma) = 1 + Z*Y/2, and the power transmission over n_cells
-    is exp(-2 * n_cells * Re gamma).  tan_delta = 0 gives exactly 1 inside
+    Small-signal Bloch analysis of one clean unit cell (no disorder):
+    series impedance of the SNAIL inductance at ``flux`` in parallel with
+    c_j, shunt admittance of c_g with loss angle tan_delta at every
+    frequency; the propagation constant gamma per cell follows from
+    cosh(gamma) = 1 + Z*Y/2, and the power transmission over n_cells is
+    exp(-2 * n_cells * Re gamma).  tan_delta = 0 gives exactly 1 inside
     the passband.
     """
+    inductance = snail.coefficients(snail.SnailParams.from_flux(chain.r, chain.i_c_nominal, flux)).inductance
     omega = 2.0 * math.pi * frequency
-    y_series = 1.0 / (1j * omega * inductance) + 1j * omega * c_j
-    z_series = 1.0 / y_series
-    y_shunt = (1j * omega * c_g) / (1.0 + 1j * tan_delta)
+    z_series = 1.0 / (1.0 / (1j * omega * inductance) + 1j * omega * chain.c_j)
+    y_shunt = (1j * omega * chain.c_g) / (1.0 + 1j * chain.tan_delta)
     gamma = np.arccosh(1.0 + z_series * y_shunt / 2.0 + 0j)
-    return float(np.exp(-2.0 * n_cells * abs(gamma.real)))
+    return float(np.exp(-2.0 * chain.n_cells * abs(gamma.real)))

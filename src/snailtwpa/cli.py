@@ -108,9 +108,11 @@ TABLES = {
 # memory cannot hold is a runtime error.
 MAX_COUNT = np.iinfo(np.intp).max // 32
 
-# Largest accepted two-mode squeezing parameter of ``tms``: r = 4 is a power
-# gain of 28.7 dB, the top of what travelling-wave amplifiers reach;
-# beyond it float64 can no longer resolve nu_minus = exp(-2r) of the state.
+# Largest accepted squeezing parameter: of ``tms``'s two-mode states, and of
+# ``sms``'s single-mode state, whose squeezing is then at most
+# 20 R_MAX / ln 10 = 34.74 dB in size.  r = 4 is a power gain of 28.7 dB, the
+# top of what travelling-wave amplifiers reach; beyond it float64 can no
+# longer resolve nu_minus = exp(-2r) of the two-mode state.
 R_MAX = 4.0
 
 
@@ -234,14 +236,6 @@ def _load_psd(path: Path) -> np.ndarray:
     return data
 
 
-def _insertion_loss(chain: circuit.ChainConfig, flux: float, f_acq: float) -> float:
-    """The chain's insertion loss at ``f_acq`` from its loss tangent."""
-    inductance = snail.coefficients(snail.SnailParams.from_flux(chain.r, chain.i_c_nominal, flux)).inductance
-    return calibration.insertion_loss_from_tan_delta(
-        chain.tan_delta, chain.n_cells, f_acq, inductance, chain.c_g, chain.c_j
-    )
-
-
 def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleNamespace:
     """The inputs of ``command``, read from ``config`` by its table in
     TABLES, checked, and built into the library's objects: the chain block
@@ -293,9 +287,12 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         p.drive = _build("invalid drive", circuit.three_wave_drive, p.pump_frequency, p.pump_current,
                          p.signal_current, delta_bins=0, window=p.window, settle_time=p.settle_time)
     elif command == "sms":
-        variance = _gain_from_db(p.target_s_db, "'target_s_db'")
+        s_max = 20.0 * R_MAX / math.log(10.0)
+        if abs(p.target_s_db) > s_max:
+            raise ConfigError(f"'target_s_db' {p.target_s_db} dB is beyond the physical limit of "
+                              f"{s_max:.2f} dB in size")
         if p.input_csv is None:
-            p.targets = [gaussian.squeezed_vacuum(variance, phase) for phase in p.phases]
+            p.targets = [gaussian.squeezed_vacuum(10.0 ** (p.target_s_db / 10.0), phase) for phase in p.phases]
         else:
             try:
                 batches = gaussian.read_quadrature_csv(p.input_csv)
@@ -327,7 +324,7 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
         p.csv = rows
     elif command == "normalize":
         if p.eta is None:
-            p.eta = _build("cannot compute 'eta' from the chain", _insertion_loss, p.chain, p.flux, p.f_acq)
+            p.eta = _build("cannot compute 'eta' from the chain", calibration.insertion_loss, p.chain, p.flux, p.f_acq)
         g_sys = _gain_from_db(p.g_sys_db, "'g_sys_db'")
         fields = {key: getattr(p, key) for key in NORMALIZATION}
         p.upsilon = _build("invalid normalization", calibration.normalization_factor, p.eta, g_sys, p.f_acq, **fields)

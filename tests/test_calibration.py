@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from snailtwpa.circuit import ChainConfig, Tone, build_chain, extract_spectrum, simulate_transients, snap_drive
 from snailtwpa.constants import BOLTZMANN, E_CHARGE, PLANCK
 from snailtwpa.errors import FitDivergence, IllConditioned
 from snailtwpa.calibration import (
     SntjModel,
     fit_sntj,
     input_attenuation,
-    insertion_loss_from_tan_delta,
+    insertion_loss,
     normalization_factor,
     sntj_noise_power,
 )
@@ -210,9 +211,7 @@ def test_normalization_factor_rejects_each_input(name, value):
 def test_upsilon_golden_value():
     # independent arithmetic: eta from tan_delta at the reference chain,
     # G = 61.7 dB raised by the 1 dB loss allowance
-    eta = insertion_loss_from_tan_delta(
-        2.1e-3, 700, F_HALF, 3.725868657029925e-10, 250e-15, 50e-15
-    )
+    eta = insertion_loss(ChainConfig(), 0.0, F_HALF)
     ups = normalization_factor(**default_norm(eta=eta))
     g_up = 10 ** (62.7 / 10.0)
     by_hand = 0.98 * math.sqrt(
@@ -270,23 +269,14 @@ def test_attenuation_round_trip_random():
 # --- insertion loss ---------------------------------------------------------
 
 
-L_CELL = 3.725868657029925e-10  # zero-flux SNAIL inductance of the reference device
-
-
 def test_insertion_loss_lossless():
-    assert insertion_loss_from_tan_delta(0.0, 700, F_HALF, L_CELL, 250e-15, 50e-15) == 1.0
+    assert insertion_loss(ChainConfig(tan_delta=0.0), 0.0, F_HALF) == 1.0
 
 
 def test_insertion_loss_monotonicity():
-    etas_tan = [
-        insertion_loss_from_tan_delta(t, 700, F_HALF, L_CELL, 250e-15, 50e-15)
-        for t in (0.0, 1e-3, 2e-3, 4e-3)
-    ]
+    etas_tan = [insertion_loss(ChainConfig(tan_delta=t), 0.0, F_HALF) for t in (0.0, 1e-3, 2e-3, 4e-3)]
     assert all(b < a for a, b in zip(etas_tan, etas_tan[1:]))
-    etas_n = [
-        insertion_loss_from_tan_delta(2.1e-3, n, F_HALF, L_CELL, 250e-15, 50e-15)
-        for n in (100, 400, 700)
-    ]
+    etas_n = [insertion_loss(ChainConfig(n_cells=n), 0.0, F_HALF) for n in (100, 400, 700)]
     assert all(b < a for a, b in zip(etas_n, etas_n[1:]))
 
 
@@ -294,15 +284,6 @@ def test_insertion_loss_against_transient():
     # two independent internal methods: Bloch propagation constant vs the
     # pump-off transmission deficit of the transient simulator, at the
     # default chain parameters
-    from snailtwpa.circuit import (
-        ChainConfig,
-        Tone,
-        build_chain,
-        extract_spectrum,
-        simulate_transients,
-        snap_drive,
-    )
-
     probe = F_HALF
     drive = snap_drive(tones=(Tone(probe, 0.0011e-6, 0.0),), window=15e-9, settle_time=12e-9)
     f_snap = drive.tones[0].frequency
@@ -318,8 +299,5 @@ def test_insertion_loss_against_transient():
     }
     deficit_db = powers[0.0] - powers[2.1e-3]
 
-    chain = build_chain(ChainConfig(n_cells=700, disorder_amplitude=0.0), 0.0, f_ref=F_HALF)
-    eta = insertion_loss_from_tan_delta(
-        2.1e-3, 700, f_snap, float(chain.inductance[0]), 250e-15, 50e-15
-    )
+    eta = insertion_loss(ChainConfig(n_cells=700), 0.0, f_snap)
     assert deficit_db == pytest.approx(-10.0 * math.log10(eta), abs=0.2)

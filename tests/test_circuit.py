@@ -199,6 +199,12 @@ def test_three_and_four_wave_builders():
     assert m_s4 == d4.tone_bin(d4.tones[0].frequency) - 2
 
 
+def test_tone_bin_rejects_an_off_grid_frequency():
+    drive = three_wave_drive(F_PUMP)
+    with pytest.raises(ValueError, match="is not on the"):
+        drive.tone_bin(drive.tones[0].frequency + 0.5 * drive.resolution)
+
+
 @pytest.mark.parametrize("builder", [three_wave_drive, four_wave_drive])
 @pytest.mark.parametrize(
     "bad",
@@ -366,6 +372,16 @@ def test_spectrum_parseval():
     spec = extract_spectrum(trace, drive)
     mean_square = np.mean(samples**2)
     assert np.sum(spec.power_watts) * 50.0 == pytest.approx(mean_square, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "frequency, message", [(2.5e6, "is not on the bin grid"), (11e6, "is outside"), (-1e6, "is outside")]
+)
+def test_spectrum_bin_index_rejects_frequencies_it_has_no_bin_for(frequency, message):
+    spec = Spectrum(psd_dbm=np.zeros(11), resolution=1e6, power_watts=np.zeros(11), z0=50.0)
+    assert spec.bin_index(10e6) == 10
+    with pytest.raises(ValueError, match=message):
+        spec.bin_index(frequency)
 
 
 def test_spectrum_resolution_sixty_ns():

@@ -155,6 +155,9 @@ def test_unknown_key_rejected(tmp_path):
         ("tms", {"thermal_photons": 1e308}, "'thermal_photons'"),
         ("tms", {"gain_drift": 1e200}, "'gain_drift'"),
         ("tms", {"gain_drift": -1e200}, "'gain_drift'"),
+        ("sms", {"target_s_db": -3100}, "'target_s_db'"),
+        ("sms", {"target_s_db": 3080}, "'target_s_db'"),
+        ("sms", {"target_s_db": 400}, "'target_s_db'"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
@@ -244,6 +247,24 @@ def test_file_system_failures_name_the_path(tmp_path, capsys, case, code):
     err = capsys.readouterr().err
     assert err.startswith("config error:" if code == 2 else "runtime error:") and str(named) in err
     assert out.exists() == (case in ("out is a file", "result.csv is a directory"))
+
+
+@pytest.mark.parametrize("case", ["sntj-fit one-column csv", "sms input_csv without OFF", "config is a JSON array"])
+def test_inputs_a_command_cannot_run_on_are_config_errors(tmp_path, capsys, case):
+    # one config error line that says what is wrong, and no --out
+    out, data = tmp_path / "x", tmp_path / "data.csv"
+    if case == "sntj-fit one-column csv":
+        data.write_text("".join(f"{k}e-5\n" for k in range(1, 20)))
+        command, cfg, why = "sntj-fit", {"csv": str(data), "frequency": 4e9, "bandwidth": 3e3}, "must have columns"
+    elif case == "sms input_csv without OFF":
+        write_quadrature_csv(data, [sample_gaussian(np.eye(2), n_rep=50, seed=1, pump_state="ON")])
+        command, cfg, why = "sms", {"input_csv": str(data)}, "must contain ON and OFF"
+    else:
+        command, cfg, why = "coeffs", [{"n_points": 3}], "config must be a JSON object"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and why in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -97,6 +97,20 @@ def test_phi_star_residual_over_sweep():
         assert abs(snail_current(root, params)) < 1e-12 * I_C
 
 
+def test_phi_star_falls_back_to_bisection():
+    # near r = 1/3 the first Newton step from phi_ext overshoots the bracket
+    # (phi_ext - pi/2, phi_ext), so the search bisects; it still finds the
+    # tracked root
+    r = 0.283
+    params = SnailParams.from_flux(r, I_C, -0.605)
+    x = params.phi_ext
+    newton = x - snail_current(x, params) / (I_C * (r * math.cos(x) + 1.0 / 3.0))
+    assert snail_current(x, params) > 0.0 and newton < x - 0.5 * math.pi
+    root = find_phi_star(params)
+    assert abs(snail_current(root, params)) < 1e-12 * I_C
+    assert abs(root - params.phi_ext) <= 3.0 * math.asin(r)
+
+
 def test_phi_star_rejects_large_r():
     with pytest.raises(ValueError):
         find_phi_star(SnailParams(r=0.4, i_c=I_C, phi_ext=1.0))

@@ -102,13 +102,14 @@ def test_readme_example_configs_parse(tmp_path, monkeypatch):
     "demo, writes",
     [
         ("01_snail_flux_tunability.py", "snail_coefficients.csv"),
+        ("04_single_mode_squeezing.py", None),
         ("05_two_mode_entanglement.py", None),
         ("06_sntj_calibration.py", None),
     ],
 )
 def test_fast_demos_run(tmp_path, demo, writes):
-    # the demos that take under a second run to the end: a call that binds
-    # can still use its result wrongly
+    # the demos that take about a second or less run to the end: a call that
+    # binds can still use its result wrongly
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
         [sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
