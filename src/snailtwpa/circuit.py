@@ -15,13 +15,28 @@ The shunt ESR is a fixed resistance, set once when the chain is built:
 tan_delta at its ``f_ref`` (the pump, in both sweeps), and every solver
 reads that one value, ``RealizedChain.esr``.
 
-Integration is fixed-step trapezoidal (A-stable) with a full Newton solve
-per step.  Junction phases and the reactive branches enter through their
+Integration is fixed-step trapezoidal (A-stable) with a Newton solve per
+step.  Junction phases and the reactive branches enter through their
 trapezoidal companion models, so each Newton iteration reduces to a
 tridiagonal solve in the node voltages; the whole run is deterministic for
-a given configuration and seed.  The Newton tolerance and iteration limit
-are the module constants ``NEWTON_TOL`` and ``MAX_NEWTON_ITER``, which the
-solver reads from the module as it runs.
+a given configuration and seed.
+
+A step has converged when its last update max |dV| is below tol =
+NEWTON_TOL + 1e-10 * max |V|.  Newton converges quadratically, |d2| ~
+L |d1|^2, and the contraction L changes little from one step to the next,
+so a member also stops after its first update d1 when the update it
+predicts, L^ |d1|^2, is below tol; L^ = |d2| / |d1|^2 is measured on that
+member's last step that took a second iteration (the contraction monitor
+of Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2; Hairer &
+Wanner, Solving ODEs II, 1996, sec. IV.8).  Each measurement serves the
+next ``NEWTON_REFRESH`` steps.  Every other step iterates to tol as a full
+Newton solve: a member's first step, the step after those
+``NEWTON_REFRESH``, a step the rule cannot accept, and the step after one
+that took three iterations.  So a 3WM run takes about
+1 + 1/(NEWTON_REFRESH + 1) solves per step instead of 2, and its traces
+move by a fraction of tol.  The tolerance, the iteration limit and the
+refresh are the module constants ``NEWTON_TOL``, ``MAX_NEWTON_ITER`` and
+``NEWTON_REFRESH``, which the solver reads from the module as it runs.
 
 One private core, ``_integrate``, advances B independent runs (chain and
 drive) in lockstep (``_lockstep``).  ``simulate_transients`` is the public
@@ -34,10 +49,10 @@ branches are exactly zero, so the elimination multiplier there is zero and
 leaves the next member's pivot and right-hand side unchanged: every member
 is solved with the same floating-point operations as a separate solve.
 All other arithmetic is elementwise, in the same order as for a single run
-(a few terms are evaluated negated, which IEEE rounding makes exact), and
-a member that meets its own convergence test is held fixed while the
-others iterate; each member's output is therefore bit-identical to running
-it alone.
+(a few terms are evaluated negated, which IEEE rounding makes exact), a
+member's stopping rule reads only its own updates, and a member that has
+stopped is held fixed while the others iterate; each member's output is
+therefore bit-identical to running it alone.
 
 Below a few hundred cells a step's cost is the number of numpy calls, not
 their arithmetic, so the step loop makes few and cheap ones.  Every scalar
@@ -103,6 +118,7 @@ from .snail import SnailParams, coefficients
 TWO_PI = 2.0 * math.pi
 NEWTON_TOL = 1e-15  # V: a step converges when max |dV| < NEWTON_TOL + 1e-10 * max |V|
 MAX_NEWTON_ITER = 20  # Newton iterations allowed per step
+NEWTON_REFRESH = 16  # steps that may stop on one measured Newton contraction (module docstring)
 
 
 def __getattr__(name):
@@ -438,9 +454,12 @@ def simulate_transient(chain: RealizedChain, drive: Drive) -> TimeTrace:
     Initial condition is the zero-current equilibrium (all node voltages
     zero, junction phases at their working points), so an undriven chain
     stays identically at rest.  The shunt loss is the chain's own ESR,
-    fixed at build.  Raises NewtonDivergence (with the failing step index)
-    if a per-step Newton solve does not reach ``NEWTON_TOL`` volts within
-    ``MAX_NEWTON_ITER`` iterations (module constants).
+    fixed at build.  A step stops when its update, or the update that its
+    measured contraction predicts, is below the tolerance (module
+    docstring), so most steps take one tridiagonal solve.  Raises
+    NewtonDivergence (with the failing step index) if a per-step Newton
+    solve does not reach ``NEWTON_TOL`` volts within ``MAX_NEWTON_ITER``
+    iterations (module constants).
     """
     return _integrate([(chain, drive)])[0]
 
@@ -582,6 +601,10 @@ def _lockstep(members) -> np.ndarray:
     active = np.ones((nb, 1), dtype=bool)
     cur, prev = views
     errs = [math.inf] * nb
+    # each member's stopping rule: |d2|/|d1|^2 (1/V) of its last step that
+    # took a second iteration, and how many more steps may stop on it
+    contraction = [math.inf] * nb
+    credit = [0] * nb
     # every scalar operand of the loop is a 0-d float64 array, made once:
     # numpy converts a Python float operand on every call (to the same value)
     neg_g_cj, neg_g_sh, neg_g_port, g_cj, half_dt_cg, g_sh, g_port, c_phase, two, three = map(
@@ -602,7 +625,7 @@ def _lockstep(members) -> np.ndarray:
         pair, v, v_lo, v_hi, v_ports, v_in, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
         v_ser_head = v_ser_new[:-1]
         pending = all_members
-        for _ in range(MAX_NEWTON_ITER):
+        for it in range(MAX_NEWTON_ITER):
             subtract(v_lo, v_hi, v_ser_head)
             add(v_ser_new, v_ser, phi_new)
             multiply(phi_new, c_phase, phi_new)
@@ -650,6 +673,8 @@ def _lockstep(members) -> np.ndarray:
             absolute(pair, abs_pair)
             max_reduce(abs_pair, 2, None, maxima)
             errs, v_max = maxima.tolist()
+            if it == 0:
+                first = errs
             still = []
             for b in pending:
                 err = errs[b]
@@ -661,7 +686,18 @@ def _lockstep(members) -> np.ndarray:
                             member_index=b,
                         )
                     raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step, member_index=b)
-                if not err < NEWTON_TOL + 1e-10 * v_max[b]:
+                tol = NEWTON_TOL + 1e-10 * v_max[b]
+                if it == 0:
+                    if credit[b]:  # stop when the predicted next update is below tol
+                        credit[b] -= 1
+                        if contraction[b] * err * err < tol:
+                            continue
+                elif it == 1:
+                    contraction[b] = err / (first[b] * first[b])
+                    credit[b] = NEWTON_REFRESH
+                else:
+                    credit[b] = 0
+                if not err < tol:
                     still.append(b)
             if not still:
                 break

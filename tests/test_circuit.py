@@ -649,9 +649,10 @@ class FaultyLapack:
     zero pivot at node k, ``("nan", k)`` writes NaN into the update at node
     k.  The chains are at zero flux and the other member is undriven, so
     its right-hand side is exactly zero at every solve: the driven member
-    is the one nonzero block, wherever it runs, alone or in a batch."""
+    is the one nonzero block, wherever it runs, alone or in a batch.  With
+    ``at`` 0 it never faults and only counts the driven member's solves."""
 
-    def __init__(self, real, fault, m, at=7):
+    def __init__(self, real, fault, m, at=5):  # step 3: two solves at step 0, then one per step
         self.real, self.fault, self.m, self.at = real, fault, m, at
         self.seen = 0  # solves of the driven member
 
@@ -701,6 +702,32 @@ def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, mes
         assert str(err) == message
         assert err.step_index == 3
     assert batch.value.member_index == 1
+
+
+def test_newton_stops_on_the_measured_contraction(monkeypatch):
+    # a member stops after one solve when its measured contraction predicts
+    # a second update below tol, and re-measures it with a full step after
+    # NEWTON_REFRESH such steps; with NEWTON_REFRESH 0 every step iterates
+    # to tol, which takes two solves here.  The two traces agree within
+    # one tol.
+    chain = build_chain(ChainConfig(n_cells=20, rng_seed=1), 0.59, f_ref=F_PUMP)
+    drive = three_wave_drive(F_PUMP, window=2e-9, settle_time=1e-9)
+    real = circuit._lapack().dgtsv
+    refresh = circuit.NEWTON_REFRESH
+    traces, per_step = [], []
+    for every in (refresh, 0):
+        monkeypatch.setattr(circuit, "NEWTON_REFRESH", every)
+        counter = FaultyLapack(real, None, chain.config.n_cells + 1, at=0)  # never faults: counts
+        monkeypatch.setattr(circuit, "lapack", counter)
+        traces.append(simulate_transient(chain, drive))
+        per_step.append(counter.seen / drive.n_total)
+    assert refresh > 0 and per_step[0] <= 1.0 + 1.0 / refresh
+    assert per_step[1] == 2.0
+    ruled, full = traces
+    v_max = max(np.abs(full.samples).max(), np.abs(full.input_samples).max())
+    tol = circuit.NEWTON_TOL + 1e-10 * v_max
+    assert np.abs(ruled.samples - full.samples).max() < tol
+    assert np.abs(ruled.input_samples - full.input_samples).max() < tol
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
