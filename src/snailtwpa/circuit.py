@@ -19,7 +19,25 @@ Integration is fixed-step trapezoidal (A-stable) with a Newton solve per
 step.  Junction phases and the reactive branches enter through their
 trapezoidal companion models, so each Newton iteration reduces to a
 tridiagonal solve in the node voltages; the whole run is deterministic for
-a given configuration and seed.
+a given configuration and seed.  From one step to the next the solver
+carries only the companion models' history sources (Dommel, IEEE Trans.
+PAS-88, 388, 1969): hist_cj <- -2 g_cj v_ser - hist_cj for each c_j
+(g_cj = 2 c_j/dt, v_ser the branch voltage), hist_sh <- alpha hist_sh +
+beta v for each shunt, with alpha = (esr - h)/(esr + h), beta = -2 g_sh^2 h,
+h = dt/(2 c_g) and g_sh = 1/(esr + h), and psi = phi + c_phase v_ser
+(c_phase = pi dt/Phi0), so that an iterate's junction phase is psi +
+c_phase v_ser and psi += 2 c_phase v_ser after the step.
+
+The residual is evaluated in float64.  The Jacobian takes the cosines of
+the junction angles in float32: it sets only the path of the iteration,
+not the point the residual converges to (Kelley, Newton's Method in Mixed
+Precision, SIAM Review 64, 191, 2022), and the float32 cosine is several
+times faster.  An iterate whose max |V| reaches FLT_MAX/(8 c_phase
+(n_total + 2)) has diverged, as one with a non-finite update has.  While
+every iterate stays below that bound, every angle of the run, psi
+included, stays below half the float32 range (the predictor at most
+triples the bound, and psi grows by at most 4 c_phase times it per step),
+so a diverging run ends in NewtonDivergence, not in an overflow.
 
 A step has converged when its last update max |dV| is below tol =
 NEWTON_TOL + 1e-10 * max |V|.  Newton converges quadratically, |d2| ~
@@ -55,17 +73,19 @@ stopped is held fixed while the others iterate; each member's output is
 therefore bit-identical to running it alone.
 
 Below a few hundred cells a step's cost is the number of numpy calls, not
-their arithmetic, so the step loop makes few and cheap ones.  Every scalar
-operand is a 0-d float64 array made once per batch (numpy converts a Python
-float operand on every call).  The junction phase phi and the inner-loop
-angle (phi - phi_ext)/3 are the two rows of one buffer, so one sin and one
-cos call fill [sin phi; sin arg; cos phi; cos arg], one multiply weights
-the four rows by [a1; a2; a1; a2/3], and one add sums rows (0, 2) with
-rows (1, 3) into the branch current and conductance terms.  Each element
-still goes through the same IEEE operations in the same order (a 0-d
-operand has the value of the float it replaces, and sin, cos, multiply
-and add act elementwise), so the traces are the bits of the one-call-per-
-row form.
+their arithmetic, so the step loop makes few and cheap ones: per Newton
+iteration 20 to form the system, then the solve, the update and three for
+the convergence check, and per step 10 for the predictor and the history
+sources.  Every scalar operand is a 0-d float64 array made once per batch
+(numpy converts a Python float operand on every call).  The junction
+phase phi and the inner-loop angle (phi - phi_ext)/3 are the two rows of
+one buffer, so one sin and one cos call fill [sin phi; sin arg; cos phi;
+cos arg], one multiply weights the four rows by [a1; a2; -c_phase a1;
+-c_phase a2/3], and one add sums rows (0, 2) with rows (1, 3) into the
+junction current and minus its conductance.  The inert branches have zero
+weights and conductance, and the port conductances are part of the shunts
+of each member's end nodes, so the inert branch currents and the
+couplings between members come out zero with no call of their own.
 
 Members that cannot share a batch (another cell count, circuit constant
 or time grid) form separate lockstep groups.  :mod:`snailtwpa.parallel`
@@ -286,10 +306,13 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
                   integer number of reference-tone periods
     settle_time : discarded start-up interval, s
     dt          : requested time step, s (default: reference period / 256;
-                  halving it moved the 3WM idler of a 100-cell alternating
-                  chain by 0.164 dB, see ROADMAP item 5, "The dt part of a
-                  reading's error budget"; must satisfy dt <= period/64
-                  for every tone)
+                  with a whole-period settle the 3WM idler of a 100-cell
+                  alternating chain at 0.157 uA reads 0.26 dB from its
+                  period/1024 value, see ROADMAP item 5, "The dt part of a
+                  reading's error budget"; the 0.164 dB that halving it
+                  moved the same chain at 0.8 uA was taken with a 10 ns
+                  settle, so it also holds the window-start part, ROADMAP
+                  item 2; must satisfy dt <= period/64 for every tone)
 
     Raises ValueError on a non-positive or non-finite window or dt, a
     negative or non-finite settle time, or a dt too coarse for a tone.
@@ -531,18 +554,22 @@ def _lockstep(members) -> np.ndarray:
     dt = drives[0].dt
     n_total = drives[0].n_total
 
+    esr = chains[0].esr
     g_cj = 2.0 * cfg.c_j / dt
     half_dt_cg = dt / (2.0 * cfg.c_g)
-    g_sh = 1.0 / (chains[0].esr + half_dt_cg)
+    g_sh = 1.0 / (esr + half_dt_cg)
     g_port = 1.0 / cfg.z0
     c_phase = math.pi * dt / PHI0  # trapezoidal phase increment per volt
+    # an iterate with max |V| at or above this has diverged: below it, every
+    # junction angle of the run has a float32 cosine (module docstring)
+    v_limit = float(np.finfo(np.float32).max) / (8.0 * c_phase * (n_total + 2))
 
     # The batch is one ladder of nb*m nodes: node b*m + k is node k of
     # member b, and branch j joins nodes j and j+1.  Branch b*m + n, after
-    # each member's output node, is inert: its junction terms are zero, its
-    # current is overwritten by the output port current g_port*v[n], and
-    # its conductance is g_port, which is what node n's diagonal and the
-    # next member's node 0 need in that place.  So every per-branch and
+    # each member's output node, is inert: its weights and conductance are
+    # zero, so its current and the coupling it makes between neighbouring
+    # members are exactly 0, and the port conductances sit in the shunts of
+    # node n and of the next member's node 0.  So every per-branch and
     # per-node operation is one contiguous pass over the whole batch.
     def stacked(per_member):
         out = np.zeros((nb, m))
@@ -551,13 +578,19 @@ def _lockstep(members) -> np.ndarray:
 
     a1 = stacked([chain.r_eff * chain.i_c_eff for chain in chains])
     a2 = stacked([chain.i_c_eff for chain in chains])
-    weights = np.stack([a1, a2, a1, a2 / 3.0])  # of [sin phi; sin arg; cos phi; cos arg]
+    # of [sin phi; sin arg; cos phi; cos arg]: the row sums are the junction
+    # current and minus its conductance d(current)/dV
+    weights = np.stack([a1, a2, -c_phase * a1, -c_phase * a2 / 3.0])
     phi_ext = stacked([chain.phi_ext for chain in chains])
-    phi = stacked([chain.phi_star for chain in chains])
-    g_series = np.full(size, g_cj)
-    g_series[n::m] = g_port
+    psi = stacked([chain.phi_star for chain in chains])  # phi + c_phase * v_ser (module docstring)
+    g_series = stacked(g_cj)
     g_shunt = np.full(size, g_sh)
-    g_shunt[::m] = 0.0  # node 0 has no shunt; its diagonal is g_port + gb[0]
+    g_shunt[::m] = g_port  # node 0: the source's port, and no c_g
+    g_shunt[n::m] += g_port  # node n: the load's port too
+    # the shunt's history source: hist_sh <- alpha * hist_sh + beta * v
+    alpha = (esr - half_dt_cg) / (esr + half_dt_cg)
+    beta = np.full(size, -2.0 * g_sh * g_sh * half_dt_cg)
+    beta[::m] = 0.0  # node 0's stays 0
 
     t_grid = dt * np.arange(1, n_total + 1)
     i_src = np.stack([drive.source_current(t_grid) for drive in drives], axis=1)
@@ -568,34 +601,34 @@ def _lockstep(members) -> np.ndarray:
     views = []
     for pair in (np.zeros((2, size)), np.zeros((2, size))):
         v, rhs = pair[1], pair[0]
-        views.append((pair.reshape(2, nb, m), v, v[:-1], v[1:], v[n::m], v[::m],
-                      v.reshape(nb, m), v.reshape(nb, m)[:, ::n], rhs, rhs[::m], rhs.reshape(nb, m)))
+        views.append((pair.reshape(2, nb, m), v, v[:-1], v[1:], v.reshape(nb, m),
+                      v.reshape(nb, m)[:, ::n], rhs, rhs[::m], rhs.reshape(nb, m)))
     # the last branch has no right-hand node: its series voltage stays 0
-    v_ser, v_ser_new = np.zeros(size), np.zeros(size)
-    i_cj, i_sh, i_sh_new, v_cg = np.zeros((4, size))
-    hist_cj, hist_sh, scratch = np.empty((3, size))
-    # phi_new and arg are the rows of one pair, so that one sin and one cos
+    v_ser = np.zeros(size)
+    v_ser_head = v_ser[:-1]
+    hist_cj, hist_sh = np.zeros((2, size))  # trapezoidal history sources
+    scratch = np.empty(size)
+    # phi and arg are the rows of one pair, so that one sin and one cos
     # call fill trig = [sin phi; sin arg; cos phi; cos arg]
     angles = np.empty((2, size))
-    phi_new, arg = angles
+    phi, arg = angles
     trig = np.empty((4, size))
     trig_sin, trig_cos, trig_phi, trig_arg = trig[:2], trig[2:], trig[::2], trig[1::2]
-    sin_phi, cos_phi = trig_phi
+    i_junction, neg_g_junction = trig_phi
     abs_pair = np.empty((2, nb, m))
     maxima = np.empty((2, nb))
-    # i_branch[0] and g_branch[0] pad the left of node 0 of member 0
+    # i_branch[0] and coupling[0] pad the left of node 0 of member 0; the
+    # rest of coupling is minus each branch's conductance, the Jacobian's
+    # off-diagonal
     i_branch = np.zeros(size + 1)
-    g_branch = np.empty(size + 1)
-    g_branch[0] = g_port
-    ib, ib_left, ib_ports, ib_in = i_branch[1:], i_branch[:-1], i_branch[1:][n::m], i_branch[1:][::m]
-    gb, gb_left, gb_head = g_branch[1:], g_branch[:-1], g_branch[1:-1]
+    coupling = np.zeros(size + 1)
+    ib, ib_left = i_branch[1:], i_branch[:-1]
+    cb, cb_left, off = coupling[1:], coupling[:-1], coupling[1:-1]
     diag = np.empty(size)
-    off = np.empty(size - 1)
-    off_inert = off[n::m]  # coupling between neighbouring members: exactly 0
 
     record = np.empty((n_total, nb, 2))  # [step, b, 0] input node, [step, b, 1] output node
-    add, subtract, multiply, divide, negative = np.add, np.subtract, np.multiply, np.divide, np.negative
-    sin, cos, absolute, max_reduce = np.sin, np.cos, np.absolute, np.maximum.reduce
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sin, cos, absolute, max_reduce, float32 = np.sin, np.cos, np.absolute, np.maximum.reduce, np.float32
     dgtsv = _lapack().dgtsv
     all_members = list(range(nb))
     active = np.ones((nb, 1), dtype=bool)
@@ -607,56 +640,41 @@ def _lockstep(members) -> np.ndarray:
     credit = [0] * nb
     # every scalar operand of the loop is a 0-d float64 array, made once:
     # numpy converts a Python float operand on every call (to the same value)
-    neg_g_cj, neg_g_sh, neg_g_port, g_cj, half_dt_cg, g_sh, g_port, c_phase, two, three = map(
-        np.array, (-g_cj, -g_sh, -g_port, g_cj, half_dt_cg, g_sh, g_port, c_phase, 2.0, 3.0)
-    )
+    c_phase, two_c_phase, alpha, two, three = map(np.array, (c_phase, 2.0 * c_phase, alpha, 2.0, 3.0))
+    neg_two_g_series, neg_g_shunt = -2.0 * g_series, -g_shunt
 
     for step in range(n_total):
-        multiply(v_ser, neg_g_cj, hist_cj)
-        subtract(hist_cj, i_cj, hist_cj)
-        multiply(i_sh, half_dt_cg, hist_sh)
-        add(v_cg, hist_sh, hist_sh)
-        multiply(hist_sh, neg_g_sh, hist_sh)
         i_now = i_src[step]
         # linear extrapolation predictor, written over v_prev's buffer
-        multiply(cur[1], two, prev[8])
-        subtract(prev[8], prev[1], prev[1])
+        multiply(cur[1], two, prev[6])
+        subtract(prev[6], prev[1], prev[1])
         cur, prev = prev, cur
-        pair, v, v_lo, v_hi, v_ports, v_in, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
-        v_ser_head = v_ser_new[:-1]
+        pair, v, v_lo, v_hi, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
         pending = all_members
         for it in range(MAX_NEWTON_ITER):
             subtract(v_lo, v_hi, v_ser_head)
-            add(v_ser_new, v_ser, phi_new)
-            multiply(phi_new, c_phase, phi_new)
-            add(phi, phi_new, phi_new)
-            subtract(phi_new, phi_ext, arg)
+            multiply(v_ser, c_phase, phi)
+            add(phi, psi, phi)
+            subtract(phi, phi_ext, arg)
             divide(arg, three, arg)
             sin(angles, trig_sin)
-            cos(angles, trig_cos)
+            cos(angles, trig_cos, dtype=float32)  # only the Jacobian reads it
             multiply(weights, trig, trig)
-            # a1 sin phi + a2 sin arg, a1 cos phi + a2/3 cos arg
             add(trig_phi, trig_arg, trig_phi)
-            multiply(v_ser_new, g_cj, scratch)
-            add(sin_phi, scratch, sin_phi)
-            add(sin_phi, hist_cj, ib)
-            multiply(v_ports, g_port, ib_ports)
-            multiply(cos_phi, c_phase, cos_phi)
-            add(cos_phi, g_series, gb)
+            multiply(v_ser, g_series, scratch)
+            add(i_junction, scratch, i_junction)
+            add(i_junction, hist_cj, ib)
+            subtract(neg_g_junction, g_series, cb)
 
             # right-hand side -residual, negated term by term (exact)
-            multiply(v, neg_g_sh, rhs)
+            multiply(v, neg_g_shunt, rhs)
             subtract(rhs, hist_sh, rhs)
             subtract(ib_left, ib, scratch)
             add(rhs, scratch, rhs)
-            multiply(v_in, neg_g_port, rhs_in)
-            subtract(rhs_in, ib_in, rhs_in)
-            add(rhs_in, i_now, rhs_in)
+            add(rhs_in, i_now, rhs_in)  # the source at each member's node 0
 
-            add(gb_left, gb, diag)
-            add(diag, g_shunt, diag)
-            negative(gb_head, off)
-            off_inert.fill(0.0)
+            subtract(g_shunt, cb_left, diag)
+            subtract(diag, cb, diag)
 
             # overwrite_dl=0, overwrite_d=1, overwrite_du=0, overwrite_b=1, by position
             _, _, _, _, info = dgtsv(off, diag, off, rhs, 0, 1, 0, 1)
@@ -678,7 +696,7 @@ def _lockstep(members) -> np.ndarray:
             still = []
             for b in pending:
                 err = errs[b]
-                if not math.isfinite(err):
+                if not v_max[b] < v_limit:  # also a NaN or infinite update
                     if not math.isfinite(rhs_in[b]):
                         raise NewtonDivergence(
                             f"tridiagonal solve failed at step {step} (info=0)",
@@ -713,19 +731,15 @@ def _lockstep(members) -> np.ndarray:
                 step_index=step,
                 member_index=pending[0],
             )
+        # the step's history sources and phase for the next step
         subtract(v_lo, v_hi, v_ser_head)
-        add(v_ser_new, v_ser, scratch)
-        multiply(scratch, c_phase, scratch)
-        add(phi, scratch, phi)
-        multiply(v_ser_new, g_cj, i_cj)
-        add(i_cj, hist_cj, i_cj)
-        multiply(v, g_sh, i_sh_new)
-        add(i_sh_new, hist_sh, i_sh_new)
-        add(i_sh_new, i_sh, scratch)
-        multiply(scratch, half_dt_cg, scratch)
-        add(v_cg, scratch, v_cg)
-        i_sh, i_sh_new = i_sh_new, i_sh
-        v_ser, v_ser_new = v_ser_new, v_ser
+        multiply(v_ser, neg_two_g_series, scratch)
+        subtract(scratch, hist_cj, hist_cj)
+        multiply(v_ser, two_c_phase, scratch)
+        add(psi, scratch, psi)
+        multiply(hist_sh, alpha, hist_sh)
+        multiply(v, beta, scratch)
+        add(hist_sh, scratch, hist_sh)
         record[step] = v_ends
     return record.transpose(1, 2, 0)
 

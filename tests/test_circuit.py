@@ -254,6 +254,21 @@ def test_linear_regime_against_frequency_domain_oracle():
         assert spec.power_dbm_at(harmonic) - fund_dbm < -100.0
 
 
+def test_lossy_linear_regime_against_frequency_domain_oracle():
+    # as above on a lossy chain whose shunt ESR sets tan_delta at the probe,
+    # which checks the transient's shunt history recursion: the loss moves
+    # the amplitude by about 3.4e-3, more than the tolerance
+    drive = snap_drive(tones=(Tone(4.0e9, 0.0011e-6),), window=10e-9, settle_time=8e-9)
+    f0 = drive.tones[0].frequency
+    chain = build_chain(small_config(n=12, tan_delta=2.1e-3), 0.25, f_ref=f0)
+    spec = extract_spectrum(simulate_transient(chain, drive), drive)
+    amp_transient = math.sqrt(2.0 * spec.z0 * spec.power_watts[spec.bin_index(f0)])
+    amp_oracle = abs(linear_transfer(chain, [f0])[0]) * 0.0011e-6
+    assert amp_transient == pytest.approx(amp_oracle, rel=2e-3)
+    lossless = build_chain(small_config(n=12), 0.25, f_ref=f0)
+    assert abs(linear_transfer(lossless, [f0])[0]) * 0.0011e-6 != pytest.approx(amp_oracle, rel=2e-3)
+
+
 def test_newton_divergence_reports_step(monkeypatch):
     # the validated dt keeps Newton robust even far beyond the physical
     # drive range, so the budget-exhaustion path is exercised directly
@@ -647,10 +662,12 @@ class FaultyLapack:
     """A stand-in for scipy's LAPACK whose dgtsv is ``real`` with one fault
     at the ``at``-th solve of the driven member: ``("info", k)`` reports a
     zero pivot at node k, ``("nan", k)`` writes NaN into the update at node
-    k.  The chains are at zero flux and the other member is undriven, so
-    its right-hand side is exactly zero at every solve: the driven member
-    is the one nonzero block, wherever it runs, alone or in a batch.  With
-    ``at`` 0 it never faults and only counts the driven member's solves."""
+    k, and ``("huge", k)`` writes 1e300 there, a finite update far beyond
+    any that converges.  The chains are at zero flux and the other member
+    is undriven, so its right-hand side is exactly zero at every solve: the
+    driven member is the one nonzero block, wherever it runs, alone or in a
+    batch.  With ``at`` 0 it never faults and only counts the driven
+    member's solves."""
 
     def __init__(self, real, fault, m, at=5):  # step 3: two solves at step 0, then one per step
         self.real, self.fault, self.m, self.at = real, fault, m, at
@@ -667,7 +684,7 @@ class FaultyLapack:
                 if kind == "info":
                     info = block * self.m + node + 1
                 else:
-                    x[block * self.m + node] = math.nan
+                    x[block * self.m + node] = math.nan if kind == "nan" else 1e300
         return du2, d_out, du_out, x, info
 
 
@@ -678,13 +695,16 @@ class FaultyLapack:
         (("info", 2), "tridiagonal solve failed at step 3 (info=3)"),
         (("nan", 0), "tridiagonal solve failed at step 3 (info=0)"),
         (("nan", 3), "Newton update diverged at step 3"),
+        (("huge", 3), "Newton update diverged at step 3"),
     ],
-    ids=["info", "nan-at-node-0", "nan-at-node-3"],
+    ids=["info", "nan-at-node-0", "nan-at-node-3", "huge"],
 )
 def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, message):
     # a failed solve names the step, the node (1-based LAPACK info, counted
     # within the member) and the member, as the serial run of that member
-    # does, whether it ran in a batch of two (1 CPU) or in the child (2 CPUs)
+    # does, whether it ran in a batch of two (1 CPU) or in the child (2 CPUs);
+    # an update too large for the next float32 cosine is a diverged step,
+    # not a RuntimeWarning
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = small_config()
     chain = build_chain(cfg, 0.0, f_ref=F_PUMP)
@@ -728,6 +748,23 @@ def test_newton_stops_on_the_measured_contraction(monkeypatch):
     tol = circuit.NEWTON_TOL + 1e-10 * v_max
     assert np.abs(ruled.samples - full.samples).max() < tol
     assert np.abs(ruled.input_samples - full.input_samples).max() < tol
+
+
+def test_solve_count_at_far_flux(monkeypatch):
+    # near snail.MAX_PHI_EXT the junction angles are about 6.3e3 rad, where
+    # a float32 ulp is 4.9e-4 rad; the single-precision Jacobian still
+    # takes each step to tol in as many solves, within 1 %, as at 0.59 Phi0
+    config = ChainConfig(n_cells=40, rng_seed=1)
+    drive = three_wave_drive(F_PUMP, 0.8e-6, window=2e-9, settle_time=1e-9)
+    real = circuit._lapack().dgtsv
+    per_step = {}
+    for flux in (0.59, 999.59, -999.41):
+        counter = FaultyLapack(real, None, config.n_cells + 1, at=0)  # never faults: counts
+        monkeypatch.setattr(circuit, "lapack", counter)
+        simulate_transient(build_chain(config, flux, f_ref=F_PUMP), drive)
+        per_step[flux] = counter.seen / drive.n_total
+    assert per_step[999.59] == pytest.approx(per_step[0.59], rel=1e-2)
+    assert per_step[-999.41] == pytest.approx(per_step[0.59], rel=1e-2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
