@@ -9,13 +9,10 @@ S_p vs phase as in a pump-phase sweep.
 Run:  python demos/04_single_mode_squeezing.py
 """
 
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: one BLAS thread per forked point
+# snailtwpa before numpy: importing it asks for one BLAS thread per process
+from snailtwpa.gaussian import measure_states, pump_states, squeezed_vacuum, squeezing_db
 
 import numpy as np
-
-from snailtwpa.gaussian import measure_states, pump_states, squeezed_vacuum, squeezing_db
 
 TARGET_DB = -3.0103  # variance 1/2 on the squeezed quadrature
 N_REP = 1_000_000

@@ -9,10 +9,6 @@ toward separability.
 Run:  python demos/05_two_mode_entanglement.py
 """
 
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: one BLAS thread per forked point
-
 from snailtwpa.gaussian import CovMatrix, logarithmic_negativity, measure_states, pump_states, two_mode_squeezed
 
 N_REP = 400_000

@@ -16,6 +16,13 @@ Modules:
 - :mod:`snailtwpa.cli`         batch command-line front end
 """
 
+import os
+
+# One BLAS thread per process, set before numpy loads OpenBLAS: the package
+# forks its parallel parts, and OpenBLAS's default of one thread per CPU in
+# each of them oversubscribes the CPUs.  A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import calibration, circuit, constants, errors, gaussian, parallel, snail
 
 __all__ = ["calibration", "circuit", "constants", "errors", "gaussian", "parallel", "snail"]

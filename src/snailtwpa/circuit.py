@@ -58,9 +58,9 @@ refresh are the module constants ``NEWTON_TOL``, ``MAX_NEWTON_ITER`` and
 
 One private core, ``_integrate``, advances B independent runs (chain and
 drive) in lockstep (``_lockstep``).  ``simulate_transients`` is the public
-batch entry to it, which the phase and flux sweeps call with all their runs
-at once; ``simulate_transient`` is the B = 1 case.  The B chains are laid
-end to end as one ladder of B*(N+1) nodes, joined by inert branches,
+batch entry to it, which :func:`read_levels` calls with all the runs of a
+sweep at once; ``simulate_transient`` is the B = 1 case.  The B chains are
+laid end to end as one ladder of B*(N+1) nodes, joined by inert branches,
 so each Newton iteration is one pass of elementwise operations and one
 ``dgtsv`` call over the whole batch.  The couplings across the inert
 branches are exactly zero, so the elimination multiplier there is zero and
@@ -315,7 +315,8 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
                   item 2; must satisfy dt <= period/64 for every tone)
 
     Raises ValueError on a non-positive or non-finite window or dt, a
-    negative or non-finite settle time, or a dt too coarse for a tone.
+    negative or non-finite settle time, a dt too coarse for a tone, or a
+    tone nearer 0 Hz than the window's first bin.
     """
     tones = tuple(tones)
     if not 0.0 < window < math.inf:
@@ -328,11 +329,10 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
         f_ref = tones[0].frequency
         n_ref = max(int(round(window * f_ref)), 1)
         window = n_ref / f_ref
-        snapped = []
-        for tone in tones:
-            m = max(int(round(tone.frequency * window)), 1)
-            snapped.append(Tone(m / window, tone.peak_current, tone.phase))
-        tones = tuple(snapped)
+        bins = [round(tone.frequency * window) for tone in tones]
+        if 0 in bins:
+            raise ValueError(f"a {tones[bins.index(0)].frequency:.4g} Hz tone is nearer 0 Hz than bin 1 of the window")
+        tones = tuple(replace(tone, frequency=m / window) for tone, m in zip(tones, bins))
         dt_target = dt if dt is not None else 1.0 / (256.0 * f_ref)
         f_max = max(t.frequency for t in tones)
         if dt_target > 1.0 / (64.0 * f_max):
@@ -832,6 +832,15 @@ def idler_frequencies(drive: Drive) -> dict:
     return {"three_wave": f_p - f_s, "four_wave": 2.0 * f_p - f_s}
 
 
+def read_levels(readings) -> np.ndarray:
+    """``extract_spectrum(trace, drive).power_dbm_at(frequency)`` of each
+    (RealizedChain, Drive, frequency) reading's transient, in reading
+    order; all the runs go through one ``simulate_transients`` call."""
+    readings = list(readings)
+    traces = simulate_transients([(chain, drive) for chain, drive, _ in readings])
+    return np.array([extract_spectrum(t, drive).power_dbm_at(f) for t, (_, drive, f) in zip(traces, readings)])
+
+
 def flux_sweep_idler(config: ChainConfig, drive_3wm: Drive, drive_4wm: Drive, flux_grid) -> dict:
     """Idler power vs external flux in both frequency configurations.
 
@@ -844,15 +853,12 @@ def flux_sweep_idler(config: ChainConfig, drive_3wm: Drive, drive_4wm: Drive, fl
     flux_grid = np.asarray(flux_grid, dtype=float)
     f_idler3 = idler_frequencies(drive_3wm)["three_wave"]
     f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
-    f_ref = drive_3wm.tones[0].frequency
-    chains = [build_chain(config, float(flux), f_ref=f_ref) for flux in flux_grid]
-    traces = simulate_transients([(chain, drive_3wm) for chain in chains] + [(chain, drive_4wm) for chain in chains])
-    psd3 = np.array([extract_spectrum(t, drive_3wm).power_dbm_at(f_idler3) for t in traces[: len(chains)]])
-    psd4 = np.array([extract_spectrum(t, drive_4wm).power_dbm_at(f_idler4) for t in traces[len(chains) :]])
+    chains = [build_chain(config, float(flux), f_ref=drive_3wm.tones[0].frequency) for flux in flux_grid]
+    levels = read_levels([(c, drive_3wm, f_idler3) for c in chains] + [(c, drive_4wm, f_idler4) for c in chains])
     return {
         "flux": flux_grid,
-        "idler_3wm_dbm": psd3,
-        "idler_4wm_dbm": psd4,
+        "idler_3wm_dbm": levels[: len(chains)],
+        "idler_4wm_dbm": levels[len(chains) :],
         "f_idler_3wm": f_idler3,
         "f_idler_4wm": f_idler4,
     }
@@ -874,19 +880,10 @@ def degenerate_gain_vs_phase(config: ChainConfig, flux: float, drive: Drive, pha
     if 2 * drive.tone_bin(f_signal) != drive.tone_bin(pump_on.frequency):
         raise ValueError(f"signal at {f_signal} Hz is not on the f_p/2 = {pump_on.frequency / 2} Hz bin")
     chain = build_chain(config, flux, f_ref=pump_on.frequency)
-
-    # all runs share the drive's grid exactly (same window, dt, settle)
-    drive_off = replace(drive, tones=(signal,))
-    drives = [drive_off] + [
-        replace(drive, tones=(replace(pump_on, phase=float(phase)), signal))
-        for phase in phase_grid
-    ]
-    traces = simulate_transients([(chain, member) for member in drives])
-    p_off = extract_spectrum(traces[0], drive_off).power_dbm_at(f_signal)
-    gains = np.array(
-        [extract_spectrum(t, d).power_dbm_at(f_signal) - p_off for t, d in zip(traces[1:], drives[1:])]
-    )
-    return {"phase": phase_grid, "gain_db": gains, "f_signal": f_signal, "pump_off_dbm": p_off}
+    # every run has the drive's grid (window, dt, settle); the first has the pump off
+    tone_sets = [(signal,)] + [(replace(pump_on, phase=float(phase)), signal) for phase in phase_grid]
+    off, *on = read_levels([(chain, replace(drive, tones=tones), f_signal) for tones in tone_sets])
+    return {"phase": phase_grid, "gain_db": np.array(on) - off, "f_signal": f_signal, "pump_off_dbm": float(off)}
 
 
 def linear_transfer(chain: RealizedChain, frequencies) -> np.ndarray:
@@ -897,9 +894,12 @@ def linear_transfer(chain: RealizedChain, frequencies) -> np.ndarray:
     Independent of the transient integrator; used as an oracle for the
     linear regime and for insertion-loss cross-checks.  The shunt ESR is
     the chain's own, the fixed resistance the transient uses (set by
-    build_chain at its f_ref).
+    build_chain at its f_ref).  A frequency that is not positive and finite
+    raises ValueError.
     """
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    if not np.all((freqs > 0.0) & (freqs < math.inf)):
+        raise ValueError(f"frequencies must be positive and finite, got {freqs.tolist()}")
     cfg = chain.config
     n = cfg.n_cells
     g_port = 1.0 / cfg.z0

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from snailtwpa.circuit import ChainConfig, Tone, build_chain, extract_spectrum, simulate_transients, snap_drive
+from snailtwpa.circuit import ChainConfig, Tone, build_chain, read_levels, snap_drive
 from snailtwpa.constants import BOLTZMANN, E_CHARGE, PLANCK
 from snailtwpa.errors import FitDivergence, IllConditioned
 from snailtwpa.calibration import (
@@ -293,10 +293,7 @@ def test_insertion_loss_against_transient():
         build_chain(ChainConfig(n_cells=700, tan_delta=tan_delta, disorder_amplitude=0.0), 0.0, f_ref=f_snap)
         for tan_delta in tan_deltas
     ]
-    traces = simulate_transients([(chain, drive) for chain in chains])
-    powers = {
-        tan_delta: extract_spectrum(trace, drive).power_dbm_at(f_snap) for tan_delta, trace in zip(tan_deltas, traces)
-    }
+    powers = dict(zip(tan_deltas, read_levels([(chain, drive, f_snap) for chain in chains])))
     deficit_db = powers[0.0] - powers[2.1e-3]
 
     eta = insertion_loss(ChainConfig(n_cells=700), 0.0, f_snap)

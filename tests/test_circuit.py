@@ -24,6 +24,7 @@ from snailtwpa.circuit import (
     four_wave_drive,
     idler_frequencies,
     linear_transfer,
+    read_levels,
     simulate_transient,
     simulate_transients,
     snap_drive,
@@ -164,6 +165,12 @@ def test_drive_dt_default_and_bounds():
         snap_drive(tones=(Tone(F_PUMP, 1e-7),), window=60e-9, dt=1.0 / (32 * F_PUMP))
 
 
+def test_drive_rejects_a_tone_nearer_0_hz_than_the_first_bin():
+    # a 60 ns window's first bin is 16.7 MHz, so a 1 MHz tone has no bin
+    with pytest.raises(ValueError, match=r"a 1e\+06 Hz tone is nearer 0 Hz"):
+        snap_drive((Tone(F_PUMP, 1e-7), Tone(1e6, 1e-9)), window=60e-9)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -269,6 +276,12 @@ def test_lossy_linear_regime_against_frequency_domain_oracle():
     assert abs(linear_transfer(lossless, [f0])[0]) * 0.0011e-6 != pytest.approx(amp_oracle, rel=2e-3)
 
 
+@pytest.mark.parametrize("frequency", [0.0, -1e9, math.nan, math.inf])
+def test_linear_transfer_rejects_a_frequency_that_is_not_positive_and_finite(frequency):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        linear_transfer(build_chain(small_config(), 0.25, f_ref=F_PUMP), [4.0e9, frequency])
+
+
 def test_newton_divergence_reports_step(monkeypatch):
     # the validated dt keeps Newton robust even far beyond the physical
     # drive range, so the budget-exhaustion path is exercised directly
@@ -297,11 +310,7 @@ def test_linearity_of_signal_bin():
         scale: snap_drive(tones=(Tone(3.85e9, scale * 0.0011e-6),), window=8e-9, settle_time=6e-9)
         for scale in (1.0, 2.0)
     }
-    traces = simulate_transients([(chain, drive) for drive in drives.values()])
-    gains = {
-        scale: extract_spectrum(trace, drive).power_dbm_at(drive.tones[0].frequency)
-        for (scale, drive), trace in zip(drives.items(), traces)
-    }
+    gains = dict(zip(drives, read_levels([(chain, drive, drive.tones[0].frequency) for drive in drives.values()])))
     assert gains[2.0] - gains[1.0] == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
 
 
@@ -328,13 +337,11 @@ def test_dt_convergence_of_idler_bin():
     drives = {
         div: three_wave_drive(F_PUMP, window=8e-9, settle_time=5e-9, dt=1.0 / (div * F_PUMP)) for div in (256, 512)
     }
-    traces = simulate_transients(
-        [(build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency), drive) for drive in drives.values()]
-    )
-    levels = {
-        div: extract_spectrum(trace, drive).power_dbm_at(idler_frequencies(drive)["three_wave"])
-        for (div, drive), trace in zip(drives.items(), traces)
-    }
+    readings = [
+        (build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency), drive, idler_frequencies(drive)["three_wave"])
+        for drive in drives.values()
+    ]
+    levels = dict(zip(drives, read_levels(readings)))
     assert abs(levels[512] - levels[256]) < 0.1
 
 
@@ -344,8 +351,7 @@ def test_idler_line_present_with_disorder():
     cfg = ChainConfig(n_cells=40, disorder_amplitude=0.05, rng_seed=2)
     drive = three_wave_drive(F_PUMP, window=15e-9, settle_time=10e-9)
     chain = build_chain(cfg, 0.59, f_ref=drive.tones[0].frequency)
-    spec = extract_spectrum(simulate_transient(chain, drive), drive)
-    idler = spec.power_dbm_at(idler_frequencies(drive)["three_wave"])
+    (idler,) = read_levels([(chain, drive, idler_frequencies(drive)["three_wave"])])
     assert idler > -260.0  # clearly above the numerical floor
 
 
@@ -474,8 +480,7 @@ def test_polarity_cancellation_relative_to_uniform():
         )
         for polarity in polarities.values()
     ]
-    traces = simulate_transients([(chain, drive) for chain in chains])
-    levels = {name: extract_spectrum(trace, drive).power_dbm_at(f_i) for name, trace in zip(polarities, traces)}
+    levels = dict(zip(polarities, read_levels([(chain, drive, f_i) for chain in chains])))
     assert levels["uniform"] - levels["alt"] > 25.0
 
 
@@ -607,6 +612,21 @@ def test_lockstep_groups_run_in_one_fork_round(forks):
         assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
         assert trace.dt == drive.dt
     assert len(forks) == 1
+
+
+def test_read_levels_of_two_lockstep_groups_come_back_in_reading_order(forks):
+    # readings A, B, A, B of two groups (another dt and step count) run in
+    # one fork round; each level is its serial reading's, bit for bit
+    chain = build_chain(small_config(), 0.3, f_ref=F_PUMP)
+    drives = [
+        snap_drive(tones=(Tone(4.0e9, current),), window=window, settle_time=0.0, dt=dt)
+        for current in (1e-8, 2e-8)
+        for dt, window in ((1e-12, 1e-9), (2e-12, 1.5e-9))
+    ]
+    levels = read_levels([(chain, drive, 4.0e9) for drive in drives])
+    assert len(forks) == 1 and levels.dtype == np.float64
+    serial = [extract_spectrum(simulate_transient(chain, drive), drive).power_dbm_at(4.0e9) for drive in drives]
+    assert levels.tobytes() == np.array(serial).tobytes()
 
 
 def test_a_process_runs_one_lockstep_batch_per_group_it_holds(forks, monkeypatch):

@@ -119,6 +119,14 @@ def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
         circuit.__getattr__("lapack")
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_asks_for_one_blas_thread_unless_it_is_set(tmp_path, monkeypatch, preset, expected):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    run_python(f"import os, snailtwpa; assert os.environ['OPENBLAS_NUM_THREADS'] == {expected!r}", tmp_path)
+
+
 def test_cli_import_loads_no_process_pool(tmp_path):
     # the sweeps fork their parts with os.fork; no pool module may creep
     # into start-up
