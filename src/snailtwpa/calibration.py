@@ -280,14 +280,17 @@ def normalization_factor(
         is the fitted gain raised by this amount (upper-bound gain), making
         the inferred squeezing a conservative lower bound
 
-    Raises ValueError, naming the input, for an eta outside (0, 1] or a
-    non-positive g_sys, f_acq, z0, t_int or epsilon.
+    Raises ValueError, naming the input, for an eta outside (0, 1], a
+    g_sys, f_acq, z0, t_int or epsilon that is not positive and finite, or
+    a non-finite loss_correction_db.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     for name, value in (("g_sys", g_sys), ("f_acq", f_acq), ("z0", z0), ("t_int", t_int), ("epsilon", epsilon)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(loss_correction_db):
+        raise ValueError(f"loss_correction_db must be finite, got {loss_correction_db}")
     g_up = g_sys * 10.0 ** (loss_correction_db / 10.0)
     return epsilon * math.sqrt(eta * t_int / (g_up * z0 * PLANCK * f_acq))
 
@@ -308,8 +311,11 @@ def insertion_loss(chain, flux: float, frequency: float) -> float:
     frequency; the propagation constant gamma per cell follows from
     cosh(gamma) = 1 + Z*Y/2, and the power transmission over n_cells is
     exp(-2 * n_cells * Re gamma).  tan_delta = 0 gives exactly 1 inside
-    the passband.
+    the passband.  A frequency that is not positive and finite raises
+    ValueError.
     """
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {frequency}")
     inductance = snail.coefficients(snail.SnailParams.from_flux(chain.r, chain.i_c_nominal, flux)).inductance
     omega = 2.0 * math.pi * frequency
     z_series = 1.0 / (1.0 / (1j * omega * inductance) + 1j * omega * chain.c_j)

@@ -87,8 +87,10 @@ weights and conductance, and the port conductances are part of the shunts
 of each member's end nodes, so the inert branch currents and the
 couplings between members come out zero with no call of their own.
 
-Members that cannot share a batch (another cell count, circuit constant
-or time grid) form separate lockstep groups.  :mod:`snailtwpa.parallel`
+A batch shares only the cell count and the time grid: each member's own
+c_j, c_g, z0 and ESR enter as its entries of the per-branch and per-node
+coefficients.  Members that cannot share a batch (another cell count or
+time grid) form separate lockstep groups.  :mod:`snailtwpa.parallel`
 cuts the members, in group order, once into parts that run in one round,
 in this process and in forked children; a part runs one lockstep batch
 for each group it holds.  A member's arithmetic does not depend on the
@@ -184,6 +186,9 @@ class ChainConfig:
     rng_seed           : seed of the disorder draw
     z0                 : source/termination impedance, ohm
 
+    c_j, c_g, i_c_nominal and z0 must be positive and finite, tan_delta
+    >= 0 and finite.
+
     A SNAIL is single-valued only for 0 < r_eff < 1/3
     (:class:`snail.SnailParams`), and a cell's r_eff lies between
     r*(1-a)/(1+a) and r*(1+a)/(1-a) (a = disorder_amplitude; the extremes
@@ -213,10 +218,10 @@ class ChainConfig:
         if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         for name in ("c_j", "c_g", "i_c_nominal", "z0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.tan_delta < 0.0:
-            raise ValueError("tan_delta must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"'{name}' must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.tan_delta < math.inf:
+            raise ValueError(f"'tan_delta' must be >= 0 and finite, got {self.tan_delta}")
         a = self.disorder_amplitude
         if not 0.0 <= a <= 0.2:
             raise ValueError("disorder_amplitude must be in [0, 0.2]")
@@ -249,17 +254,20 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class Tone:
-    """One drive tone: ``peak_current * sin(2*pi*frequency*t + phase)``."""
+    """One drive tone: ``peak_current * sin(2*pi*frequency*t + phase)``,
+    with a positive frequency, a peak current >= 0, and all three finite."""
 
     frequency: float
     peak_current: float
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ValueError("tone frequency must be positive")
-        if self.peak_current < 0.0:
-            raise ValueError("tone amplitude must be >= 0")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"tone frequency must be positive and finite, got {self.frequency}")
+        if not 0.0 <= self.peak_current < math.inf:
+            raise ValueError(f"tone peak_current must be >= 0 and finite, got {self.peak_current}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"tone phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -491,10 +499,10 @@ def simulate_transients(runs) -> list[TimeTrace]:
     """Integrate independent (RealizedChain, Drive) runs; one TimeTrace each,
     bit-identical to ``simulate_transient`` of that run.
 
-    Runs that share the cell count, the circuit constants and the time grid
-    form a lockstep group; the runs, in group order, are cut into parts
-    that all run at once, in this process and in forked children (see the
-    module docstring).  If a Newton solve fails, NewtonDivergence is raised
+    Runs that share the cell count and the time grid form a lockstep group,
+    whatever their circuit constants; the runs, in group order, are cut into
+    parts that all run at once, in this process and in forked children (see
+    the module docstring).  If a Newton solve fails, NewtonDivergence is raised
     for the earliest failing step over all runs, ties going to the lowest
     run index, which it carries as ``member_index``.
     """
@@ -506,59 +514,52 @@ def _integrate(members) -> list:
     core, not the public batch entry, so that a single run is one call of
     one public function (the benchmark's tracer counts the solves inside
     it)."""
-    keys = []  # a member's lockstep group
-    for chain, drive in members:
-        cfg = chain.config
-        keys.append((cfg.n_cells, cfg.c_j, cfg.c_g, cfg.z0, chain.esr, drive.dt, drive.n_total))
+    keys = [(chain.config.n_cells, drive.dt, drive.n_total) for chain, drive in members]  # a member's lockstep group
 
     def run(part):
-        """One lockstep batch per run of equal keys in ``part``: the records
+        """One lockstep batch per run of equal keys in ``part``: the traces
         by member index, and the failures, each run to its end."""
-        records, failures = {}, []
+        traces, failures = {}, []
         for _, same in itertools.groupby(part, key=keys.__getitem__):
             idx = list(same)
             try:
-                records.update(zip(idx, _lockstep([members[i] for i in idx])))
+                traces.update(zip(idx, _lockstep([members[i] for i in idx])))
             except NewtonDivergence as err:  # an outcome: the part's other groups run on
                 err.member_index = idx[err.member_index]
                 failures.append(err)
-        return records, failures
+        return traces, failures
 
     _lapack()  # load scipy's LAPACK once, before any child copies this process
-    records, failures = {}, []
+    traces, failures = {}, []
     in_group_order = sorted(range(len(members)), key=lambda i: keys.index(keys[i]))  # a stable sort
     for done, failed in parallel.map_parts(run, in_group_order):
-        records.update(done)
+        traces.update(done)
         failures += failed
     if failures:
         raise min(failures, key=lambda err: (err.step_index, err.member_index))
-
-    return [
-        TimeTrace(dt=drive.dt, samples=records[i][1], input_samples=records[i][0], z0=chain.config.z0)
-        for i, (chain, drive) in enumerate(members)
-    ]
+    return [traces[i] for i in range(len(members))]
 
 
-def _lockstep(members) -> np.ndarray:
-    """Advance members of one lockstep group as one batch; their (B, 2,
-    n_total) records of the input ([b, 0]) and output ([b, 1]) node, a
-    view of the (n_total, B, 2) array that each step writes one row of.  A
-    failure raises NewtonDivergence with the batch-local member_index."""
+def _lockstep(members) -> list:
+    """Advance members of one lockstep group as one batch; their TimeTraces,
+    whose samples are views of the (n_total, B, 2) array, input ([:, b, 0])
+    and output ([:, b, 1]) node, that each step writes one row of.  A failure
+    raises NewtonDivergence with the batch-local member_index."""
     chains = [chain for chain, _ in members]
     drives = [drive for _, drive in members]
-    cfg = chains[0].config
-    n = cfg.n_cells
+    n = chains[0].config.n_cells
     m = n + 1  # nodes per member
     nb = len(members)
     size = nb * m
     dt = drives[0].dt
     n_total = drives[0].n_total
 
-    esr = chains[0].esr
-    g_cj = 2.0 * cfg.c_j / dt
-    half_dt_cg = dt / (2.0 * cfg.c_g)
+    # each member's own circuit constants, one entry per member
+    c_j, c_g, z0, esr = np.array([(c.config.c_j, c.config.c_g, c.config.z0, c.esr) for c in chains]).T
+    g_cj = 2.0 * c_j / dt
+    half_dt_cg = dt / (2.0 * c_g)
     g_sh = 1.0 / (esr + half_dt_cg)
-    g_port = 1.0 / cfg.z0
+    g_port = 1.0 / z0
     c_phase = math.pi * dt / PHI0  # trapezoidal phase increment per volt
     # an iterate with max |V| at or above this has diverged: below it, every
     # junction angle of the run has a float32 cosine (module docstring)
@@ -583,13 +584,13 @@ def _lockstep(members) -> np.ndarray:
     weights = np.stack([a1, a2, -c_phase * a1, -c_phase * a2 / 3.0])
     phi_ext = stacked([chain.phi_ext for chain in chains])
     psi = stacked([chain.phi_star for chain in chains])  # phi + c_phase * v_ser (module docstring)
-    g_series = stacked(g_cj)
-    g_shunt = np.full(size, g_sh)
+    g_series = stacked(g_cj[:, None])
+    g_shunt = np.repeat(g_sh, m)
     g_shunt[::m] = g_port  # node 0: the source's port, and no c_g
     g_shunt[n::m] += g_port  # node n: the load's port too
     # the shunt's history source: hist_sh <- alpha * hist_sh + beta * v
-    alpha = (esr - half_dt_cg) / (esr + half_dt_cg)
-    beta = np.full(size, -2.0 * g_sh * g_sh * half_dt_cg)
+    alpha = np.repeat((esr - half_dt_cg) / (esr + half_dt_cg), m)
+    beta = np.repeat(-2.0 * g_sh * g_sh * half_dt_cg, m)
     beta[::m] = 0.0  # node 0's stays 0
 
     t_grid = dt * np.arange(1, n_total + 1)
@@ -640,7 +641,7 @@ def _lockstep(members) -> np.ndarray:
     credit = [0] * nb
     # every scalar operand of the loop is a 0-d float64 array, made once:
     # numpy converts a Python float operand on every call (to the same value)
-    c_phase, two_c_phase, alpha, two, three = map(np.array, (c_phase, 2.0 * c_phase, alpha, 2.0, 3.0))
+    c_phase, two_c_phase, two, three = map(np.array, (c_phase, 2.0 * c_phase, 2.0, 3.0))
     neg_two_g_series, neg_g_shunt = -2.0 * g_series, -g_shunt
 
     for step in range(n_total):
@@ -741,7 +742,10 @@ def _lockstep(members) -> np.ndarray:
         multiply(v, beta, scratch)
         add(hist_sh, scratch, hist_sh)
         record[step] = v_ends
-    return record.transpose(1, 2, 0)
+    return [
+        TimeTrace(dt=dt, samples=record[:, b, 1], input_samples=record[:, b, 0], z0=chain.config.z0)
+        for b, chain in enumerate(chains)
+    ]
 
 
 def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:
@@ -848,17 +852,22 @@ def flux_sweep_idler(config: ChainConfig, drive_3wm: Drive, drive_4wm: Drive, fl
     disorder realization (fixed by ``config.rng_seed``) is rebuilt at the
     new working point and both drives are simulated; reported are the 3WM
     idler bin (f_p - f_s of the 3WM drive) and the 4WM idler bin
-    (2*f_p - f_s of the 4WM drive), in dBm at the output port.
+    (2*f_p - f_s of the 4WM drive), in dBm at the output port.  Each
+    drive's chains have their ESR set at that drive's own pump; the chains
+    are built once per distinct pump frequency.
     """
     flux_grid = np.asarray(flux_grid, dtype=float)
     f_idler3 = idler_frequencies(drive_3wm)["three_wave"]
     f_idler4 = idler_frequencies(drive_4wm)["four_wave"]
-    chains = [build_chain(config, float(flux), f_ref=drive_3wm.tones[0].frequency) for flux in flux_grid]
-    levels = read_levels([(c, drive_3wm, f_idler3) for c in chains] + [(c, drive_4wm, f_idler4) for c in chains])
+    pumps = [drive.tones[0].frequency for drive in (drive_3wm, drive_4wm)]
+    chains = {f: [build_chain(config, float(flux), f_ref=f) for flux in flux_grid] for f in set(pumps)}
+    levels = read_levels(
+        [(c, drive_3wm, f_idler3) for c in chains[pumps[0]]] + [(c, drive_4wm, f_idler4) for c in chains[pumps[1]]]
+    )
     return {
         "flux": flux_grid,
-        "idler_3wm_dbm": levels[: len(chains)],
-        "idler_4wm_dbm": levels[len(chains) :],
+        "idler_3wm_dbm": levels[: flux_grid.size],
+        "idler_4wm_dbm": levels[flux_grid.size :],
         "f_idler_3wm": f_idler3,
         "f_idler_4wm": f_idler4,
     }

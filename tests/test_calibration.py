@@ -201,7 +201,10 @@ def default_norm(**kw):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("eta", 0.0), ("eta", 1.5), ("g_sys", 0.0), ("f_acq", 0.0), ("z0", 0.0), ("t_int", 0.0), ("epsilon", 0.0)],
+    [("eta", 0.0), ("eta", 1.5), ("eta", math.nan), ("g_sys", 0.0), ("f_acq", 0.0), ("z0", 0.0), ("t_int", 0.0),
+     ("epsilon", 0.0), ("g_sys", math.inf), ("f_acq", math.inf), ("z0", math.inf), ("t_int", math.inf),
+     ("epsilon", math.inf), ("loss_correction_db", math.nan), ("loss_correction_db", math.inf),
+     ("loss_correction_db", -math.inf)],
 )
 def test_normalization_factor_rejects_each_input(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -271,6 +274,12 @@ def test_attenuation_round_trip_random():
 
 def test_insertion_loss_lossless():
     assert insertion_loss(ChainConfig(tan_delta=0.0), 0.0, F_HALF) == 1.0
+
+
+@pytest.mark.parametrize("frequency", [0.0, -1e9, math.nan, math.inf])
+def test_insertion_loss_rejects_a_frequency_that_is_not_positive_and_finite(frequency):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        insertion_loss(ChainConfig(), 0.0, frequency)
 
 
 def test_insertion_loss_monotonicity():

@@ -106,6 +106,24 @@ def test_subnormal_critical_current_is_rejected_by_name():
             ChainConfig(n_cells=2, i_c_nominal=math.inf)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["c_j", "c_g", "i_c_nominal", "z0", "tan_delta"])
+def test_chain_config_rejects_a_non_finite_constant_by_name(name, value):
+    # unchecked, an infinite c_g divides by zero in the solver, an infinite
+    # z0 reads the dBm floor, and the rest fail as a tridiagonal solve
+    with pytest.raises(ValueError, match=f"^'{name}' must be"):
+        ChainConfig(n_cells=2, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["frequency", "peak_current", "phase"])
+def test_tone_rejects_a_non_finite_number_by_name(name, value):
+    # unchecked, a nan or infinite frequency fails in the bin arithmetic and
+    # a nan or infinite current or phase as a tridiagonal solve
+    with pytest.raises(ValueError, match=f"^tone {name} must be"):
+        Tone(**{"frequency": F_PUMP, "peak_current": 1e-7, name: value})
+
+
 def test_build_chain_fixes_the_shunt_resistance():
     cfg = ChainConfig(n_cells=4)
     assert build_chain(cfg, 0.59, f_ref=F_PUMP).esr == cfg.tan_delta / (2 * math.pi * F_PUMP * cfg.c_g)
@@ -536,6 +554,18 @@ def test_batched_flux_sweep_matches_serial_loop():
     assert out["idler_4wm_dbm"].tobytes() == np.array(serial4).tobytes()
 
 
+def test_flux_sweep_reads_the_4wm_idler_on_chains_built_at_its_own_pump():
+    # with the 4WM pump away from the 3WM pump, the 4WM readings are those
+    # of chains whose ESR is set at the 4WM pump, as the sweep documents
+    cfg = ChainConfig(n_cells=6, rng_seed=1)
+    d3 = three_wave_drive(F_PUMP, window=2e-9, settle_time=1e-9)
+    d4 = four_wave_drive(9.0e9, window=2e-9, settle_time=1e-9)
+    flux = [0.45, 0.59]
+    f4 = idler_frequencies(d4)["four_wave"]
+    own = read_levels([(build_chain(cfg, phi, f_ref=d4.tones[0].frequency), d4, f4) for phi in flux])
+    assert flux_sweep_idler(cfg, d3, d4, flux)["idler_4wm_dbm"].tobytes() == own.tobytes()
+
+
 def test_batch_newton_divergence_reports_first_failing_step(monkeypatch):
     # one Newton iteration per step: the undriven member converges at every
     # step, the driven one cannot, and the batch reports the driven
@@ -787,29 +817,46 @@ def test_solve_count_at_far_flux(monkeypatch):
     assert per_step[-999.41] == pytest.approx(per_step[0.59], rel=1e-2)
 
 
+CIRCUITS = st.tuples(  # c_j, c_g, z0, tan_delta
+    st.floats(25e-15, 100e-15), st.floats(125e-15, 500e-15), st.floats(25.0, 100.0), st.floats(0.0, 5e-3)
+)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n_cells=st.integers(2, 8),
     seed=st.integers(0, 2**32 - 1),
-    pumps=st.lists(st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.6)), max_size=3),
+    pumps=st.lists(
+        st.tuples(st.floats(0.0, 1e-6), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.6), CIRCUITS), max_size=3
+    ),
     zero_at=st.integers(0, 3),
     zero_flux=st.floats(0.0, 0.6),
+    zero_circuit=CIRCUITS,
     periods=st.integers(1, 2),
 )
-def test_batch_equals_each_member_alone(n_cells, seed, pumps, zero_at, zero_flux, periods):
-    # one lockstep batch of 1-4 members, each at its own flux (one of them
-    # undriven, the others pumped at random phases and amplitudes), gives
-    # each member the bytes of its own serial run
-    cfg = ChainConfig(n_cells=n_cells, rng_seed=seed)
-    pumps.insert(min(zero_at, len(pumps)), (0.0, 0.0, zero_flux))
+def test_batch_equals_each_member_alone(n_cells, seed, pumps, zero_at, zero_flux, zero_circuit, periods):
+    # one lockstep batch of 1-4 members, each at its own flux and with its
+    # own c_j, c_g, z0 and loss tangent (one of them undriven, the others
+    # pumped at random phases and amplitudes), gives each member the bytes
+    # of its own serial run
+    pumps.insert(min(zero_at, len(pumps)), (0.0, 0.0, zero_flux, zero_circuit))
     runs = [
-        (build_chain(cfg, flux, f_ref=F_PUMP),
+        (build_chain(ChainConfig(n_cells, c_j=c_j, c_g=c_g, z0=z0, tan_delta=tan_delta, rng_seed=seed), flux, F_PUMP),
          snap_drive(tones=(Tone(F_PUMP, amplitude, phase),), window=periods / F_PUMP, settle_time=0.0))
-        for amplitude, phase, flux in pumps
+        for amplitude, phase, flux, (c_j, c_g, z0, tan_delta) in pumps
     ]
+    lockstep = circuit._lockstep
+    sizes = []
+
+    def recording(members):
+        sizes.append(len(members))
+        return lockstep(members)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one process, one batch
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one process
+        patch.setattr(circuit, "_lockstep", recording)
         traces = simulate_transients(runs)
+    assert sizes == [len(runs)]  # one batch, whatever the members' circuit constants
     for run, trace in zip(runs, traces):
         serial = simulate_transient(*run)
         assert trace.samples.tobytes() == serial.samples.tobytes()
