@@ -282,16 +282,21 @@ def normalization_factor(
 
     Raises ValueError, naming the input, for an eta outside (0, 1], a
     g_sys, f_acq, z0, t_int or epsilon that is not positive and finite, or
-    a non-finite loss_correction_db.
+    a loss_correction_db for which G_up is not positive and finite.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     for name, value in (("g_sys", g_sys), ("f_acq", f_acq), ("z0", z0), ("t_int", t_int), ("epsilon", epsilon)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(loss_correction_db):
-        raise ValueError(f"loss_correction_db must be finite, got {loss_correction_db}")
-    g_up = g_sys * 10.0 ** (loss_correction_db / 10.0)
+    try:
+        g_up = g_sys * 10.0 ** (loss_correction_db / 10.0)
+    except OverflowError:
+        g_up = math.inf
+    if not 0.0 < g_up < math.inf:  # also a nan or infinite loss_correction_db
+        raise ValueError(
+            f"loss_correction_db must be finite and keep G_up positive and finite, got {loss_correction_db}"
+        )
     return epsilon * math.sqrt(eta * t_int / (g_up * z0 * PLANCK * f_acq))
 
 

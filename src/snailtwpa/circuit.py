@@ -782,6 +782,8 @@ def _mixing_drive(
     photons into a signal and an idler (at pump_photons*f_p - f_s).  The
     window is snapped to whole pump periods, an even number for 3WM."""
     pump = Tone(f_pump, pump_current)
+    if not isinstance(delta_bins, (int, np.integer)):
+        raise ValueError(f"delta_bins must be an integer, got {delta_bins!r}")
     if not 0.0 < window < math.inf:  # checked before the snapping arithmetic; snap_drive checks settle_time and dt
         raise ValueError(f"window must be positive and finite, got {window}")
     periods = 2 // pump_photons
@@ -807,9 +809,10 @@ def three_wave_drive(
     generated at f_p - f_s = f_p/2 + delta.  ``delta_bins`` counts FFT
     bins of the snapped window, which is snapped to an even number of
     pump periods so that f_p/2 is exactly on-grid; 0 is the degenerate
-    drive.  The pump has phase 0.  Raises ValueError on a non-positive or
-    non-finite window or dt, a negative or non-finite settle time, or a
-    signal or idler at or below 0 Hz."""
+    drive.  The pump has phase 0.  Raises ValueError on a ``delta_bins``
+    that is not an integer, a non-positive or non-finite window or dt, a
+    negative or non-finite settle time, or a signal or idler at or below
+    0 Hz."""
     return _mixing_drive(1, f_pump, pump_current, signal_current, delta_bins, window, settle_time, dt)
 
 

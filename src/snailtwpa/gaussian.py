@@ -163,7 +163,9 @@ def subtract_background(
     measured difference rescaled by 10**(-/+ gain_uncertainty_db/10),
     since the covariance of normalized data scales inversely with the
     assumed linear gain; the resulting entry-wise bounds are stored in
-    ``systematic``.
+    ``systematic``.  Raises ValueError for a ``gain_uncertainty_db`` for
+    which 10**(|gain_uncertainty_db|/10) is not finite (nan, infinite or
+    beyond about 3082 dB).
     """
     if sigma_on.dim != sigma_off.dim:
         raise DimensionMismatch(
@@ -177,8 +179,13 @@ def subtract_background(
         unc = np.sqrt(sigma_on.uncertainty**2 + sigma_off.uncertainty**2)
     systematic = None
     if gain_uncertainty_db is not None:
+        try:
+            hi_scale = 10.0 ** (+abs(gain_uncertainty_db) / 10.0)
+        except OverflowError:
+            hi_scale = math.inf
+        if not hi_scale < math.inf:  # also a nan
+            raise ValueError(f"gain_uncertainty_db must be finite, |x| below about 3082 dB, got {gain_uncertainty_db}")
         lo_scale = 10.0 ** (-abs(gain_uncertainty_db) / 10.0)
-        hi_scale = 10.0 ** (+abs(gain_uncertainty_db) / 10.0)
         a = lo_scale * diff + eye
         b = hi_scale * diff + eye
         systematic = (np.minimum(a, b), np.maximum(a, b))
@@ -458,11 +465,11 @@ def _parse_lines(text: str, span: range) -> tuple:
     """Parse the lines of ``text`` that start inside ``span``, a range of
     positions in it.
 
-    Returns (rows, at, normalized, error): the data rows as ``_ROW``, their
-    0-based line numbers in ``text``, the state the lines' last
-    ``normalized=`` comment sets (None without one), and None or the
-    lines' first bad row as (0, line, message) for a row ``np.loadtxt``
-    rejects or else (1, line, message) for an invalid row.
+    Returns (rows, at, normalized): the data rows as ``_ROW``, an unknown
+    mode or pump state read as -1, their 0-based line numbers in ``text``,
+    and the state the lines' last ``normalized=`` comment sets (None
+    without one).  The first row ``np.loadtxt`` rejects raises ValueError
+    naming its line; no value is checked here.
     """
     # the first line start at or after a position: 0, or just after a newline
     start, stop = (i and (text.find("\n", i - 1) + 1 or len(text)) for i in (span.start, span.stop))
@@ -475,12 +482,12 @@ def _parse_lines(text: str, span: range) -> tuple:
     at = first + np.array(data, dtype=np.int64)
     rows = np.zeros(len(body), dtype=_ROW)
     if not body:
-        return rows, at, normalized, None
+        return rows, at, normalized
     try:
         text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         n, why = _first_bad_row(body)
-        return rows, at, normalized, (0, at[n], f"line {at[n] + 1}: {why}")
+        raise ValueError(f"line {at[n] + 1}: {why}") from None
     rows["mode"] = rows["pump"] = -1
     for code, label in enumerate(TWO_MODE):
         rows["mode"][text_rows["mode"] == label] = code
@@ -488,17 +495,7 @@ def _parse_lines(text: str, span: range) -> tuple:
         rows["pump"][text_rows["pump"] == state] = code
     for field in ("rep", "x", "p"):
         rows[field] = text_rows[field]
-    valid = (
-        (rows["mode"] >= 0)
-        & (rows["pump"] >= 0)
-        & (rows["rep"] >= 0)
-        & np.isfinite(rows["x"])
-        & np.isfinite(rows["p"])
-    )
-    if not valid.all():
-        n = int(np.argmin(valid))
-        return rows, at, normalized, (1, at[n], f"line {at[n] + 1}: invalid row {body[n]!r}")
-    return rows, at, normalized, None
+    return rows, at, normalized
 
 
 def read_quadrature_csv(path) -> dict:
@@ -520,22 +517,27 @@ def read_quadrature_csv(path) -> dict:
 
     The file is read once, and :mod:`snailtwpa.parallel` cuts the positions
     of its text into ranges that run at once in this process and in forked
-    children.  Each part parses and checks the lines that start in its
-    range, handing back its rows and its first bad row as data.  The checks
-    across parts then run here, so the batches and the error raised do not
-    depend on the number of parts.
+    children.  Each part parses the lines that start in its range, handing
+    back their rows, their line numbers and their last ``normalized=``
+    comment; a row that does not parse raises in its part, and the earliest
+    part's error is the one raised.  Every check on the values then runs
+    once, here, so the batches and the error raised do not depend on the
+    number of parts.
     """
     with open(path) as fh:
         text = fh.read()
     parts = parallel.map_parts(lambda span: _parse_lines(text, span), range(len(text)))
-    errors = [error for *_, error in parts if error is not None]
-    if errors:
-        raise ValueError(min(errors)[2])
-    notes = [normalized for _, _, normalized, _ in parts if normalized is not None]
-    if notes and not notes[-1]:
-        raise ValueError("the records are raw (normalized=false); they must be in vacuum units")
     rows = np.concatenate([part[0] for part in parts])
     at = np.concatenate([part[1] for part in parts])
+    valid = (rows["mode"] >= 0) & (rows["pump"] >= 0) & (rows["rep"] >= 0)
+    valid &= np.isfinite(rows["x"]) & np.isfinite(rows["p"])
+    if not valid.all():
+        n = int(at[np.argmin(valid)])
+        line = text.split("\n", n + 1)[n].strip()
+        raise ValueError(f"line {n + 1}: invalid row {line!r}")
+    notes = [normalized for _, _, normalized in parts if normalized is not None]
+    if notes and not notes[-1]:
+        raise ValueError("the records are raw (normalized=false); they must be in vacuum units")
     mode = {label: rows["mode"] == code for code, label in enumerate(TWO_MODE)}
     out = {}
     for code, state in enumerate(_PUMP_STATES):

@@ -204,7 +204,7 @@ def default_norm(**kw):
     [("eta", 0.0), ("eta", 1.5), ("eta", math.nan), ("g_sys", 0.0), ("f_acq", 0.0), ("z0", 0.0), ("t_int", 0.0),
      ("epsilon", 0.0), ("g_sys", math.inf), ("f_acq", math.inf), ("z0", math.inf), ("t_int", math.inf),
      ("epsilon", math.inf), ("loss_correction_db", math.nan), ("loss_correction_db", math.inf),
-     ("loss_correction_db", -math.inf)],
+     ("loss_correction_db", -math.inf), ("loss_correction_db", 4000.0), ("loss_correction_db", -4000.0)],
 )
 def test_normalization_factor_rejects_each_input(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be"):

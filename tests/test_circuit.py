@@ -244,6 +244,7 @@ def test_tone_bin_rejects_an_off_grid_frequency():
         {"dt": math.inf},
         {"delta_bins": 1000},  # signal below 0 Hz
         {"delta_bins": -100, "window": 6e-10},  # idler below 0 Hz
+        {"delta_bins": 1.5},  # not a bin
     ],
 )
 def test_drive_builders_reject_off_grid_inputs(builder, bad):

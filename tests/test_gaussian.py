@@ -126,6 +126,15 @@ def test_subtract_systematic_bounds():
     assert np.all(lo <= out.entries + 1e-12) and np.all(out.entries <= hi + 1e-12)
 
 
+@pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+def test_subtract_rejects_a_gain_uncertainty_it_cannot_scale_by(db):
+    # unchecked, nan and +-inf give nan bounds and +-4000 dB overflows
+    off = CovMatrix(entries=5.0 * np.eye(2))
+    on = CovMatrix(entries=np.diag([4.5, 7.0]))
+    with pytest.raises(ValueError, match="^gain_uncertainty_db must be finite"):
+        subtract_background(on, off, gain_uncertainty_db=db)
+
+
 def test_full_chain_monte_carlo():
     # known squeezed state + known added noise, ON and OFF estimated
     # separately, recovered within statistical error
@@ -747,7 +756,19 @@ def test_quadrature_csv_reader_parse_error_outranks_earlier_invalid_row(tmp_path
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="^line 11: invalid row '6,pump,1.0,2.0,ON'$"):
         read_quadrature_csv(path)
-    assert len(forks) == 2 * (cpus - 1)
+    # then raw records (the last comment, in the last range), then repetitions
+    raw = lines + ["# normalized=false"]
+    repeat = {10: "3,signal,0.5,0.5,ON"}  # line 11 repeats line 8's repetition
+    for text, edits, message in [
+        (raw, {}, "^line 11: invalid row '6,pump,1.0,2.0,ON'$"),
+        (raw, {55: "51,signal,abc,1.0,ON"}, r"^line 56: field 3 \(x\) cannot be read as float64: 'abc'$"),
+        (raw, repeat, r"^the records are raw \(normalized=false\)"),
+        (lines, repeat, "^line 11: repeats repetition 3 of the signal mode of pump state ON$"),
+    ]:
+        path.write_text("\n".join(edits.get(k, line) for k, line in enumerate(text)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_quadrature_csv(path)
+    assert len(forks) == 6 * (cpus - 1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
