@@ -282,7 +282,9 @@ def normalization_factor(
 
     Raises ValueError, naming the input, for an eta outside (0, 1], a
     g_sys, f_acq, z0, t_int or epsilon that is not positive and finite, or
-    a loss_correction_db for which G_up is not positive and finite.
+    a loss_correction_db for which G_up is not positive and finite; and,
+    naming the inputs, when G_up * z0 * h * f_acq or upsilon itself is not
+    positive and finite (an overflow or underflow of their product).
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
@@ -297,7 +299,19 @@ def normalization_factor(
         raise ValueError(
             f"loss_correction_db must be finite and keep G_up positive and finite, got {loss_correction_db}"
         )
-    return epsilon * math.sqrt(eta * t_int / (g_up * z0 * PLANCK * f_acq))
+    g_z0_hf = g_up * z0 * PLANCK * f_acq
+    if not 0.0 < g_z0_hf < math.inf:
+        raise ValueError(
+            f"G_up * z0 * h * f_acq must be positive and finite, got {g_z0_hf} from g_sys = {g_sys}, "
+            f"loss_correction_db = {loss_correction_db}, z0 = {z0} and f_acq = {f_acq}"
+        )
+    upsilon = epsilon * math.sqrt(eta * t_int / g_z0_hf)
+    if not 0.0 < upsilon < math.inf:
+        raise ValueError(
+            f"upsilon must be positive and finite, got {upsilon} from eta = {eta}, t_int = {t_int}, "
+            f"epsilon = {epsilon} and G_up * z0 * h * f_acq = {g_z0_hf}"
+        )
+    return upsilon
 
 
 def input_attenuation(s21_off: float, eta_db: float, g_sys_db: float) -> float:

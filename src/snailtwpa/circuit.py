@@ -46,15 +46,20 @@ so a member also stops after its first update d1 when the update it
 predicts, L^ |d1|^2, is below tol; L^ = |d2| / |d1|^2 is measured on that
 member's last step that took a second iteration (the contraction monitor
 of Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2; Hairer &
-Wanner, Solving ODEs II, 1996, sec. IV.8).  Each measurement serves the
-next ``NEWTON_REFRESH`` steps.  Every other step iterates to tol as a full
-Newton solve: a member's first step, the step after those
-``NEWTON_REFRESH``, a step the rule cannot accept, and the step after one
-that took three iterations.  So a 3WM run takes about
-1 + 1/(NEWTON_REFRESH + 1) solves per step instead of 2, and its traces
-move by a fraction of tol.  The tolerance, the iteration limit and the
-refresh are the module constants ``NEWTON_TOL``, ``MAX_NEWTON_ITER`` and
-``NEWTON_REFRESH``, which the solver reads from the module as it runs.
+Wanner, Solving ODEs II, 1996, sec. IV.8).  Every other step iterates to
+tol as a full Newton solve: every (NEWTON_REFRESH + 1)-th step, counted
+from step 0, which re-measures L^; a step the rule cannot accept; and a
+member's steps while it has no L^, before its first step that takes two
+iterations and from a step that takes three to its next that takes two.
+The re-measuring steps are the same for every member of a batch, because
+a batch takes a second solve whenever any member needs one: it pays for
+the union of its members' second solves, and steps set by each member's
+own last measurement would drift apart.  So a 3WM run, alone or in a
+batch, takes about 1 + 1/(NEWTON_REFRESH + 1) solves per step instead of
+2, and its traces move by a fraction of tol.  The tolerance, the
+iteration limit and the refresh are the module constants ``NEWTON_TOL``,
+``MAX_NEWTON_ITER`` and ``NEWTON_REFRESH``, which the solver reads from
+the module as it runs.
 
 One private core, ``_integrate``, advances B independent runs (chain and
 drive) in lockstep (``_lockstep``).  ``simulate_transients`` is the public
@@ -140,7 +145,9 @@ from .snail import SnailParams, coefficients
 TWO_PI = 2.0 * math.pi
 NEWTON_TOL = 1e-15  # V: a step converges when max |dV| < NEWTON_TOL + 1e-10 * max |V|
 MAX_NEWTON_ITER = 20  # Newton iterations allowed per step
-NEWTON_REFRESH = 16  # steps that may stop on one measured Newton contraction (module docstring)
+# every (NEWTON_REFRESH + 1)-th step is a full solve that re-measures the
+# Newton contraction, on the same steps for every run of a batch (module docstring)
+NEWTON_REFRESH = 16
 
 
 def __getattr__(name):
@@ -636,9 +643,8 @@ def _lockstep(members) -> list:
     cur, prev = views
     errs = [math.inf] * nb
     # each member's stopping rule: |d2|/|d1|^2 (1/V) of its last step that
-    # took a second iteration, and how many more steps may stop on it
+    # took two iterations; inf before its first and after one that took three
     contraction = [math.inf] * nb
-    credit = [0] * nb
     # every scalar operand of the loop is a 0-d float64 array, made once:
     # numpy converts a Python float operand on every call (to the same value)
     c_phase, two_c_phase, two, three = map(np.array, (c_phase, 2.0 * c_phase, 2.0, 3.0))
@@ -652,6 +658,7 @@ def _lockstep(members) -> list:
         cur, prev = prev, cur
         pair, v, v_lo, v_hi, v_rows, v_ends, rhs, rhs_in, rhs_rows = cur
         pending = all_members
+        predict = step % (NEWTON_REFRESH + 1)  # 0: every member re-measures
         for it in range(MAX_NEWTON_ITER):
             subtract(v_lo, v_hi, v_ser_head)
             multiply(v_ser, c_phase, phi)
@@ -707,15 +714,12 @@ def _lockstep(members) -> list:
                     raise NewtonDivergence(f"Newton update diverged at step {step}", step_index=step, member_index=b)
                 tol = NEWTON_TOL + 1e-10 * v_max[b]
                 if it == 0:
-                    if credit[b]:  # stop when the predicted next update is below tol
-                        credit[b] -= 1
-                        if contraction[b] * err * err < tol:
-                            continue
+                    if predict and contraction[b] * err * err < tol:  # the predicted next update
+                        continue
                 elif it == 1:
                     contraction[b] = err / (first[b] * first[b])
-                    credit[b] = NEWTON_REFRESH
                 else:
-                    credit[b] = 0
+                    contraction[b] = math.inf
                 if not err < tol:
                     still.append(b)
             if not still:

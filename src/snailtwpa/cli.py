@@ -255,6 +255,9 @@ def parse(command: str, config: dict, profile: str = "ci", seed=None) -> SimpleN
     for key, least in (("n_points", 1), ("n_phases", 1), ("n_rep", 2), ("seed", 0), ("max_iter", 1)):
         if getattr(p, key, least) < least:
             raise ConfigError(f"'{key}' must be >= {least}, got {getattr(p, key)}")
+    for key in ("phases", "r_values"):  # the grids that sms and tms list
+        if getattr(p, key, None) == []:
+            raise ConfigError(f"'{key}' must list at least one value, got []")
     counts = vars(p) | (getattr(p, "chain", None) or {})  # the chain block is still a dict here
     for key in ("n_points", "n_phases", "n_rep", "n_cells"):
         if counts.get(key, 0) > MAX_COUNT:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -204,11 +205,19 @@ def default_norm(**kw):
     [("eta", 0.0), ("eta", 1.5), ("eta", math.nan), ("g_sys", 0.0), ("f_acq", 0.0), ("z0", 0.0), ("t_int", 0.0),
      ("epsilon", 0.0), ("g_sys", math.inf), ("f_acq", math.inf), ("z0", math.inf), ("t_int", math.inf),
      ("epsilon", math.inf), ("loss_correction_db", math.nan), ("loss_correction_db", math.inf),
-     ("loss_correction_db", -math.inf), ("loss_correction_db", 4000.0), ("loss_correction_db", -4000.0)],
+     ("loss_correction_db", -math.inf), ("loss_correction_db", 4000.0), ("loss_correction_db", -4000.0),
+     # inputs in range each, whose product or factor over- or underflows: a dict of them, and the quantity named
+     pytest.param("G_up * z0 * h * f_acq", {"g_sys": 1e300, "z0": 1e300, "f_acq": 4e9}, id="product-overflows"),
+     pytest.param("G_up * z0 * h * f_acq", {"g_sys": 1e-300, "z0": 1e-300, "f_acq": 4e9}, id="product-underflows"),
+     pytest.param("upsilon", {"epsilon": 1e300, "t_int": 1e100}, id="upsilon-overflows"),
+     pytest.param("upsilon", {"eta": 1e-300, "t_int": 1e-300}, id="upsilon-underflows")],
 )
 def test_normalization_factor_rejects_each_input(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        normalization_factor(**default_norm(**{name: value}))
+    inputs = value if isinstance(value, dict) else {name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be") as err:
+        normalization_factor(**default_norm(**inputs))
+    if isinstance(value, dict):  # the message names each of them
+        assert all(f"{key} = {x!r}" in str(err.value) for key, x in value.items())
 
 
 def test_upsilon_golden_value():

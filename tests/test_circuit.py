@@ -777,10 +777,11 @@ def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, mes
 
 def test_newton_stops_on_the_measured_contraction(monkeypatch):
     # a member stops after one solve when its measured contraction predicts
-    # a second update below tol, and re-measures it with a full step after
-    # NEWTON_REFRESH such steps; with NEWTON_REFRESH 0 every step iterates
-    # to tol, which takes two solves here.  The two traces agree within
-    # one tol.
+    # a second update below tol, and re-measures it with a full step on
+    # every (NEWTON_REFRESH + 1)-th step, the same steps for every member of
+    # a batch, which pays for the union of its members' second solves; with
+    # NEWTON_REFRESH 0 every step iterates to tol, which takes two solves
+    # here.  The two traces agree within one tol.
     chain = build_chain(ChainConfig(n_cells=20, rng_seed=1), 0.59, f_ref=F_PUMP)
     drive = three_wave_drive(F_PUMP, window=2e-9, settle_time=1e-9)
     real = circuit._lapack().dgtsv
@@ -799,6 +800,34 @@ def test_newton_stops_on_the_measured_contraction(monkeypatch):
     tol = circuit.NEWTON_TOL + 1e-10 * v_max
     assert np.abs(ruled.samples - full.samples).max() < tol
     assert np.abs(ruled.input_samples - full.input_samples).max() < tol
+
+
+def test_a_batch_takes_the_solves_of_one_member_per_step(monkeypatch, batches):
+    # every member of a lockstep batch re-measures its contraction on the
+    # same steps, each (NEWTON_REFRESH + 1)-th, so those steps' second solves
+    # are shared: the batch takes at most its costliest member's solves alone
+    # plus each member's second solves off those steps.  Each member's trace
+    # is still its own run's, bit for bit.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # one batch, in this process
+    cfg = ChainConfig(n_cells=20, disorder_amplitude=0.05, rng_seed=1)
+    drive = three_wave_drive(F_PUMP, 0.8e-6, 0.0011e-6, delta_bins=0, window=2e-9, settle_time=1e-9)
+    real = circuit._lapack().dgtsv
+    batch = FaultyLapack(real, None, cfg.n_cells + 1, at=0)  # never faults: counts
+    monkeypatch.setattr(circuit, "lapack", batch)
+    degenerate_gain_vs_phase(cfg, 0.59, drive, np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False))
+    (members, traces), = batches
+    assert len(members) == 5  # pump off, then 4 pump phases
+    alone = []
+    for member, trace in zip(members, traces):
+        counter = FaultyLapack(real, None, cfg.n_cells + 1, at=0)
+        monkeypatch.setattr(circuit, "lapack", counter)
+        serial = simulate_transient(*member)
+        assert trace.samples.tobytes() == serial.samples.tobytes()
+        assert trace.input_samples.tobytes() == serial.input_samples.tobytes()
+        alone.append(counter.seen)
+    n_total = drive.n_total
+    shared = -(-n_total // (circuit.NEWTON_REFRESH + 1))  # the steps on which every member re-measures
+    assert batch.seen <= max(alone) + sum(solves - n_total - shared for solves in alone)
 
 
 def test_solve_count_at_far_flux(monkeypatch):

@@ -158,6 +158,10 @@ def test_unknown_key_rejected(tmp_path):
         ("sms", {"target_s_db": -3100}, "'target_s_db'"),
         ("sms", {"target_s_db": 3080}, "'target_s_db'"),
         ("sms", {"target_s_db": 400}, "'target_s_db'"),
+        ("sms", {"phases": []}, "'phases'"),
+        ("tms", {"r_values": []}, "'r_values'"),
+        ("normalize", {"g_sys_db": 3000, "f_acq": 4e9, "z0": 1e300, "eta": 0.7}, "z0 = 1e+300"),
+        ("normalize", {"g_sys_db": -3000, "f_acq": 4e9, "z0": 1e-300, "eta": 0.7}, "z0 = 1e-300"),
     ],
 )
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, payload, key):
