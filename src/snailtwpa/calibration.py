@@ -35,7 +35,7 @@ from .errors import FitDivergence, IllConditioned
 
 @dataclass
 class SntjModel:
-    """SNTJ noise-source parameters.
+    """SNTJ noise-source parameters, each positive and finite.
 
     frequency  : acquisition frequency in Hz
     bandwidth  : measurement bandwidth in Hz
@@ -52,8 +52,8 @@ class SntjModel:
 
     def __post_init__(self):
         for name in ("frequency", "bandwidth", "t_electron", "t_sys", "g_sys"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if BOLTZMANN * self.t_electron >= PLANCK * self.frequency / 5.0:
             warnings.warn(
                 f"k_B*T = {BOLTZMANN * self.t_electron:.3e} J is not small against "
@@ -144,12 +144,12 @@ def fit_sntj(
     electron and system temperatures are degenerate below the coth knee)
     or when the Jacobian is not finite or numerically rank-deficient;
     FitDivergence when the iteration budget is exhausted; ValueError on a
-    non-positive frequency or bandwidth (as :class:`SntjModel`) or a
-    ``max_iter`` below 1.
+    frequency or bandwidth that is not positive and finite (as
+    :class:`SntjModel`) or a ``max_iter`` below 1.
     """
     for name, value in (("frequency", frequency), ("bandwidth", bandwidth)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     v = np.asarray(v_bias, dtype=float)

@@ -186,7 +186,8 @@ class ChainConfig:
     i_c_nominal        : nominal large-junction critical current, A
     r                  : SNAIL junction size ratio (bounded, see below)
     tan_delta          : dielectric loss tangent of c_g
-    flux_polarity      : per-cell flux sign pattern; None means alternating
+    flux_polarity      : per-cell flux sign pattern, n_cells numbers each
+                         equal to +1 or -1; None means alternating
                          (+1, -1, +1, ...)
     disorder_amplitude : fractional half-width of the uniform per-junction
                          critical-current spread (0.05 = +/- 5 %)
@@ -246,10 +247,10 @@ class ChainConfig:
                 f"[{r_min:.4g}, {r_max:.4g}]; a single-valued SNAIL needs 0 < r_eff < 1/3"
             )
         if self.flux_polarity is not None:
-            pol = tuple(int(s) for s in self.flux_polarity)
-            if len(pol) != self.n_cells or any(s not in (-1, 1) for s in pol):
+            pol = tuple(self.flux_polarity)  # a sign is a number equal to +/-1: not 1.5, a bool or a string
+            if len(pol) != self.n_cells or any(isinstance(s, (bool, np.bool_)) or s not in (-1, 1) for s in pol):
                 raise ValueError("flux_polarity must be n_cells entries of +/-1")
-            object.__setattr__(self, "flux_polarity", pol)
+            object.__setattr__(self, "flux_polarity", tuple(int(s) for s in pol))
 
     def polarity(self) -> np.ndarray:
         if self.flux_polarity is not None:
@@ -287,7 +288,10 @@ class Drive:
     dt: float
     n_window: int
     n_settle: int
-    n_total: int
+
+    @property
+    def n_total(self) -> int:
+        return self.n_settle + self.n_window
 
     @property
     def resolution(self) -> float:
@@ -360,14 +364,7 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
     n_window = max(int(math.ceil(window / dt_target - 1e-9)), 1)
     dt = window / n_window
     n_settle = int(math.ceil(settle_time / dt - 1e-9)) if settle_time > 0 else 0
-    return Drive(
-        tones=tones,
-        window=window,
-        dt=dt,
-        n_window=n_window,
-        n_settle=n_settle,
-        n_total=n_settle + n_window,
-    )
+    return Drive(tones=tones, window=window, dt=dt, n_window=n_window, n_settle=n_settle)
 
 
 @dataclass
@@ -408,7 +405,9 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float) -> RealizedChain
     single effective junction via the series (harmonic-mean) inductance
     rule i_c_eff = 3 / sum(1/i_large); the small-junction draw scales
     ``r * i_c_nominal`` and sets r_eff = i_small / i_c_eff.  Cell k is
-    biased at ``polarity[k] * flux``.
+    biased at ``polarity[k] * flux``.  All cells are solved in one array
+    call of :func:`snail.coefficients`, each with the bits of its scalar
+    solve; a flux that is nan or beyond 1000 Phi0 raises ValueError.
 
     The shunt loss is fixed here too: the ESR of c_g is
     tan_delta/(2*pi*f_ref*c_g), so its loss angle is tan_delta exactly at
@@ -423,19 +422,7 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float) -> RealizedChain
     factors = rng.uniform(1.0 - a, 1.0 + a, size=(config.n_cells, 4))
     i_c_eff, r_eff = _cell_ratios(config, factors)
     phi_ext = config.polarity() * (TWO_PI * flux)
-
-    n = config.n_cells
-    phi_star = np.empty(n)
-    beta = np.empty(n)
-    gamma = np.empty(n)
-    inductance = np.empty(n)
-    for k in range(n):
-        params = SnailParams(r=float(r_eff[k]), i_c=float(i_c_eff[k]), phi_ext=float(phi_ext[k]))
-        c = coefficients(params)
-        phi_star[k] = c.phi_star
-        beta[k] = c.beta
-        gamma[k] = c.gamma
-        inductance[k] = c.inductance
+    c = coefficients(SnailParams(r=r_eff, i_c=i_c_eff, phi_ext=phi_ext))
     return RealizedChain(
         config=config,
         esr=config.tan_delta / (TWO_PI * f_ref * config.c_g),
@@ -443,10 +430,10 @@ def build_chain(config: ChainConfig, flux: float, f_ref: float) -> RealizedChain
         r_eff=r_eff,
         i_c_eff=i_c_eff,
         phi_ext=phi_ext,
-        phi_star=phi_star,
-        beta=beta,
-        gamma=gamma,
-        inductance=inductance,
+        phi_star=c.phi_star,
+        beta=c.beta,
+        gamma=c.gamma,
+        inductance=c.inductance,
     )
 
 

@@ -44,7 +44,8 @@ MAX_PHI_EXT = TWO_PI * 1000.0
 
 @dataclass(frozen=True)
 class SnailParams:
-    """Physics of one SNAIL element.
+    """Physics of one SNAIL element, or of an array of them: each field is
+    a scalar or an array, and the fields broadcast against each other.
 
     r        : small-to-large junction size ratio, 0 < r < 1/3
     i_c      : large-junction critical current in A
@@ -59,21 +60,23 @@ class SnailParams:
     float64 (see the constant).
     """
 
-    r: float
-    i_c: float
-    phi_ext: float
+    r: float | np.ndarray
+    i_c: float | np.ndarray
+    phi_ext: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.r < 1.0 / 3.0:
-            raise ValueError(f"junction ratio r must be in (0, 1/3) for a single-valued SNAIL, got {self.r}")
-        if not self.i_c > 0.0:
-            raise ValueError(f"critical current must be positive, got {self.i_c}")
-        if not abs(self.phi_ext) <= MAX_PHI_EXT:
-            raise ValueError(f"phi_ext must be finite and within 2*pi*1000 (1000 flux quanta), got {self.phi_ext}")
+        r, i_c, phi_ext = np.broadcast_arrays(self.r, self.i_c, self.phi_ext)
+        for ok, value, message in (
+            ((0.0 < r) & (r < 1.0 / 3.0), r, "junction ratio r must be in (0, 1/3) for a single-valued SNAIL"),
+            (i_c > 0.0, i_c, "critical current must be positive"),
+            (np.abs(phi_ext) <= MAX_PHI_EXT, phi_ext, "phi_ext must be finite and within 2*pi*1000 (1000 flux quanta)"),
+        ):
+            if not ok.all():  # name the first value out of its bound
+                raise ValueError(f"{message}, got {value[~ok].flat[0]}")
 
     @classmethod
-    def from_flux(cls, r: float, i_c: float, flux: float) -> "SnailParams":
-        """Build from external flux given in Phi0 units."""
+    def from_flux(cls, r, i_c, flux) -> "SnailParams":
+        """Build from external flux given in Phi0 units (scalars or arrays)."""
         return cls(r=r, i_c=i_c, phi_ext=TWO_PI * flux)
 
 
@@ -117,7 +120,7 @@ def _current_derivative(phi, params: SnailParams):
     )
 
 
-def find_phi_star(params: SnailParams) -> float:
+def find_phi_star(params: SnailParams):
     """Zero-current phase on the branch continuously connected to
     phi_star = 0 at phi_ext = 0.
 
@@ -126,41 +129,41 @@ def find_phi_star(params: SnailParams) -> float:
     |phi_star - phi_ext| <= 3*arcsin(r); that root is the tracked branch,
     at every flux a SnailParams accepts (|phi_ext| <= ``MAX_PHI_EXT``).
     Newton iteration from phi_ext with bisection fallback on the bracket;
-    converges to |I(phi_star)| < 1e-12 * i_c.
+    converges to |I(phi_star)| < 1e-12 * i_c.  Array params are solved at
+    once, each element stopping at its own first iterate inside the
+    tolerance, so its bits do not depend on the others; scalar params give
+    a float.
 
-    Raises NoConvergence if the iteration budget (100) is exhausted.
+    Raises NoConvergence, naming the first unconverged element's r and
+    phi_ext, if the iteration budget (100) is exhausted.
     """
     tol = 1e-12 * params.i_c
     lo = params.phi_ext - 0.5 * math.pi
     hi = params.phi_ext + 0.5 * math.pi
     # I(lo) <= (r - 1/2) i_c < 0 < (1/2 - r) i_c <= I(hi) for r < 1/2
-    x = params.phi_ext
+    x = np.broadcast_arrays(np.asarray(params.phi_ext, dtype=float), params.r, params.i_c)[0]
     for _ in range(100):
-        f = float(snail_current(x, params))
-        if abs(f) < tol:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        fp = float(_current_derivative(x, params))
-        if fp > 0.0:
-            step = f / fp
-            x_new = x - step
-        else:
-            x_new = math.nan
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
+        f = snail_current(x, params)
+        todo = ~(np.abs(f) < tol)
+        if not todo.any():
+            return x if x.ndim else float(x)
+        hi = np.where(f > 0.0, x, hi)
+        lo = np.where(f > 0.0, lo, x)
+        fp = _current_derivative(x, params)
+        with np.errstate(over="ignore"):  # a step that overflows leaves the bracket and is bisected
+            x_new = x - f / np.where(fp > 0.0, fp, math.nan)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
+        x = np.where(todo, x_new, x)
+    r, phi_ext = (np.broadcast_to(v, x.shape)[todo][0] for v in (params.r, params.phi_ext))
     raise NoConvergence(
         f"phi_star search did not reach |I| < 1e-12*i_c within 100 iterations "
-        f"(r={params.r}, phi_ext={params.phi_ext})"
+        f"(r={r}, phi_ext={phi_ext})"
     )
 
 
 def coefficients(params: SnailParams) -> SnailCoefficients:
     """Linear and nonlinear Taylor coefficients at the working point
-    phi* = :func:`find_phi_star` (params).
+    phi* = :func:`find_phi_star` (params), elementwise for array params.
 
     alpha_tilde = r*cos(phi*) + cos((phi* - phi_ext)/3) / 3
     beta        = [r*sin(phi*) + sin((phi* - phi_ext)/3) / 9] / (2*alpha_tilde)
@@ -168,9 +171,11 @@ def coefficients(params: SnailParams) -> SnailCoefficients:
     """
     phi_star = find_phi_star(params)
     arg = (phi_star - params.phi_ext) / 3.0
-    alpha = params.r * math.cos(phi_star) + math.cos(arg) / 3.0
-    beta = 0.5 * (params.r * math.sin(phi_star) + math.sin(arg) / 9.0) / alpha
-    gamma = (params.r * math.cos(phi_star) + math.cos(arg) / 27.0) / (6.0 * alpha)
+    alpha = params.r * np.cos(phi_star) + np.cos(arg) / 3.0
+    beta = 0.5 * (params.r * np.sin(phi_star) + np.sin(arg) / 9.0) / alpha
+    gamma = (params.r * np.cos(phi_star) + np.cos(arg) / 27.0) / (6.0 * alpha)
+    if np.ndim(phi_star) == 0:  # scalar params give floats
+        alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     return SnailCoefficients(
         phi_star=phi_star, alpha_tilde=alpha, beta=beta, gamma=gamma, i_c=params.i_c
     )
@@ -180,14 +185,14 @@ def coefficients_vs_flux(r: float, flux: np.ndarray) -> dict:
     """:func:`coefficients` at each external flux (in Phi0 units).
 
     Returns arrays keyed by ``flux``, ``phi_star``, ``alpha_tilde``,
-    ``beta``, ``gamma``.  Each point is solved on its own, so its bits do
-    not depend on the rest of the grid.  It takes no critical current:
+    ``beta``, ``gamma``.  The points are solved at once, each stopping at
+    its own first iterate inside the tolerance, so its bits do not depend
+    on the rest of the grid.  It takes no critical current:
     i_c scales the current relation as a whole, so it cancels from every
     returned quantity up to the last bits, which follow the i_c = 1e-6 A
     used here (in 1 of 50 random grids a point differed in its last bits
     between i_c = 1e-6 and 2.19e-6 A).
     """
     flux = np.asarray(flux, dtype=float)
-    points = [coefficients(SnailParams.from_flux(r, 1e-6, float(f))) for f in flux.flat]
-    keys = ("phi_star", "alpha_tilde", "beta", "gamma")
-    return {"flux": flux} | {key: np.array([getattr(c, key) for c in points]) for key in keys}
+    c = coefficients(SnailParams.from_flux(r, 1e-6, flux))
+    return {"flux": flux} | {key: np.ravel(getattr(c, key)) for key in ("phi_star", "alpha_tilde", "beta", "gamma")}

@@ -85,6 +85,14 @@ def test_quantum_regime_warning():
         SntjModel(frequency=1e9, bandwidth=BW, t_electron=0.3, t_sys=4.0, g_sys=1e6)
 
 
+@pytest.mark.parametrize("field", ["frequency", "bandwidth", "t_electron", "t_sys", "g_sys"])
+def test_model_rejects_an_infinite_value_by_name(field):
+    # an infinite field would make sntj_noise_power return inf
+    args = dict(frequency=F_HALF, bandwidth=BW, t_electron=0.05, t_sys=4.0, g_sys=1e6) | {field: math.inf}
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got inf"):
+        SntjModel(**args)
+
+
 def bias_grid(n=2001, span=8.0):
     return np.linspace(-span * HF_E, span * HF_E, n)
 
@@ -182,11 +190,21 @@ def test_fit_requires_enough_points():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"max_iter": 0}, {"frequency": -F_HALF}, {"frequency": 0.0}, {"bandwidth": -BW}, {"bandwidth": math.nan}]
+    "bad",
+    [
+        {"max_iter": 0},
+        {"frequency": -F_HALF},
+        {"frequency": 0.0},
+        {"bandwidth": -BW},
+        {"bandwidth": math.nan},
+        {"frequency": math.inf},
+        {"bandwidth": math.inf},
+    ],
 )
 def test_fit_rejects_the_inputs_the_model_rejects(bad):
     # unchecked, max_iter 0 ends in UnboundLocalError, a negative frequency
-    # "fits" without a word and a negative bandwidth reads as ill-conditioned
+    # "fits" without a word, a negative bandwidth reads as ill-conditioned,
+    # and an infinite frequency or bandwidth too
     v = bias_grid(n=201)
     args = {"frequency": F_HALF, "bandwidth": BW, "max_iter": 500} | bad
     with pytest.raises(ValueError, match=next(iter(bad))):

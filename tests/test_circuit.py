@@ -30,6 +30,7 @@ from snailtwpa.circuit import (
     snap_drive,
     three_wave_drive,
 )
+from snailtwpa.snail import SnailParams, coefficients
 
 F_PUMP = 7.705e9
 
@@ -82,11 +83,37 @@ def test_disorder_draw_matches_documented_procedure():
     assert np.all(np.abs(chain.i_c_eff / cfg.i_c_nominal - 1.0) < 0.05)
 
 
+@pytest.mark.parametrize("disorder", [0.0, 0.05])
+@pytest.mark.parametrize("flux", [0.0, 0.5, 0.59, 0.684])
+def test_build_chain_is_each_cells_scalar_solve(flux, disorder):
+    # the chain's one array solve gives every cell the bits of its own
+    # scalar solve, signed zeros included (0.5 Phi0 puts phi_ext at +/-pi)
+    chain = build_chain(ChainConfig(n_cells=60, disorder_amplitude=disorder, rng_seed=4), flux, f_ref=F_PUMP)
+    cells = [
+        coefficients(SnailParams(float(r), float(i_c), float(phi_ext)))
+        for r, i_c, phi_ext in zip(chain.r_eff, chain.i_c_eff, chain.phi_ext)
+    ]
+    scalar = np.array([[c.phi_star, c.beta, c.gamma, c.inductance] for c in cells])
+    array = np.stack([chain.phi_star, chain.beta, chain.gamma, chain.inductance], axis=1)
+    np.testing.assert_array_equal(array.view(np.int64), scalar.view(np.int64))
+
+
+@pytest.mark.parametrize("flux", [math.nan, 1000.001, -1000.001])
+def test_build_chain_rejects_a_flux_beyond_the_snail_bound(flux):
+    with pytest.raises(ValueError, match="phi_ext must be finite and within"):
+        build_chain(ChainConfig(n_cells=4), flux, f_ref=F_PUMP)
+
+
 def test_flux_polarity_validation():
     with pytest.raises(ValueError):
         ChainConfig(n_cells=4, flux_polarity=(1, -1, 1))
     with pytest.raises(ValueError):
         ChainConfig(n_cells=4, flux_polarity=(1, -1, 2, -1))
+    # a sign is a number equal to +1 or -1: not rounded, not a bool or a string
+    for bad in ((1.5, -1), (-1.9, 1), ("1", -1), (None, 1), (True, -1), (np.True_, -1), (math.nan, 1)):
+        with pytest.raises(ValueError, match="flux_polarity must be n_cells entries of"):
+            ChainConfig(n_cells=2, flux_polarity=bad)
+    assert ChainConfig(n_cells=2, flux_polarity=(1.0, np.int64(-1))).flux_polarity == (1, -1)
     with pytest.raises(ValueError):
         ChainConfig(n_cells=4, disorder_amplitude=0.5)
     for bad in ({"n_cells": 4.5}, {"rng_seed": -1}, {"rng_seed": 1.5}):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snailtwpa import snail
 from snailtwpa.errors import NoConvergence
 from snailtwpa.snail import (
     SnailParams,
@@ -208,6 +209,43 @@ def test_sweep_point_is_its_own_solve(r, flux, data):
     np.testing.assert_array_equal(mirrored["beta"][::-1], -sweep["beta"])
     np.testing.assert_array_equal(mirrored["alpha_tilde"][::-1], sweep["alpha_tilde"])
     np.testing.assert_array_equal(mirrored["gamma"][::-1], sweep["gamma"])
+
+
+def test_array_params_give_each_element_its_scalar_solve():
+    # every element stops at its own first iterate inside the tolerance, so
+    # its bits are those of its scalar solve; scalar params give floats
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.001, 0.333, 2000)
+    flux = np.concatenate([rng.uniform(-3.0, 3.0, 1000), rng.uniform(-1000.0, 1000.0, 1000)])
+    i_c = rng.uniform(0.5e-6, 5e-6, 2000)
+    sweep = coefficients(SnailParams.from_flux(r, i_c, flux))
+    assert np.array_equal(find_phi_star(SnailParams.from_flux(r, i_c, flux)), sweep.phi_star)
+    for k in range(0, 2000, 7):
+        c = coefficients(SnailParams.from_flux(float(r[k]), float(i_c[k]), float(flux[k])))
+        assert all(type(v) is float for v in (c.phi_star, c.alpha_tilde, c.beta, c.gamma))
+        for key in ("phi_star", "alpha_tilde", "beta", "gamma", "inductance"):
+            assert np.float64(getattr(c, key)).view(np.int64) == getattr(sweep, key)[k].view(np.int64)
+
+
+def test_no_convergence_names_the_element_that_did_not_converge(monkeypatch):
+    # a current offset of 2 i_c has no zero, so the middle element never
+    # reaches the tolerance while the others converge
+    params = SnailParams(r=np.array([0.05, 0.07, 0.09]), i_c=I_C, phi_ext=np.array([0.3, -1.1, 2.0]))
+    current = snail.snail_current
+    monkeypatch.setattr(snail, "snail_current", lambda phi, p: current(phi, p) + np.array([0.0, 2.0 * I_C, 0.0]))
+    with pytest.raises(NoConvergence, match=r"within 100 iterations \(r=0\.07, phi_ext=-1\.1\)$"):
+        find_phi_star(params)
+
+
+def test_array_params_name_the_first_value_out_of_bound():
+    with pytest.raises(ValueError, match=r"r must be in \(0, 1/3\).*got 0\.4$"):
+        SnailParams(r=np.array([0.07, 0.4, 0.5]), i_c=I_C, phi_ext=0.0)
+    with pytest.raises(ValueError, match="critical current must be positive, got -1e-06$"):
+        SnailParams(r=R, i_c=np.array([I_C, -1e-6]), phi_ext=np.zeros(2))
+    with pytest.raises(ValueError, match="phi_ext must be finite.*got nan$"):
+        SnailParams.from_flux(R, I_C, np.array([0.1, math.nan, 2000.0]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        SnailParams(r=np.full(3, R), i_c=I_C, phi_ext=np.zeros(2))
 
 
 def test_params_validation():
