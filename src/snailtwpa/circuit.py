@@ -28,16 +28,26 @@ h = dt/(2 c_g) and g_sh = 1/(esr + h), and psi = phi + c_phase v_ser
 (c_phase = pi dt/Phi0), so that an iterate's junction phase is psi +
 c_phase v_ser and psi += 2 c_phase v_ser after the step.
 
-The residual is evaluated in float64.  The Jacobian takes the cosines of
-the junction angles in float32: it sets only the path of the iteration,
-not the point the residual converges to (Kelley, Newton's Method in Mixed
-Precision, SIAM Review 64, 191, 2022), and the float32 cosine is several
-times faster.  An iterate whose max |V| reaches FLT_MAX/(8 c_phase
-(n_total + 2)) has diverged, as one with a non-finite update has.  While
-every iterate stays below that bound, every angle of the run, psi
-included, stays below half the float32 range (the predictor at most
-triples the bound, and psi grows by at most 4 c_phase times it per step),
-so a diverging run ends in NewtonDivergence, not in an overflow.
+The junction current and the Jacobian take sin and cos of the junction
+angles x (phi and (phi - phi_ext)/3) from the tangent of the half angle,
+t = tan(x/2): with d = t t + 1, sin x = 2 t/d and cos x = 2/d - 1.  The
+step carries psi/2 and phi_ext/2, so the half angles come from the same
+four operations as the angles, each exactly half of its full-angle result
+(a scaling by a power of two), and the 2 of both identities sits in the
+weights; so everything is float64, and one tan, a multiply, an add and a
+divide give both the sines and the cosines.  That pays only where numpy
+dispatches float64 tan to its vectorised (SVML) loop: with numpy 2.4 on an
+AVX-512 x86-64 host that tan takes about 1.5-3 ns per element, and float64
+sin and cos, which numpy computes with libm there, 7-17 ns.  Elsewhere tan
+falls back to libm too, the step gains little or nothing, and the last
+bits of the traces (and of the transient goldens) follow that libm.  An
+iterate whose max |V| reaches FLT_MAX/(8 c_phase (n_total + 2)) has
+diverged, as one with a non-finite update has.  While every iterate stays
+below that bound, every angle of the run, psi included, stays below half
+the float32 range (the predictor at most triples the bound, and psi grows
+by at most 4 c_phase times it per step), far inside float64's, so every
+tan is finite and d >= 1: a diverging run ends in NewtonDivergence, not in
+a NaN or an overflow.
 
 A step has converged when its last update max |dV| is below tol =
 NEWTON_TOL + 1e-10 * max |V|.  Newton converges quadratically, |d2| ~
@@ -79,18 +89,20 @@ therefore bit-identical to running it alone.
 
 Below a few hundred cells a step's cost is the number of numpy calls, not
 their arithmetic, so the step loop makes few and cheap ones: per Newton
-iteration 20 to form the system, then the solve, the update and three for
+iteration 22 to form the system, then the solve, the update and three for
 the convergence check, and per step 10 for the predictor and the history
 sources.  Every scalar operand is a 0-d float64 array made once per batch
-(numpy converts a Python float operand on every call).  The junction
-phase phi and the inner-loop angle (phi - phi_ext)/3 are the two rows of
-one buffer, so one sin and one cos call fill [sin phi; sin arg; cos phi;
-cos arg], one multiply weights the four rows by [a1; a2; -c_phase a1;
--c_phase a2/3], and one add sums rows (0, 2) with rows (1, 3) into the
-junction current and minus its conductance.  The inert branches have zero
-weights and conductance, and the port conductances are part of the shunts
-of each member's end nodes, so the inert branch currents and the
-couplings between members come out zero with no call of their own.
+(numpy converts a Python float operand on every call).  The half angles
+phi/2 and arg/2 = (phi - phi_ext)/6 are the two rows of one buffer, so one
+tan, one multiply, one add and one divide fill [sin phi; sin arg; cos phi
++ 1; cos arg + 1] / 2, one multiply weights the four rows by [2 a1; 2 a2;
+-2 c_phase a1; -2 c_phase a2/3], and one add sums rows (0, 2) with rows
+(1, 3) into the junction current and minus its conductance less c_phase
+(a1 + a2/3), a constant that the Jacobian's series term takes back.  The
+inert branches have zero weights and conductance, and the port
+conductances are part of the shunts of each member's end nodes, so the
+inert branch currents and the couplings between members come out zero
+with no call of their own.
 
 A batch shares only the cell count and the time grid: each member's own
 c_j, c_g, z0 and ESR enter as its entries of the per-branch and per-node
@@ -367,7 +379,7 @@ def snap_drive(tones, window: float = 60e-9, settle_time: float = 10e-9, dt: flo
     return Drive(tones=tones, window=window, dt=dt, n_window=n_window, n_settle=n_settle)
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: equality and hash are identity
 class RealizedChain:
     """Chain with disorder applied: per-cell SNAIL parameters, the
     linearization at the flux working point, and the shunt ESR that every
@@ -556,7 +568,7 @@ def _lockstep(members) -> list:
     g_port = 1.0 / z0
     c_phase = math.pi * dt / PHI0  # trapezoidal phase increment per volt
     # an iterate with max |V| at or above this has diverged: below it, every
-    # junction angle of the run has a float32 cosine (module docstring)
+    # junction angle of the run is finite, and so is its tan (module docstring)
     v_limit = float(np.finfo(np.float32).max) / (8.0 * c_phase * (n_total + 2))
 
     # The batch is one ladder of nb*m nodes: node b*m + k is node k of
@@ -573,12 +585,14 @@ def _lockstep(members) -> list:
 
     a1 = stacked([chain.r_eff * chain.i_c_eff for chain in chains])
     a2 = stacked([chain.i_c_eff for chain in chains])
-    # of [sin phi; sin arg; cos phi; cos arg]: the row sums are the junction
-    # current and minus its conductance d(current)/dV
-    weights = np.stack([a1, a2, -c_phase * a1, -c_phase * a2 / 3.0])
-    phi_ext = stacked([chain.phi_ext for chain in chains])
-    psi = stacked([chain.phi_star for chain in chains])  # phi + c_phase * v_ser (module docstring)
+    # of _half_angle_trig's [sin phi; sin arg; cos phi + 1; cos arg + 1] / 2:
+    # the row sums are the junction current and minus its conductance
+    # d(current)/dV less c_phase (a1 + a2/3), which g_jacobian takes back
+    weights = np.stack([2.0 * a1, 2.0 * a2, -2.0 * c_phase * a1, -2.0 * c_phase * a2 / 3.0])
+    half_phi_ext = 0.5 * stacked([chain.phi_ext for chain in chains])
+    half_psi = 0.5 * stacked([chain.phi_star for chain in chains])  # psi/2 (module docstring)
     g_series = stacked(g_cj[:, None])
+    g_jacobian = g_series - c_phase * (a1 + a2 / 3.0)
     g_shunt = np.repeat(g_sh, m)
     g_shunt[::m] = g_port  # node 0: the source's port, and no c_g
     g_shunt[n::m] += g_port  # node n: the load's port too
@@ -603,12 +617,14 @@ def _lockstep(members) -> list:
     v_ser_head = v_ser[:-1]
     hist_cj, hist_sh = np.zeros((2, size))  # trapezoidal history sources
     scratch = np.empty(size)
-    # phi and arg are the rows of one pair, so that one sin and one cos
-    # call fill trig = [sin phi; sin arg; cos phi; cos arg]
-    angles = np.empty((2, size))
-    phi, arg = angles
+    # phi/2 and arg/2 are the rows of one pair, so that one pass of
+    # _half_angle_trig fills trig = [sin phi; sin arg; cos phi + 1; cos arg + 1] / 2
+    halves = np.empty((2, size))
+    half_phi, half_arg = halves
+    tangents = np.ones((2, 2, size))  # [tan of halves; 1]
+    denominators = np.empty((2, size))
     trig = np.empty((4, size))
-    trig_sin, trig_cos, trig_phi, trig_arg = trig[:2], trig[2:], trig[::2], trig[1::2]
+    trig_pairs, trig_phi, trig_arg = trig.reshape(2, 2, size), trig[::2], trig[1::2]
     i_junction, neg_g_junction = trig_phi
     abs_pair = np.empty((2, nb, m))
     maxima = np.empty((2, nb))
@@ -623,7 +639,7 @@ def _lockstep(members) -> list:
 
     record = np.empty((n_total, nb, 2))  # [step, b, 0] input node, [step, b, 1] output node
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    sin, cos, absolute, max_reduce, float32 = np.sin, np.cos, np.absolute, np.maximum.reduce, np.float32
+    absolute, max_reduce = np.absolute, np.maximum.reduce
     dgtsv = _lapack().dgtsv
     all_members = list(range(nb))
     active = np.ones((nb, 1), dtype=bool)
@@ -634,7 +650,7 @@ def _lockstep(members) -> list:
     contraction = [math.inf] * nb
     # every scalar operand of the loop is a 0-d float64 array, made once:
     # numpy converts a Python float operand on every call (to the same value)
-    c_phase, two_c_phase, two, three = map(np.array, (c_phase, 2.0 * c_phase, 2.0, 3.0))
+    half_c_phase, c_phase, two, three = map(np.array, (0.5 * c_phase, c_phase, 2.0, 3.0))
     neg_two_g_series, neg_g_shunt = -2.0 * g_series, -g_shunt
 
     for step in range(n_total):
@@ -648,18 +664,17 @@ def _lockstep(members) -> list:
         predict = step % (NEWTON_REFRESH + 1)  # 0: every member re-measures
         for it in range(MAX_NEWTON_ITER):
             subtract(v_lo, v_hi, v_ser_head)
-            multiply(v_ser, c_phase, phi)
-            add(phi, psi, phi)
-            subtract(phi, phi_ext, arg)
-            divide(arg, three, arg)
-            sin(angles, trig_sin)
-            cos(angles, trig_cos, dtype=float32)  # only the Jacobian reads it
+            multiply(v_ser, half_c_phase, half_phi)
+            add(half_phi, half_psi, half_phi)
+            subtract(half_phi, half_phi_ext, half_arg)
+            divide(half_arg, three, half_arg)
+            _half_angle_trig(halves, tangents, denominators, trig_pairs)
             multiply(weights, trig, trig)
             add(trig_phi, trig_arg, trig_phi)
             multiply(v_ser, g_series, scratch)
             add(i_junction, scratch, i_junction)
             add(i_junction, hist_cj, ib)
-            subtract(neg_g_junction, g_series, cb)
+            subtract(neg_g_junction, g_jacobian, cb)
 
             # right-hand side -residual, negated term by term (exact)
             multiply(v, neg_g_shunt, rhs)
@@ -727,8 +742,8 @@ def _lockstep(members) -> list:
         subtract(v_lo, v_hi, v_ser_head)
         multiply(v_ser, neg_two_g_series, scratch)
         subtract(scratch, hist_cj, hist_cj)
-        multiply(v_ser, two_c_phase, scratch)
-        add(psi, scratch, psi)
+        multiply(v_ser, c_phase, scratch)
+        add(half_psi, scratch, half_psi)
         multiply(hist_sh, alpha, hist_sh)
         multiply(v, beta, scratch)
         add(hist_sh, scratch, hist_sh)
@@ -737,6 +752,22 @@ def _lockstep(members) -> list:
         TimeTrace(dt=dt, samples=record[:, b, 1], input_samples=record[:, b, 0], z0=chain.config.z0)
         for b, chain in enumerate(chains)
     ]
+
+
+_ONE = np.ones(())  # a 0-d operand: numpy converts a Python float on every call
+
+
+def _half_angle_trig(halves, tangents, denominators, out) -> None:
+    """``out = [sin x; cos x + 1] / 2`` of the angles ``x = 2 * halves``, as
+    ``[t; 1] / d`` with ``t = tan(halves)`` and ``d = t t + 1``: one float64
+    tan, whose vectorised loop is several times faster than numpy's sin or
+    cos where numpy dispatches it (module docstring).  ``tangents`` has the
+    shape (2,) + halves.shape and ``tangents[1]`` holds ones; ``denominators``
+    has the shape of ``halves``; ``out`` has the shape of ``tangents``."""
+    np.tan(halves, tangents[0])
+    np.multiply(tangents[0], tangents[0], denominators)
+    np.add(denominators, _ONE, denominators)
+    np.divide(tangents, denominators, out)
 
 
 def extract_spectrum(trace: TimeTrace, drive: Drive) -> Spectrum:

@@ -144,9 +144,22 @@ def estimate_covariance(batch: QuadratureBatch) -> CovMatrix:
     standard error uses the Gaussian-moments formula
     Var(sigma_ij) = (sigma_ii*sigma_jj + sigma_ij^2) / (n_rep - 1).
     """
-    sigma = 4.0 * np.cov(batch.records, rowvar=False, ddof=1)
+    return _covariance(np.array(batch.records))  # a copy, as np.cov makes
+
+
+def _covariance(records: np.ndarray) -> CovMatrix:
+    """:func:`estimate_covariance` of (n_rep, k) records that the caller
+    hands over: they are centred in place.  The entries are
+    ``4 * np.cov(records, rowvar=False, ddof=1)`` by np.cov's own operations
+    on its copy, so they have its bits."""
+    dof = len(records) - 1
+    x = records.T
+    x -= x.mean(axis=1)[:, None]
+    sigma = np.dot(x, x.T)
+    sigma *= 1.0 / dof
+    sigma *= 4.0
     diag = np.diag(sigma)
-    var_entries = (np.outer(diag, diag) + sigma**2) / (batch.n_rep - 1)
+    var_entries = (np.outer(diag, diag) + sigma**2) / dof
     return CovMatrix(entries=sigma, uncertainty=np.sqrt(var_entries))
 
 
@@ -255,11 +268,17 @@ def logarithmic_negativity(sigma: CovMatrix):
     return float(e_n), nu_minus
 
 
+# Rows per chunk of a sample_gaussian draw: the chunk's normal draws live in
+# one small buffer, not in a second array of the records' size.
+_DRAW_CHUNK = 65_536
+
+
 def sample_gaussian(
     target,
     n_rep: int = 10_000,
     seed=0,
     pump_state: str = "OFF",
+    out: np.ndarray | None = None,
 ) -> QuadratureBatch:
     """Draw a synthetic quadrature batch with covariance ``target``.
 
@@ -267,7 +286,13 @@ def sample_gaussian(
     quadrature records are drawn from N(0, target/4) so that
     :func:`estimate_covariance` recovers ``target``.  Cholesky
     factorization with a symmetric-eigendecomposition fallback for
-    semidefinite targets; deterministic for a given seed.
+    semidefinite targets; deterministic for a given seed.  The records are
+    ``default_rng(seed).standard_normal((n_rep, dim)) @ F.T`` (F F^T =
+    target/4), drawn and multiplied ``_DRAW_CHUNK`` rows at a time through
+    one small buffer: the generator fills the rows in order and each row's
+    product reads only its own draws, so the bits are those of one draw.
+    They go into ``out``, a C-contiguous (n_rep, dim) float64 array, which
+    the batch then holds, or into a new array.
     """
     matrix = np.asarray(target, float)
     dim = matrix.shape[0]
@@ -280,9 +305,14 @@ def sample_gaussian(
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(raw_cov)
         factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    records = np.empty((n_rep, dim)) if out is None else out
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(size=(n_rep, dim))
-    records = z @ factor.T
+    z = np.empty((min(_DRAW_CHUNK, n_rep), dim))
+    for start in range(0, n_rep, _DRAW_CHUNK):
+        rows = records[start : start + _DRAW_CHUNK]
+        chunk = z[: len(rows)]
+        rng.standard_normal(out=chunk)
+        np.matmul(chunk, factor.T, out=rows)
     return QuadratureBatch(records=records, pump_state=pump_state)
 
 
@@ -340,16 +370,24 @@ def measure_states(pairs, n_rep: int, seed: int, gain_uncertainty_db: float | No
     """The background-subtracted covariance of each (ON, OFF) pair, from
     ``n_rep`` synthetic records of each state.  Point ``idx`` draws ON, then
     OFF, from spawn key ``(idx,)`` of ``seed``, so the points run at once
-    (:mod:`snailtwpa.parallel`) with the same bits for any number of CPUs."""
+    (:mod:`snailtwpa.parallel`) with the same bits for any number of CPUs.
+    A part draws the records of its points, ON and then OFF, into one
+    buffer in turn, and centres them there for their covariance: the bits of
+    ``estimate_covariance(sample_gaussian(...))``, without its copy."""
 
-    def point(idx):
-        on_true, off_true = pairs[idx]
-        on_seed, off_seed = np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).spawn(2)
-        on = estimate_covariance(sample_gaussian(on_true, n_rep=n_rep, seed=on_seed, pump_state="ON"))
-        off = estimate_covariance(sample_gaussian(off_true, n_rep=n_rep, seed=off_seed, pump_state="OFF"))
-        return subtract_background(on, off, gain_uncertainty_db=gain_uncertainty_db)
+    def part(indices):
+        buffer = np.empty(n_rep * max(len(target) for idx in indices for target in pairs[idx]))
+        psis = []
+        for idx in indices:
+            seeds = np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).spawn(2)
+            sigmas = []
+            for target, state, state_seed in zip(pairs[idx], ("ON", "OFF"), seeds):
+                records = buffer[: n_rep * len(target)].reshape(n_rep, len(target))
+                sigmas.append(_covariance(sample_gaussian(target, n_rep, state_seed, state, out=records).records))
+            psis.append(subtract_background(*sigmas, gain_uncertainty_db=gain_uncertainty_db))
+        return psis
 
-    parts = parallel.map_parts(lambda part: [point(i) for i in part], range(len(pairs)))
+    parts = parallel.map_parts(part, range(len(pairs)))
     return [psi for part in parts for psi in part]
 
 

@@ -42,7 +42,7 @@ TWO_PI = 2.0 * math.pi
 MAX_PHI_EXT = TWO_PI * 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class SnailParams:
     """Physics of one SNAIL element, or of an array of them: each field is
     a scalar or an array, and the fields broadcast against each other.
@@ -80,7 +80,7 @@ class SnailParams:
         return cls(r=r, i_c=i_c, phi_ext=TWO_PI * flux)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash are identity
 class SnailCoefficients:
     """Taylor coefficients of the current-phase relation about phi_star.
 

@@ -66,6 +66,16 @@ def test_same_seed_identical_chain():
     np.testing.assert_array_equal(a.junction_factors, b.junction_factors)
 
 
+def test_realized_chain_compares_and_hashes_by_identity():
+    # its fields are arrays, which have no truth value: == and hash() must not raise
+    cfg = ChainConfig(n_cells=12, disorder_amplitude=0.05, rng_seed=17)
+    a = build_chain(cfg, 0.45, f_ref=F_PUMP)
+    b = build_chain(cfg, 0.45, f_ref=F_PUMP)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_disorder_draw_matches_documented_procedure():
     # independent re-implementation of the seeded generator: default_rng,
     # uniform on [1-a, 1+a], shape (n_cells, 4), three large draws reduced
@@ -305,6 +315,22 @@ def test_linear_regime_against_frequency_domain_oracle():
     fund_dbm = spec.power_dbm_at(f0)
     for harmonic in (2 * f0, 3 * f0):
         assert spec.power_dbm_at(harmonic) - fund_dbm < -100.0
+
+
+def test_three_wave_idler_scales_with_signal_and_pump_amplitude():
+    # the nonlinear regime, independent of the goldens: at weak drive the
+    # 3WM idler is a second-order product, amplitude ~ I_pump * I_signal, so
+    # doubling either current raises it by 20 log10 2 dB.  Measured: 6.030
+    # (signal) and 6.009 dB (pump), against 6.021 dB
+    cfg = small_config(n=20, flux_polarity=(1,) * 20)
+    chain = build_chain(cfg, 0.59, f_ref=F_PUMP)
+    currents = [(0.05e-6, 1.1e-9), (0.05e-6, 2.2e-9), (0.1e-6, 1.1e-9)]
+    drives = [three_wave_drive(F_PUMP, p, s, window=8e-9, settle_time=8e-9) for p, s in currents]
+    base, signal_doubled, pump_doubled = read_levels(
+        [(chain, drive, idler_frequencies(drive)["three_wave"]) for drive in drives]
+    )
+    assert signal_doubled - base == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
+    assert pump_doubled - base == pytest.approx(20.0 * math.log10(2.0), abs=0.05)
 
 
 def test_lossy_linear_regime_against_frequency_domain_oracle():
@@ -781,8 +807,8 @@ def test_solver_failure_messages_in_a_batch(forks, monkeypatch, cpus, fault, mes
     # a failed solve names the step, the node (1-based LAPACK info, counted
     # within the member) and the member, as the serial run of that member
     # does, whether it ran in a batch of two (1 CPU) or in the child (2 CPUs);
-    # an update too large for the next float32 cosine is a diverged step,
-    # not a RuntimeWarning
+    # an update at or beyond the divergence bound is a diverged step, not a
+    # RuntimeWarning
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = small_config()
     chain = build_chain(cfg, 0.0, f_ref=F_PUMP)
@@ -859,8 +885,9 @@ def test_a_batch_takes_the_solves_of_one_member_per_step(monkeypatch, batches):
 
 def test_solve_count_at_far_flux(monkeypatch):
     # near snail.MAX_PHI_EXT the junction angles are about 6.3e3 rad, where
-    # a float32 ulp is 4.9e-4 rad; the single-precision Jacobian still
-    # takes each step to tol in as many solves, within 1 %, as at 0.59 Phi0
+    # a float64 ulp is 9.1e-13 rad; sin and cos from the tan of their half
+    # angles still take each step to tol in as many solves, within 1 %, as
+    # at 0.59 Phi0
     config = ChainConfig(n_cells=40, rng_seed=1)
     drive = three_wave_drive(F_PUMP, 0.8e-6, window=2e-9, settle_time=1e-9)
     real = circuit._lapack().dgtsv
@@ -872,6 +899,35 @@ def test_solve_count_at_far_flux(monkeypatch):
         per_step[flux] = counter.seen / drive.n_total
     assert per_step[999.59] == pytest.approx(per_step[0.59], rel=1e-2)
     assert per_step[-999.41] == pytest.approx(per_step[0.59], rel=1e-2)
+
+
+def half_angle_sin_cos(x):
+    """sin x and cos x as the transient step forms them, from
+    circuit._half_angle_trig of x/2: 2 t/d and 2/d - 1."""
+    half = 0.5 * np.asarray(x, dtype=float)
+    tangents = np.ones((2,) + half.shape)
+    out = np.empty_like(tangents)
+    circuit._half_angle_trig(half, tangents, np.empty(half.shape), out)
+    return 2.0 * out[0], 2.0 * out[1] - 1.0
+
+
+@pytest.mark.parametrize("span", [7.0, 6.3e3])
+def test_half_angle_sin_cos_agree_with_numpy(span):
+    # [-7, 7] rad holds the angles of a chain near its working point, and
+    # +/- 6.3e3 rad those near snail.MAX_PHI_EXT (test_solve_count_at_far_flux);
+    # on 2e6 draws per span the largest errors were 1 ulp of 1 (sin) and 1.5 (cos)
+    x = np.random.default_rng(7).uniform(-span, span, 200_000)
+    s, c = half_angle_sin_cos(x)
+    eps = np.finfo(float).eps
+    assert np.abs(s - np.sin(x)).max() <= 2.0 * eps
+    assert np.abs(c - np.cos(x)).max() <= 2.0 * eps
+
+
+def test_half_angle_sin_cos_are_exact_at_special_angles():
+    x = np.array([0.0, -0.0, math.pi, -math.pi, 1e-300])
+    s, c = half_angle_sin_cos(x)
+    assert s.tobytes() == np.sin(x).tobytes()  # the sign of -0.0 too
+    assert c.tobytes() == np.cos(x).tobytes()
 
 
 CIRCUITS = st.tuples(  # c_j, c_g, z0, tan_delta

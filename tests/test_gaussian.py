@@ -84,6 +84,18 @@ def test_round_trip_known_4x4():
     assert np.all(np.abs(sigma.entries - target) < 4.0 * sigma.uncertainty + 1e-12)
 
 
+@pytest.mark.parametrize("target", [np.diag([0.5, 2.0]) + 0.3, tmsv(0.4, n_thermal=0.3)], ids=["2-column", "4-column"])
+def test_covariance_is_numpy_cov_bit_for_bit(target):
+    # the covariance that centres its records in place has np.cov's bits,
+    # and estimate_covariance leaves the batch's records as they were
+    batch = sample_gaussian(target, n_rep=100_001, seed=4)
+    records = batch.records.copy()
+    expected = 4.0 * np.cov(records, rowvar=False, ddof=1)
+    assert estimate_covariance(batch).entries.tobytes() == expected.tobytes()
+    assert batch.records.tobytes() == records.tobytes()
+    assert gaussian._covariance(records).entries.tobytes() == expected.tobytes()
+
+
 def test_rejects_degenerate_and_misshapen_batches():
     with pytest.raises(DegenerateBatch):
         QuadratureBatch(records=np.zeros((1, 2)))
@@ -226,6 +238,19 @@ def test_sampler_vacuum_variance():
     se = 0.25 * math.sqrt(2.0 / (batch.n_rep - 1))
     for col in range(2):
         assert np.var(batch.records[:, col], ddof=1) == pytest.approx(0.25, abs=3 * se)
+
+
+@pytest.mark.parametrize("target", [np.diag([0.5, 2.0]) + 0.3, tmsv(0.4, n_thermal=0.3)], ids=["2-column", "4-column"])
+def test_sampler_draws_in_chunks_with_the_bits_of_one_draw(monkeypatch, target):
+    # 2,500 rows in chunks of 1,000, the last one short, into a new array or
+    # into a given one: the records of one standard-normal draw times F^T
+    monkeypatch.setattr(gaussian, "_DRAW_CHUNK", 1000)
+    factor = np.linalg.cholesky(target / 4.0)
+    expected = np.random.default_rng(6).standard_normal((2500, len(target))) @ factor.T
+    assert sample_gaussian(target, n_rep=2500, seed=6).records.tobytes() == expected.tobytes()
+    out = np.empty((2500, len(target)))
+    assert sample_gaussian(target, n_rep=2500, seed=6, out=out).records is out
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_sampler_rejects_non_psd():

@@ -262,3 +262,14 @@ def test_params_validation():
     for flux in (1000.001, -1e12):
         with pytest.raises(ValueError, match="phi_ext"):
             SnailParams.from_flux(R, I_C, flux)
+
+
+def test_array_params_and_coefficients_compare_and_hash_by_identity():
+    # array fields have no truth value, so these classes compare and hash
+    # by identity: == and hash() must not raise
+    params = SnailParams(np.array([0.07, 0.08]), 1e-6, 0.0)
+    twin = SnailParams(np.array([0.07, 0.08]), 1e-6, 0.0)
+    for a, b in ((params, twin), (coefficients(params), coefficients(twin))):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
