@@ -25,6 +25,9 @@ drifted by the fraction d: sigma_on = psi - 1 + sigma_off * (1 + d)^2.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,6 +394,12 @@ def measure_states(pairs, n_rep: int, seed: int, gain_uncertainty_db: float | No
     return [psi for part in parts for psi in part]
 
 
+# A quadrature-CSV part formats this many repetitions at a time, and splits
+# this many characters of its range into lines at a time, so it holds the
+# text and the lines of one chunk, not of its whole range.
+_WRITE_CHUNK = 4096
+_READ_CHUNK = 1 << 18
+
 # One data row of the quadrature CSV.  The text fields are one character
 # wider than the longest valid value, so a longer value cannot be cut down
 # to a valid one.
@@ -433,11 +442,14 @@ def write_quadrature_csv(path, batches) -> None:
 
     The rows are formatted in parts: :mod:`snailtwpa.parallel` cuts the
     repetitions of all the batches, counted end to end, into contiguous
-    ranges that run at once in this process and in forked children.  The
-    file is opened only once every part's text is back, and is written as
-    the header followed by the parts in order, so its bytes do not depend
-    on the number of parts; a part that fails raises before the file is
-    created or truncated.
+    ranges that run at once in this process and in forked children.  Each
+    part formats its range ``_WRITE_CHUNK`` repetitions at a time into its
+    own part file, in a temporary directory that this process makes next to
+    the file and always removes, and hands back only the part file's name.
+    The file is opened only once every part is back, and is written as the
+    header followed by the part files in order, so its bytes do not depend
+    on the number of parts or on the chunk size; a part that fails raises
+    before the file is created or truncated.
     """
     if not batches:
         raise ValueError("no batches to write: a quadrature CSV holds at least one batch")
@@ -452,10 +464,24 @@ def write_quadrature_csv(path, batches) -> None:
         f"# modes={','.join(labels)}\n"
         "rep_index,mode,x,p,pump_state\n"
     )
-    texts = parallel.map_parts(lambda reps: _csv_text(batches, reps), range(sum(b.n_rep for b in batches)))
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.writelines(texts)
+    folder = tempfile.mkdtemp(prefix=".quadrature-parts-", dir=os.path.dirname(os.path.abspath(path)))
+
+    def part(reps):
+        name = os.path.join(folder, f"{reps.start}.csv")
+        with open(name, "w") as fh:
+            for start in range(0, len(reps), _WRITE_CHUNK):
+                fh.write(_csv_text(batches, reps[start : start + _WRITE_CHUNK]))
+        return name
+
+    try:
+        names = parallel.map_parts(part, range(sum(b.n_rep for b in batches)))
+        with open(path, "w") as fh:
+            fh.write(header)
+            for name in names:
+                with open(name) as part_file:
+                    shutil.copyfileobj(part_file, fh)
+    finally:
+        shutil.rmtree(folder)
 
 
 def _first_bad_row(lines: list) -> tuple:
@@ -501,7 +527,7 @@ def _check_repetitions(reps, where, n_rep: int, at: list, state: str, label: str
 
 def _parse_lines(text: str, span: range) -> tuple:
     """Parse the lines of ``text`` that start inside ``span``, a range of
-    positions in it.
+    positions in it, ``_READ_CHUNK`` characters of whole lines at a time.
 
     Returns (rows, at, normalized): the data rows as ``_ROW``, an unknown
     mode or pump state read as -1, their 0-based line numbers in ``text``,
@@ -509,31 +535,40 @@ def _parse_lines(text: str, span: range) -> tuple:
     without one).  The first row ``np.loadtxt`` rejects raises ValueError
     naming its line; no value is checked here.
     """
-    # the first line start at or after a position: 0, or just after a newline
-    start, stop = (i and (text.find("\n", i - 1) + 1 or len(text)) for i in (span.start, span.stop))
-    first = text.count("\n", 0, start)
-    lines = list(map(str.strip, text[start:stop].split("\n")))
-    notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
-    normalized = notes[-1].split("normalized=")[1].strip() == "true" if notes else None
-    data = [n for n, line in enumerate(lines) if line and not line.startswith(("#", "rep_index"))]
-    body = [lines[n] for n in data]
-    at = first + np.array(data, dtype=np.int64)
-    rows = np.zeros(len(body), dtype=_ROW)
-    if not body:
-        return rows, at, normalized
-    try:
-        text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        n, why = _first_bad_row(body)
-        raise ValueError(f"line {at[n] + 1}: {why}") from None
-    rows["mode"] = rows["pump"] = -1
-    for code, label in enumerate(TWO_MODE):
-        rows["mode"][text_rows["mode"] == label] = code
-    for code, state in enumerate(_PUMP_STATES):
-        rows["pump"][text_rows["pump"] == state] = code
-    for field in ("rep", "x", "p"):
-        rows[field] = text_rows[field]
-    return rows, at, normalized
+
+    def line_start(i):  # the first line start at or after position i: 0, or just after a newline
+        return i and (text.find("\n", i - 1) + 1 or len(text))
+
+    start, stop = line_start(span.start), line_start(span.stop)
+    first = text.count("\n", 0, start)  # the line number of the chunk's first line
+    rows, at, normalized = [np.zeros(0, dtype=_ROW)], [np.zeros(0, dtype=np.int64)], None
+    while start < stop:
+        end = min(line_start(start + _READ_CHUNK), stop)
+        lines = list(map(str.strip, text[start:end].split("\n")))
+        notes = [line for line in lines if line.startswith("#") and "normalized=" in line]
+        if notes:
+            normalized = notes[-1].split("normalized=")[1].strip() == "true"
+        data = [n for n, line in enumerate(lines) if line and not line.startswith(("#", "rep_index"))]
+        body = [lines[n] for n in data]
+        at.append(first + np.array(data, dtype=np.int64))
+        first, start = first + len(lines) - 1, end
+        if not body:
+            continue
+        try:
+            text_rows = np.loadtxt(body, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            n, why = _first_bad_row(body)
+            raise ValueError(f"line {at[-1][n] + 1}: {why}") from None
+        chunk = np.zeros(len(body), dtype=_ROW)
+        chunk["mode"] = chunk["pump"] = -1
+        for code, label in enumerate(TWO_MODE):
+            chunk["mode"][text_rows["mode"] == label] = code
+        for code, state in enumerate(_PUMP_STATES):
+            chunk["pump"][text_rows["pump"] == state] = code
+        for field in ("rep", "x", "p"):
+            chunk[field] = text_rows[field]
+        rows.append(chunk)
+    return np.concatenate(rows), np.concatenate(at), normalized
 
 
 def read_quadrature_csv(path) -> dict:
@@ -555,7 +590,8 @@ def read_quadrature_csv(path) -> dict:
 
     The file is read once, and :mod:`snailtwpa.parallel` cuts the positions
     of its text into ranges that run at once in this process and in forked
-    children.  Each part parses the lines that start in its range, handing
+    children.  Each part parses the lines that start in its range,
+    ``_READ_CHUNK`` characters of whole lines at a time, handing
     back their rows, their line numbers and their last ``normalized=``
     comment; a row that does not parse raises in its part, and the earliest
     part's error is the one raised.  Every check on the values then runs

@@ -9,7 +9,10 @@ the number of CPUs this process may run on (``os.sched_getaffinity``), and
 returns ``fn(part)`` for each part, in order.  It runs the first part in
 this process; a child made by ``os.fork`` runs each other part at the same
 time, sends back only what its part returned, pickled over a pipe, and
-leaves by ``os._exit``.  A fork that fails raises SnailTwpaError naming its
+leaves by ``os._exit``.  A part whose output is large need not return it:
+the quadrature-CSV writer's parts write theirs to part files, in a
+temporary directory that the caller makes and removes, and return only
+their names.  A fork that fails raises SnailTwpaError naming its
 errno, after the children already made are stopped.  A caller's ``fn`` does
 the same arithmetic for an item whatever part holds it, so the results do
 not depend on P.  The work stays in this process when P is 1, when there is

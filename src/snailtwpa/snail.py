@@ -48,7 +48,7 @@ class SnailParams:
     a scalar or an array, and the fields broadcast against each other.
 
     r        : small-to-large junction size ratio, 0 < r < 1/3
-    i_c      : large-junction critical current in A
+    i_c      : large-junction critical current in A, positive and finite
     phi_ext  : reduced external flux 2*pi*Phi_ext/Phi0, in radians
 
     The bound on r keeps the SNAIL single-valued: for r < 1/3 its
@@ -68,7 +68,7 @@ class SnailParams:
         r, i_c, phi_ext = np.broadcast_arrays(self.r, self.i_c, self.phi_ext)
         for ok, value, message in (
             ((0.0 < r) & (r < 1.0 / 3.0), r, "junction ratio r must be in (0, 1/3) for a single-valued SNAIL"),
-            (i_c > 0.0, i_c, "critical current must be positive"),
+            ((0.0 < i_c) & (i_c < np.inf), i_c, "critical current must be positive and finite"),
             (np.abs(phi_ext) <= MAX_PHI_EXT, phi_ext, "phi_ext must be finite and within 2*pi*1000 (1000 flux quanta)"),
         ):
             if not ok.all():  # name the first value out of its bound

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -582,38 +583,74 @@ def test_quadrature_csv_parts_write_one_cpu_bytes(tmp_path, forks, monkeypatch, 
     # the repetitions of all the batches are cut once: 7 do not divide
     # into 2 or 3 parts, and the mixed layout's 14 in 3 parts put one part
     # across both batches; 2 are fewer than 3 CPUs, and no part may be
-    # empty, so one batch of them is cut in 2
+    # empty, so one batch of them is cut in 2.  Chunks of 1 and 3
+    # repetitions end inside a part, and in the mixed layout a chunk of 3
+    # holds rows of both batches.
     batches = _layouts(n_rep)[layout]
-    written = {}
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        before = len(forks)
-        write_quadrature_csv(tmp_path / f"{cpus}.csv", batches)
-        written[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
-        assert len(forks) - before == min(cpus, sum(b.n_rep for b in batches)) - 1
     reference_write(tmp_path / "ref.csv", batches)
-    assert written[1] == (tmp_path / "ref.csv").read_bytes()
-    assert written[2] == written[1] and written[3] == written[1]
+    for chunk in (1, 3, gaussian._WRITE_CHUNK):
+        monkeypatch.setattr(gaussian, "_WRITE_CHUNK", chunk)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            before = len(forks)
+            write_quadrature_csv(tmp_path / "quad.csv", batches)
+            assert len(forks) - before == min(cpus, sum(b.n_rep for b in batches)) - 1
+            assert (tmp_path / "quad.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            # no part file or temporary directory is left
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["quad.csv", "ref.csv"]
 
 
-@pytest.mark.parametrize("fate", ["exit", "raise"])
+@pytest.mark.parametrize("fate", ["exit", "raise", "parent"])
 def test_quadrature_csv_part_that_fails_leaves_no_file(tmp_path, forks, monkeypatch, fate):
+    # each part fails on its second chunk of one repetition, after its part
+    # file is made: in the child (by os._exit or by raising) or in this
+    # process; the target's directory is left empty, with no target, no
+    # part file and no temporary directory
     parent = os.getpid()
     csv_text = gaussian._csv_text
+    calls = []
 
-    def failing_in_child(*args):
-        if os.getpid() != parent:
+    def failing_on_the_second_chunk(*args):
+        calls.append(os.getpid())
+        if calls.count(os.getpid()) == 2 and (os.getpid() == parent) == (fate == "parent"):
             if fate == "exit":
                 os._exit(3)
-            raise RuntimeError("lost in the child")
+            raise RuntimeError(f"lost in the {'parent' if fate == 'parent' else 'child'}")
         return csv_text(*args)
 
-    monkeypatch.setattr(gaussian, "_csv_text", failing_in_child)
-    expected = (SnailTwpaError, "exited with status 3") if fate == "exit" else (RuntimeError, "lost in the child")
+    monkeypatch.setattr(gaussian, "_csv_text", failing_on_the_second_chunk)
+    monkeypatch.setattr(gaussian, "_WRITE_CHUNK", 1)
+    expected = {
+        "exit": (SnailTwpaError, "exited with status 3"),
+        "raise": (RuntimeError, "^lost in the child$"),
+        "parent": (RuntimeError, "^lost in the parent$"),
+    }[fate]
     with pytest.raises(expected[0], match=expected[1]):
         write_quadrature_csv(tmp_path / "quad.csv", _layouts(4)["two-mode"])
     assert len(forks) == 1
-    assert not (tmp_path / "quad.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quadrature_csv_write_and_read_hold_a_fraction_of_the_file(tmp_path, monkeypatch):
+    # In one process, 2e4 two-mode records (a 2.2 MB file) peaked at 0.89
+    # times the file's size to write and 3.25 times to read, in chunks; a
+    # writer and a reader that held the whole range's text and lines peaked
+    # at 4.29 and 5.94 times.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    path = tmp_path / "quad.csv"
+    batches = [sample_gaussian(tmsv(0.3), n_rep=20_000, seed=6, pump_state="ON")]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (lambda: write_quadrature_csv(path, batches), lambda: read_quadrature_csv(path)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peaks[0] < 2.0 * size and peaks[1] < 4.0 * size, (peaks, size)
 
 
 def test_quadrature_csv_write_stays_in_process_while_another_thread_runs(tmp_path, forks):
@@ -674,14 +711,21 @@ def read_on_cpus(path, forks, monkeypatch, cpus):
     return back, parts
 
 
+# reader chunks that end inside a line (1 character puts each line in its
+# own chunk), then the default, which the tests go on with
+READ_CHUNKS = (1, 7, 45, gaussian._READ_CHUNK)
+
+
 def assert_reads_alike(path, forks, monkeypatch):
-    """The batches on 1, 2 and 3 CPUs each equal the reference (so each
-    other); returns the line ranges of each read."""
+    """The batches on 1, 2 and 3 CPUs, with each of READ_CHUNKS, each equal
+    the reference (so each other); returns the line ranges of each read."""
     expected = reference_read(path)
     ranges = {}
-    for cpus in (1, 2, 3):
-        back, ranges[cpus] = read_on_cpus(path, forks, monkeypatch, cpus)
-        assert_same_batches(back, expected)
+    for chunk in READ_CHUNKS:
+        monkeypatch.setattr(gaussian, "_READ_CHUNK", chunk)
+        for cpus in (1, 2, 3):
+            back, ranges[cpus] = read_on_cpus(path, forks, monkeypatch, cpus)
+            assert_same_batches(back, expected)
     return ranges
 
 
@@ -806,6 +850,40 @@ def test_quadrature_csv_reader_repeat_across_ranges_names_the_later_line(tmp_pat
     with pytest.raises(ValueError, match="^line 61: repeats repetition 3 of the signal mode of pump state ON$"):
         read_quadrature_csv(path)
     assert len(forks) == cpus - 1
+
+
+def _error(path):
+    with pytest.raises(ValueError) as err:
+        read_quadrature_csv(path)
+    return str(err.value)
+
+
+def test_quadrature_csv_reader_errors_do_not_depend_on_the_chunks(tmp_path, forks, monkeypatch):
+    # a bad row, raw records, and a repeated or missing repetition raise
+    # the message and line number of one process reading with the default
+    # chunk, for every chunk and for 1, 2 and 3 CPUs
+    texts = []
+    for bad_row in BAD_ROWS:
+        lines = _numbered_rows(60)
+        lines[40] = bad_row
+        texts.append("\n".join(lines) + "\n")
+    for at in (20, 64):
+        texts.append("\n".join(_numbered_rows(60)[:at] + ["# normalized=false"] + _numbered_rows(60)[at:]) + "\n")
+    texts += [text for text, _ in REP_DEFECTS.values()]
+    lines = _numbered_rows(60)
+    lines[60] = "3,signal,0.5,0.5,ON"
+    texts.append("\n".join(lines) + "\n")
+    for k, text in enumerate(texts):
+        path = tmp_path / f"{k}.csv"
+        path.write_text(text)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        expected = _error(path)
+        for chunk in READ_CHUNKS:
+            monkeypatch.setattr(gaussian, "_READ_CHUNK", chunk)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                assert _error(path) == expected, (text, chunk, cpus)
+    assert len(forks) == len(texts) * len(READ_CHUNKS) * 3
 
 
 def test_covariance_json_round_trip():

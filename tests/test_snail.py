@@ -240,12 +240,20 @@ def test_no_convergence_names_the_element_that_did_not_converge(monkeypatch):
 def test_array_params_name_the_first_value_out_of_bound():
     with pytest.raises(ValueError, match=r"r must be in \(0, 1/3\).*got 0\.4$"):
         SnailParams(r=np.array([0.07, 0.4, 0.5]), i_c=I_C, phi_ext=0.0)
-    with pytest.raises(ValueError, match="critical current must be positive, got -1e-06$"):
+    with pytest.raises(ValueError, match="critical current must be positive and finite, got -1e-06$"):
         SnailParams(r=R, i_c=np.array([I_C, -1e-6]), phi_ext=np.zeros(2))
     with pytest.raises(ValueError, match="phi_ext must be finite.*got nan$"):
         SnailParams.from_flux(R, I_C, np.array([0.1, math.nan, 2000.0]))
     with pytest.raises(ValueError, match="shape mismatch"):
         SnailParams(r=np.full(3, R), i_c=I_C, phi_ext=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_params_reject_a_critical_current_that_is_not_finite(bad):
+    # an infinite i_c used to pass and end in a NoConvergence that blamed the Newton stop
+    for i_c in (bad, np.array([I_C, bad, -1e-6])):
+        with pytest.raises(ValueError, match=f"^critical current must be positive and finite, got {bad}$"):
+            SnailParams(r=R, i_c=i_c, phi_ext=0.0)
 
 
 def test_params_validation():
